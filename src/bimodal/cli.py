@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import graphs, io, spectra, synth, verify
-from .graphs import Finite, Infinite, Unknown
+from .graphs import Finite, Infinite
 
 
 class DomainError(Exception):
@@ -36,7 +38,21 @@ def _emit(text, out):
 
 
 def _maybe_power(g, t):
-    return graphs.power(g, t) if t and t > 1 else g
+    return g if t == 1 else graphs.power(g, t)
+
+
+def _int_min(lo):
+    """argparse type: an integer no smaller than ``lo``."""
+    def parse(text):
+        try:
+            v = int(text)
+        except ValueError:
+            v = None
+        if v is None or v < lo:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (lo, text))
+        return v
+    return parse
 
 
 def cmd_info(args):
@@ -67,7 +83,6 @@ def cmd_power(args):
 def cmd_franaszek(args):
     g = _maybe_power(_load_graph(args.file), args.t)
     a0, a1, _ = graphs.adjacency_pair(g)
-    import numpy as np
     xi = np.full(len(g.states), args.cap, dtype=np.int64)
     x = spectra.franaszek_joint(a0, a1, args.n0, args.n1, xi)
     if not x.any():
@@ -94,27 +109,17 @@ def _synthesize(g, method, n0, n1, cap):
             raise DomainError("no 0-1 joint approximate eigenvector")
         return synth.extract_deterministic(g, got.entries, n0, n1)
     if method == "split":
-        try:
-            _, got = spectra.min_infnorm_ae(a0, a1, n0, n1, xi_cap=cap)
-        except spectra.NotFoundWithin as exc:
-            raise DomainError(str(exc))
+        _, got = spectra.min_infnorm_ae(a0, a1, n0, n1, xi_cap=cap)
         e0 = synth.split_one_round(graphs.parity_subgraph(g, 0),
                                   got.entries, n0)
         e1 = synth.split_one_round(graphs.parity_subgraph(g, 1),
                                   got.entries, n1)
         return synth.merge_split_pair(e0, e1, got.entries)
     if method == "stether":
-        try:
-            _, got = spectra.min_infnorm_ae(a0, a1, n0, n1, xi_cap=cap)
-        except spectra.NotFoundWithin as exc:
-            raise DomainError(str(exc))
+        _, got = spectra.min_infnorm_ae(a0, a1, n0, n1, xi_cap=cap)
         return synth.stether(g, got.entries, n0, n1)
     if method == "punctured":
-        try:
-            _, got = spectra.min_infnorm_ae(a0, a1, n0 + 1, n1 + 1,
-                                            xi_cap=cap)
-        except spectra.NotFoundWithin as exc:
-            raise DomainError(str(exc))
+        _, got = spectra.min_infnorm_ae(a0, a1, n0 + 1, n1 + 1, xi_cap=cap)
         return synth.stether_punctured(g, got.entries, n0, n1)
     raise DomainError("unknown method %r" % method)
 
@@ -123,8 +128,8 @@ def cmd_synth(args):
     g = _maybe_power(_load_graph(args.file), args.t)
     try:
         enc = _synthesize(g, args.method, args.n0, args.n1, args.cap)
-    except (synth.InfeasibleVector, synth.SplitInfeasible,
-            synth.InsufficientWeight) as exc:
+    except (spectra.NotFoundWithin, synth.InfeasibleVector,
+            synth.SplitInfeasible, synth.InsufficientWeight) as exc:
         raise DomainError(str(exc))
     _emit(io.serialize_encoder(enc), args.output)
 
@@ -156,7 +161,8 @@ def cmd_decode(args):
     word = sys.stdin.read().split()
     try:
         decoded = verify.decode_stream(enc, word, args.start, p=args.p)
-    except (verify.NotDecodable, verify.PreconditionFailed) as exc:
+    except (verify.NotDecodable, verify.PreconditionFailed,
+            synth.ArityMismatch, ValueError) as exc:
         raise DomainError(str(exc))
     parts = []
     for d in decoded:
@@ -175,6 +181,7 @@ def build_parser():
         prog="bimodal",
         description="parity-split constrained encoder toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    count, positive = _int_min(0), _int_min(1)
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
@@ -186,40 +193,40 @@ def build_parser():
 
     p = add("power", cmd_power, help="write the t-th graph power")
     p.add_argument("file")
-    p.add_argument("-t", type=int, required=True)
+    p.add_argument("-t", type=positive, required=True)
     p.add_argument("-o", "--output")
 
     p = add("franaszek", cmd_franaszek,
             help="largest joint vector under a cap")
     p.add_argument("file")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--cap", type=int, default=64)
-    p.add_argument("-t", type=int, default=1)
+    p.add_argument("--n0", type=count, required=True)
+    p.add_argument("--n1", type=count, required=True)
+    p.add_argument("--cap", type=positive, default=64)
+    p.add_argument("-t", type=positive, default=1)
 
     p = add("region", cmd_region, help="achievable degree pairs as CSV")
     p.add_argument("file")
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("-t", type=positive, required=True)
+    p.add_argument("--cap", type=positive, default=64)
     p.add_argument("-o", "--output")
 
     p = add("synth", cmd_synth, help="construct an encoder")
     p.add_argument("file")
     p.add_argument("--method", required=True,
                    choices=["det", "split", "stether", "punctured"])
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--cap", type=int, default=64)
-    p.add_argument("-t", type=int, default=1)
+    p.add_argument("--n0", type=count, required=True)
+    p.add_argument("--n1", type=count, required=True)
+    p.add_argument("--cap", type=positive, default=64)
+    p.add_argument("-t", type=positive, default=1)
     p.add_argument("-o", "--output")
 
     p = add("verify", cmd_verify, help="check an encoder against a graph")
     p.add_argument("encoder")
     p.add_argument("--against", required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--cap", type=int, default=32)
-    p.add_argument("-t", type=int, default=1)
+    p.add_argument("--n0", type=count, required=True)
+    p.add_argument("--n1", type=count, required=True)
+    p.add_argument("--cap", type=positive, default=32)
+    p.add_argument("-t", type=positive, default=1)
 
     p = add("encode", cmd_encode, help="encode tag blocks from stdin")
     p.add_argument("encoder")
@@ -248,7 +255,7 @@ def main(argv=None):
     except (io.ParseError, graphs.ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -4,15 +4,18 @@ The graph model underlies everything else in the package: subgraph
 restriction by parity class, graph powers with word labels, adjacency
 matrices split by class, and the structural procedures (determinization,
 irreducibility, period, memory, state merging) used by the encoder
-construction and verification layers.
+construction and verification layers.  The shared primitives live here
+once: strongly connected components, the per-state label index and
+subset step, the synchronized pair graph, and induced subgraphs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,6 +129,17 @@ class LabeledGraph:
 
     def sorted_out_edges(self, s):
         return sorted(self._out[s], key=self.edge_key)
+
+    @functools.cached_property
+    def by_label(self):
+        """Label index: state -> label -> its out-edges with that label,
+        labels in first-seen order, edges in out-edge order."""
+        idx = {}
+        for s, es in self._out.items():
+            d = idx[s] = {}
+            for e in es:
+                d.setdefault(e.label, []).append(e)
+        return idx
 
     def __eq__(self, other):
         return isinstance(other, LabeledGraph) and self._key == other._key
@@ -293,8 +307,15 @@ def is_deterministic(g):
     return True
 
 
+def _step(g, states, label):
+    """States reached from ``states`` along one edge labelled ``label``."""
+    idx = g.by_label
+    return frozenset(e.dst for s in states for e in idx[s].get(label, ()))
+
+
 def _scc(states, succ):
-    """Iterative Tarjan; components in reverse topological order."""
+    """Iterative Tarjan over ``succ[v]``; components come out in reverse
+    topological order, so every component after those it reaches."""
     index = {}
     low = {}
     onstack = {}
@@ -304,7 +325,7 @@ def _scc(states, succ):
     for root in states:
         if root in index:
             continue
-        work = [(root, iter(succ(root)))]
+        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -318,7 +339,7 @@ def _scc(states, succ):
                     counter[0] += 1
                     stack.append(w)
                     onstack[w] = True
-                    work.append((w, iter(succ(w))))
+                    work.append((w, iter(succ[w])))
                     advanced = True
                     break
                 elif onstack.get(w):
@@ -351,18 +372,11 @@ def irreducible_components(g):
     """
     succs = {s: sorted({e.dst for e in g.out_edges(s)},
                        key=g.state_index) for s in g.states}
-    comps = _scc(g.states, lambda v: succs[v])
+    comps = _scc(g.states, succs)
     comps.sort(key=lambda c: min(g.state_index(s) for s in c))
-    out = []
-    for comp in comps:
-        sink = all(e.dst in comp for s in comp for e in g.out_edges(s))
-        sub = LabeledGraph(
-            [s for s in g.states if s in comp],
-            [e for e in g.edges if e.src in comp and e.dst in comp],
-            g.parity,
-        )
-        out.append((sub, sink))
-    return out
+    return [(_induced(g, comp),
+             all(e.dst in comp for s in comp for e in g.out_edges(s)))
+            for comp in comps]
 
 
 def period(g):
@@ -385,39 +399,89 @@ def period(g):
     return p
 
 
-def _pair_successors(g, pairs):
-    out = set()
-    for (p, q) in pairs:
-        by_label = {}
-        for e in g.out_edges(q):
-            by_label.setdefault(e.label, []).append(e)
-        for e1 in g.out_edges(p):
-            for e2 in by_label.get(e1.label, ()):
-                out.add((e1.dst, e2.dst))
-    return out
+def _same_edge(e1, e2):
+    """One path, not two: equal edges of multiplicity one."""
+    return e1 == e2 and e1.mult == 1
+
+
+class PairGraph:
+    """Synchronized product of a graph with itself, over ordered pairs.
+
+    Transitions pair up equally labeled edges.  ``ext`` gives, per pair,
+    the longest synchronized walk length leaving it (math.inf when a
+    cycle is reachable).
+    """
+
+    def __init__(self, g):
+        self.g = g
+        idx = g.by_label
+        self.nodes = [(p, q) for p in g.states for q in g.states]
+        self.succ = {
+            (p, q): [(a, e1, e2) for a, es1 in idx[p].items()
+                     for e1 in es1 for e2 in idx[q].get(a, ())]
+            for (p, q) in self.nodes
+        }
+        self._ext = None
+
+    def edge_pairs(self, p, q):
+        """Distinct equally labeled edge pairs leaving (p, q).
+
+        When p == q a pair must use two genuinely different edges; an
+        edge of multiplicity > 1 counts as its own partner.
+        """
+        return [(e1, e2) for (_, e1, e2) in self.succ[(p, q)]
+                if not _same_edge(e1, e2)]
+
+    def ext(self):
+        if self._ext is None:
+            kids = {n: [(e1.dst, e2.dst) for (_, e1, e2) in step]
+                    for n, step in self.succ.items()}
+            longest = {}
+            # sinks come first, so every child is settled before its
+            # parent; a component with a cycle is unbounded
+            for comp in _scc(self.nodes, kids):
+                n = next(iter(comp))
+                if len(comp) > 1 or n in kids[n]:
+                    v = math.inf
+                else:
+                    v = 1 + max((longest[k] for k in kids[n]), default=-1)
+                longest.update(dict.fromkeys(comp, v))
+            self._ext = longest
+        return self._ext
+
+    def reach_sets(self):
+        """Decreasing chain R(0) ⊇ R(1) ⊇ ... of pairs reachable by
+        synchronized walks of each length, listed up to its fixpoint."""
+        sets = [frozenset(self.nodes)]
+        while True:
+            cur = sets[-1]
+            nxt = frozenset(
+                (e1.dst, e2.dst)
+                for n in cur
+                for (_, e1, e2) in self.succ[n]
+            )
+            if nxt == cur:
+                break
+            sets.append(nxt)
+        return sets
 
 
 def memory(g, mu_max=64):
     """Smallest m such that equal words of length m force equal endpoints.
 
-    Works on the synchronized pair graph: the set of state pairs
-    reachable by equal-word walks of length k shrinks with k; memory is
-    the first k at which no distinct pair remains.  A surviving distinct
-    pair at the fixpoint means the memory is infinite.
+    Scans the pair graph's reach chain: the set of state pairs reachable
+    by equal-word walks of length k shrinks with k; memory is the first
+    k at which no distinct pair remains.  A surviving distinct pair at
+    the fixpoint means the memory is infinite.
     """
-    pairs = {(p, q) for p in g.states for q in g.states}
-    k = 0
-    while True:
+    sets = PairGraph(g).reach_sets()
+    for k, pairs in enumerate(sets):
         if all(p == q for (p, q) in pairs):
             return Finite(k)
         if k >= mu_max:
             return Unknown(mu_max)
-        nxt = _pair_successors(g, pairs)
-        if nxt == pairs:
-            bad = sorted((p, q) for (p, q) in pairs if p != q)
-            return Infinite(tuple(bad[:4]))
-        pairs = nxt
-        k += 1
+    bad = sorted((p, q) for (p, q) in sets[-1] if p != q)
+    return Infinite(tuple(bad[:4]))
 
 
 def _subset_name(g, members):
@@ -432,16 +496,6 @@ def determinize(g):
     ``members``.  The result is deterministic and presents the same
     words.
     """
-    succ_cache = {}
-
-    def step(zset, a):
-        targets = set()
-        for v in zset:
-            for e in g.out_edges(v):
-                if e.label == a:
-                    targets.add(e.dst)
-        return frozenset(targets)
-
     seen = []
     queue = []
     index = set()
@@ -454,9 +508,8 @@ def determinize(g):
     edges = []
     while queue:
         z = queue.pop(0)
-        labels = sorted({e.label for v in z for e in g.out_edges(v)})
-        for a in labels:
-            z2 = step(z, a)
+        for a in sorted({a for v in z for a in g.by_label[v]}):
+            z2 = _step(g, z, a)
             if not z2:
                 continue
             if z2 not in index:
@@ -503,6 +556,7 @@ def follower_le(g1, g2):
 
 
 def _induced(g, keep):
+    """Subgraph on the states in ``keep`` and the edges between them."""
     keep = set(keep)
     return LabeledGraph(
         [s for s in g.states if s in keep],
@@ -526,6 +580,18 @@ def _essential(g):
     return _induced(g, keep)
 
 
+def _drop_zero_weight(g, weights):
+    """Induced subgraph on the states of positive weight (``weights``
+    aligned with g.states), warning the caller's caller about any
+    zero-weight state dropped."""
+    zero = [s for s, w in zip(g.states, weights) if w == 0]
+    if not zero:
+        return g
+    warnings.warn("dropping zero-weight states: %s" % ", ".join(zero),
+                  stacklevel=3)
+    return _induced(g, [s for s, w in zip(g.states, weights) if w > 0])
+
+
 def merge_states(g, weights=None):
     """Collapse redundant states of a deterministic graph.
 
@@ -544,13 +610,7 @@ def merge_states(g, weights=None):
         if len(weights) != len(g.states):
             raise ValueError("weight vector length mismatch")
         wmap = dict(zip(g.states, (int(w) for w in weights)))
-        zero = [s for s in g.states if wmap[s] == 0]
-        if zero:
-            warnings.warn(
-                "dropping zero-weight states: %s" % ", ".join(zero),
-                stacklevel=2,
-            )
-            g = _induced(g, [s for s in g.states if wmap[s] > 0])
+        g = _drop_zero_weight(g, [wmap[s] for s in g.states])
     g = _essential(g)
     if not g.states:
         return g

@@ -15,7 +15,7 @@ source, label, target.
 
 from __future__ import annotations
 
-from .graphs import Edge, LabeledGraph, ValidationError, validate_graph
+from .graphs import ValidationError, validate_graph
 from .synth import TaggedEncoder
 
 

@@ -6,13 +6,12 @@ matrices of a pair must share dimensions and a state order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import adjacency, adjacency_pair, power
+from .graphs import _scc, adjacency, adjacency_pair, power
 
 
 class DimensionMismatch(Exception):
@@ -76,8 +75,10 @@ def perron(a, tol=1e-9, max_iter=10 ** 6):
     # the spectral radius is attained on some strongly connected
     # component, and A+I restricted to one is primitive, so the
     # iteration converges geometrically there
+    succ = [np.flatnonzero(row).tolist() for row in a]
     best = 0.0
-    for comp in _matrix_sccs(a):
+    for comp in _scc(range(a.shape[0]), succ):
+        comp = sorted(comp)
         m = a[np.ix_(comp, comp)].astype(float) + np.eye(len(comp))
         v = np.ones(len(comp))
         est = 0.0
@@ -92,53 +93,6 @@ def perron(a, tol=1e-9, max_iter=10 ** 6):
                 break
         best = max(best, est - 1.0)
     return float(best)
-
-
-def _matrix_sccs(a):
-    k = a.shape[0]
-    succ = [np.flatnonzero(a[i]).tolist() for i in range(k)]
-    index = {}
-    low = {}
-    on_stack = [False] * k
-    stack = []
-    comps = []
-    counter = itertools.count()
-    for root in range(k):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp))
-    return comps
 
 
 def capacity(g, tol=1e-9):
@@ -221,7 +175,7 @@ def rate_region(g, t, xi_cap=64, tol=1e-9):
     a joint approximate eigenvector within the cap is located by binary
     search (feasibility is monotone decreasing in n1).
     """
-    pw = power(g, t) if t > 1 else g
+    pw = g if t == 1 else power(g, t)
     a0, a1, _ = adjacency_pair(pw)
     lam0 = perron(a0, tol=tol)
     lam1 = perron(a1, tol=tol)
@@ -249,7 +203,7 @@ def coding_ratio(g, t, xi_cap=64, tol=1e-9):
     (n, n) within the cap; the ratio is log2(2 n_max) / t, or -inf when
     even n = 1 is out of reach.
     """
-    pw = power(g, t) if t > 1 else g
+    pw = g if t == 1 else power(g, t)
     a0, a1, _ = adjacency_pair(pw)
     bound = int(math.floor(min(perron(a0, tol=tol),
                                perron(a1, tol=tol)) + 1e-9))

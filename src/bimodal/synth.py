@@ -9,7 +9,6 @@ stethering which builds one degree higher and deletes the top tag slot.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from .graphs import (
     Edge,
     LabeledGraph,
     NotDeterministic,
+    _drop_zero_weight,
     adjacency,
     adjacency_pair,
     is_deterministic,
@@ -331,22 +331,6 @@ def merge_split_pair(e0, e1, x, matching=None):
                          n0, n1)
 
 
-def _drop_zero_states(g, xv):
-    zero = [s for s, v in zip(g.states, xv) if v == 0]
-    if not zero:
-        return g, xv
-    warnings.warn("dropping zero-weight states: %s" % ", ".join(zero),
-                  stacklevel=3)
-    keep = [s for s, v in zip(g.states, xv) if v > 0]
-    kept = set(keep)
-    g2 = LabeledGraph(
-        keep,
-        [e for e in g.edges if e.src in kept and e.dst in kept],
-        g.parity,
-    )
-    return g2, np.asarray([v for v in xv if v > 0], dtype=np.int64)
-
-
 def build_delta(g, x, u, b):
     """Candidate list for state u and class b: (symbol, target copy).
 
@@ -396,9 +380,9 @@ def stether(g, x, n0, n1, partitions=None):
     if not is_deterministic(g):
         raise NotDeterministic("stethering needs a deterministic graph")
     xv = _check_ae(g, x, n0, n1)
-    g, xv = _drop_zero_states(g, xv)
     w = dict(zip(g.states, (int(v) for v in xv)))
-    succ = {u: {e.label: e.dst for e in g.out_edges(u)} for u in g.states}
+    g = _drop_zero_weight(g, xv)
+    xv = [w[u] for u in g.states]
     states = ["%s%s%d" % (u, STATE_SEP, i)
               for u in g.states for i in range(w[u])]
     tags = {}
@@ -413,7 +397,8 @@ def stether(g, x, n0, n1, partitions=None):
             for i, grp in enumerate(part.groups):
                 for slot, (a, j) in enumerate(grp):
                     e = Edge("%s%s%d" % (u, STATE_SEP, i), a,
-                             "%s%s%d" % (succ[u][a], STATE_SEP, j))
+                             "%s%s%d" % (g.by_label[u][a][0].dst,
+                                         STATE_SEP, j))
                     if e not in tags:
                         tags[e] = []
                         edges.append(e)

@@ -17,18 +17,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graphs import (
-    Edge,
     Finite,
     Infinite,
-    LabeledGraph,
+    PairGraph,
     Unknown,
+    _same_edge,
+    _step,
     adjacency_pair,
     determinize,
     follower_le,
     irreducible_components,
     is_deterministic,
-    memory,
-    parity_subgraph,
 )
 from .spectra import ApproxEigenvector
 from .synth import TaggedEncoder, assign_block_tags
@@ -86,124 +85,9 @@ def _graph_of(e):
     return e.graph if isinstance(e, TaggedEncoder) else e
 
 
-class PairGraph:
-    """Synchronized product of a graph with itself, over ordered pairs.
-
-    Transitions pair up equally labeled edges.  ``ext`` gives, per pair,
-    the longest synchronized walk length leaving it (math.inf when a
-    cycle is reachable).
-    """
-
-    def __init__(self, g):
-        self.g = g
-        by_label = {
-            s: {} for s in g.states
-        }
-        for s in g.states:
-            for e in g.out_edges(s):
-                by_label[s].setdefault(e.label, []).append(e)
-        self._by_label = by_label
-        self.nodes = [(p, q) for p in g.states for q in g.states]
-        succ = {}
-        for (p, q) in self.nodes:
-            step = []
-            for a, es1 in by_label[p].items():
-                es2 = by_label[q].get(a)
-                if not es2:
-                    continue
-                for e1 in es1:
-                    for e2 in es2:
-                        step.append((a, e1, e2))
-            succ[(p, q)] = step
-        self.succ = succ
-        self._ext = None
-
-    def edge_pairs(self, p, q):
-        """Distinct equally labeled edge pairs leaving (p, q).
-
-        When p == q a pair must use two genuinely different edges; an
-        edge of multiplicity > 1 counts as its own partner.
-        """
-        out = []
-        for a, es in self._by_label[p].items():
-            others = self._by_label[q].get(a, ())
-            for e1 in es:
-                for e2 in others:
-                    if p == q and e1 == e2:
-                        if e1.mult > 1:
-                            out.append((e1, e2))
-                        continue
-                    out.append((e1, e2))
-        return out
-
-    def ext(self):
-        if self._ext is not None:
-            return self._ext
-        succ_nodes = {
-            n: [(e1.dst, e2.dst) for (_, e1, e2) in self.succ[n]]
-            for n in self.nodes
-        }
-        # nodes inside or reaching a cycle of the product are unbounded
-        index = {n: i for i, n in enumerate(self.nodes)}
-        state = {}
-        unbounded = set()
-        longest = {}
-
-        def visit(n):
-            stack = [(n, 0)]
-            path = []
-            onpath = set()
-            while stack:
-                node, pos = stack.pop()
-                if pos == 0:
-                    if state.get(node) == "done":
-                        continue
-                    if node in onpath:
-                        continue
-                    state[node] = "open"
-                    path.append(node)
-                    onpath.add(node)
-                kids = succ_nodes[node]
-                if pos < len(kids):
-                    stack.append((node, pos + 1))
-                    kid = kids[pos]
-                    if state.get(kid) == "open":
-                        unbounded.add(kid)
-                    elif state.get(kid) != "done":
-                        stack.append((kid, 0))
-                else:
-                    state[node] = "done"
-                    path.pop()
-                    onpath.discard(node)
-                    if node in unbounded or any(
-                            k in unbounded or longest.get(k) == math.inf
-                            for k in kids):
-                        longest[node] = math.inf
-                        unbounded.add(node)
-                    else:
-                        longest[node] = (
-                            1 + max((longest[k] for k in kids), default=-1))
-
-        for n in self.nodes:
-            visit(n)
-        self._ext = longest
-        return longest
-
-    def reach_sets(self):
-        """Decreasing chain R(0) ⊇ R(1) ⊇ ... of pairs reachable by
-        synchronized walks of each length, listed up to its fixpoint."""
-        sets = [frozenset(self.nodes)]
-        while True:
-            cur = sets[-1]
-            nxt = frozenset(
-                (e1.dst, e2.dst)
-                for n in cur
-                for (_, e1, e2) in self.succ[n]
-            )
-            if nxt == cur:
-                break
-            sets.append(nxt)
-        return sets
+def _pair_graph_of(e):
+    """The pair checks take an encoder, a graph or a prebuilt PairGraph."""
+    return e if isinstance(e, PairGraph) else PairGraph(_graph_of(e))
 
 
 def losslessness(e):
@@ -213,9 +97,8 @@ def losslessness(e):
     tracking whether they have diverged; a diverged pair meeting again
     on the diagonal is a violation.
     """
-    g = _graph_of(e)
-    pg = PairGraph(g)
-    start = [((s, s), False) for s in g.states]
+    pg = _pair_graph_of(e)
+    start = [((s, s), False) for s in pg.g.states]
     seen = set(start)
     queue = list(start)
     while queue:
@@ -223,10 +106,7 @@ def losslessness(e):
         if diverged and p == q:
             return False
         for (_, e1, e2) in pg.succ[(p, q)]:
-            d2 = diverged or e1 != e2 or e1.mult > 1
-            if not diverged and p == q and e1 == e2 and e1.mult == 1:
-                d2 = False
-            node = ((e1.dst, e2.dst), d2)
+            node = ((e1.dst, e2.dst), diverged or not _same_edge(e1, e2))
             if node not in seen:
                 seen.add(node)
                 queue.append(node)
@@ -259,10 +139,9 @@ def anticipation(e, cap=32):
     state disagree within a symbols after the first.  Infinite carries a
     certificate walk into a synchronized cycle.
     """
-    g = _graph_of(e)
-    pg = PairGraph(g)
+    pg = _pair_graph_of(e)
     starts = []
-    for s in g.states:
+    for s in pg.g.states:
         for (e1, e2) in pg.edge_pairs(s, s):
             starts.append((e1.dst, e2.dst))
     if not starts:
@@ -294,24 +173,20 @@ def _fails_definite(pg, reach, m, a, compare):
 
 def is_definite(e, m, a):
     """Equal words of length m+a+1 force an equal edge at position m+1."""
-    g = _graph_of(e)
-    pg = PairGraph(g)
-    return not _fails_definite(
-        pg, pg.reach_sets(), m, a, lambda e1, e2: e1 == e2 and e1.mult == 1)
+    pg = _pair_graph_of(e)
+    return not _fails_definite(pg, pg.reach_sets(), m, a, _same_edge)
 
 
 def definiteness(e, m_max=8, a_max=8):
     """Smallest (m, a) by total window then memory, or None in bounds."""
-    g = _graph_of(e)
-    pg = PairGraph(g)
+    pg = _pair_graph_of(e)
     reach = pg.reach_sets()
-    same = lambda e1, e2: e1 == e2 and e1.mult == 1
     for total in range(0, m_max + a_max + 1):
         for m in range(0, min(total, m_max) + 1):
             a = total - m
             if a > a_max:
                 continue
-            if not _fails_definite(pg, reach, m, a, same):
+            if not _fails_definite(pg, reach, m, a, _same_edge):
                 return (m, a)
     return None
 
@@ -335,7 +210,6 @@ def presents_subset(e, g):
     if not is_deterministic(g):
         raise PreconditionFailed("containment target must be deterministic")
     eg = _graph_of(e)
-    succ = {s: {ed.label: ed.dst for ed in g.out_edges(s)} for s in g.states}
     full = frozenset(g.states)
     seen = set()
     queue = []
@@ -346,8 +220,7 @@ def presents_subset(e, g):
     while queue:
         v, u = queue.pop()
         for ed in eg.out_edges(v):
-            u2 = frozenset(
-                succ[s][ed.label] for s in u if ed.label in succ[s])
+            u2 = _step(g, u, ed.label)
             if not u2:
                 return False
             node = (ed.dst, u2)
@@ -371,15 +244,16 @@ def check_encoder(e, g, n0, n1, cap=32):
     contain = presents_subset(e, g)
     if not contain:
         violations.append("encoder generates a word outside the constraint")
-    lossless = losslessness(e)
+    pg = PairGraph(e.graph)
+    lossless = losslessness(pg)
     if not lossless:
         violations.append("two distinct equally labeled paths reconverge")
-    ant = anticipation(e, cap=cap)
+    ant = anticipation(pg, cap=cap)
     if isinstance(ant, Infinite):
         violations.append("anticipation is infinite")
     defin = None
     if isinstance(ant, Finite):
-        defin = definiteness(e, m_max=8, a_max=max(8, ant.value))
+        defin = definiteness(pg, m_max=8, a_max=max(8, ant.value))
     return VerifyReport((deg0, deg1), contain, lossless, ant, defin,
                         violations)
 
@@ -457,6 +331,11 @@ def _force_parity(block, parity):
     return str(bit) + rest
 
 
+def _check_start(g, start):
+    if start not in set(g.states):
+        raise ValueError("unknown start state %r" % start)
+
+
 def encode_stream(e, tags, start, policy="as-tagged", p=None):
     """Drive the encoder from ``start`` over a tag sequence.
 
@@ -470,8 +349,7 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
     """
     tags = list(tags)
     g = e.graph
-    if start not in set(g.states):
-        raise ValueError("unknown start state %r" % start)
+    _check_start(g, start)
     block_mode = not tags or isinstance(tags[0], str)
     if block_mode:
         if p is None:
@@ -540,15 +418,18 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
     return word, state, trace
 
 
-def _can_generate(g, state, labels):
-    frontier = {state}
-    for a in labels:
-        nxt = {e.dst for s in frontier for e in g.out_edges(s)
-               if e.label == a}
-        if not nxt:
-            return False
-        frontier = nxt
-    return True
+def _candidates(g, states, label, ahead):
+    """Edges labelled ``label`` leaving ``states`` whose targets can go
+    on to read the labels ``ahead``."""
+    out = []
+    for s in states:
+        for ed in g.by_label[s].get(label, ()):
+            z = {ed.dst}
+            for b in ahead:
+                z = _step(g, z, b)
+            if z:
+                out.append(ed)
+    return out
 
 
 def decode_stream(e, word, start, p=None, cap=32):
@@ -561,6 +442,7 @@ def decode_stream(e, word, start, p=None, cap=32):
     """
     word = list(word)
     g = e.graph
+    _check_start(g, start)
     ant = anticipation(e, cap=cap)
     if not isinstance(ant, Finite):
         raise PreconditionFailed("decoding needs finite anticipation")
@@ -571,9 +453,7 @@ def decode_stream(e, word, start, p=None, cap=32):
     state = start
     out = []
     for i, label in enumerate(word):
-        ahead = word[i + 1:i + 1 + a]
-        cands = [ed for ed in g.out_edges(state)
-                 if ed.label == label and _can_generate(g, ed.dst, ahead)]
+        cands = _candidates(g, (state,), label, word[i + 1:i + 1 + a])
         if not cands:
             raise NotDecodable(i, "no edge matches the upcoming labels")
         provisional = False
@@ -613,31 +493,14 @@ def decode_sliding(e, word, m, a, p=None):
         if i < m or i + a >= n:
             out.append(None)
             continue
-        window = word[i - m:i + a + 1]
-        # forward sets of states before each window position
-        fwd = [set(g.states)]
-        for lbl in window:
-            fwd.append({ed.dst for s in fwd[-1] for ed in g.out_edges(s)
-                        if ed.label == lbl})
-        # backward sets of states able to finish the window
-        bwd = [set(g.states)]
-        for lbl in reversed(window):
-            bwd.append({s for s in g.states
-                        for ed in g.out_edges(s)
-                        if ed.label == lbl and ed.dst in bwd[-1]})
-        bwd.reverse()
-        cands = [ed for s in fwd[m] for ed in g.out_edges(s)
-                 if s in bwd[m] and ed.label == window[m]
-                 and ed.dst in bwd[m + 1]]
+        z = g.states
+        for lbl in word[i - m:i]:
+            z = _step(g, z, lbl)
         tags = set()
-        for ed in cands:
+        for ed in _candidates(g, z, word[i], word[i + 1:i + a + 1]):
             if inverse is not None:
-                for s in (ed.src,):
-                    tags.update(inverse[s].get(ed, ()))
+                tags.update(inverse[ed.src].get(ed, ()))
             else:
                 tags.add(min(e.tags.get(ed, ((None, None),))))
-        if len(tags) == 1:
-            out.append(next(iter(tags)))
-        else:
-            out.append(None)
+        out.append(next(iter(tags)) if len(tags) == 1 else None)
     return out

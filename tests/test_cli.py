@@ -168,6 +168,40 @@ def test_cli_error_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["power", "twostate.cg", "-t", "0"],
+    ["franaszek", "twostate.cg", "--n0", "-1", "--n1", "1"],
+    ["franaszek", "twostate.cg", "--n0", "1", "--n1", "1", "--cap", "0"],
+    ["region", "twostate.cg", "-t", "-1"],
+    ["synth", "twostate.cg", "-t", "0", "--method", "det",
+     "--n0", "1", "--n1", "1"],
+    ["verify", "quad.cg", "--against", "twostate.cg", "-t", "0",
+     "--n0", "1", "--n1", "1"],
+], ids=["power-t", "franaszek-n0", "franaszek-cap", "region-t", "synth-t",
+        "verify-t"])
+def test_cli_error_codes_out_of_range(argv, capsys):
+    argv = [fixture(a) if a.endswith(".cg") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >=" in capsys.readouterr().err
+
+
+def test_cli_decode_unknown_start(tmp_path, capsys, monkeypatch):
+    enc = tmp_path / "enc.cg"
+    main(["synth", fixture("twostate.cg"), "-t", "2", "--method", "det",
+          "--n0", "1", "--n1", "1", "-o", str(enc)])
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", stdio.StringIO("a.a"))
+    assert main(["decode", str(enc), "--start", "nope"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown start")
+
+
+def test_cli_info_directory(tmp_path, capsys):
+    assert main(["info", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_export_dot_multiplicity():
     g = helpers.rll_16()
     dot = export_dot(g)

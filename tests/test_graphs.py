@@ -10,6 +10,7 @@ from bimodal import (
     Finite,
     Infinite,
     NotIrreducible,
+    Unknown,
     ValidationError,
     adjacency,
     adjacency_pair,
@@ -174,6 +175,45 @@ def test_memory_infinite():
          ("v", "c", "u")],
         ["a", "b"], ["c"])
     assert isinstance(memory(g), Infinite)
+
+
+def _endpoint_pairs(g, k):
+    """Endpoint pairs of every two length-k paths (any starts) that read
+    the same word, by enumerating the paths."""
+    paths = [((), s) for s in g.states]
+    for _ in range(k):
+        paths = [(word + (e.label,), e.dst)
+                 for word, v in paths for e in g.out_edges(v)]
+    ends = {}
+    for word, v in paths:
+        ends.setdefault(word, set()).add(v)
+    return {(p, q) for vs in ends.values() for p in vs for q in vs}
+
+
+def oracle_memory(g, mu_max):
+    """memory() by brute force.  The endpoint-pair sets shrink with k and
+    settle within n*n steps: the memory is the first k whose set has no
+    distinct pair; the fixpoint step decides Infinite against Unknown."""
+    n2 = len(g.states) ** 2
+    sets = [_endpoint_pairs(g, k) for k in range(n2 + 2)]
+    for k, pairs in enumerate(sets):
+        if all(p == q for (p, q) in pairs):
+            return Finite(k) if k <= mu_max else Unknown(mu_max)
+        if sets[k + 1] == pairs:
+            return Infinite() if k < mu_max else Unknown(mu_max)
+
+
+def test_memory_matches_brute_force_across_mu_max():
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for i in range(40):
+        g = helpers.random_graph(rng, max_states=3, strict=bool(i % 2),
+                                 max_out=2)
+        for mu in range(len(g.states) ** 2 + 2):
+            want = oracle_memory(g, mu)
+            assert memory(g, mu_max=mu) == want, (g.edges, mu)
+            kinds.add(type(want))
+    assert kinds == {Finite, Infinite, Unknown}
 
 
 def _words_up_to(g, length):

@@ -39,6 +39,40 @@ def test_perron_matches_numpy_oracle():
         assert perron(a) == pytest.approx(want, abs=1e-6)
 
 
+def test_perron_reducible_blocks_out_of_index_order():
+    # irreducible diagonal blocks with spectral radii 3, 1+sqrt(2), 1 and
+    # 0, coupled upper block-triangularly, then scattered over the indices
+    # so that no component occupies a contiguous or ordered index range
+    blocks = [np.array([[3]]), np.array([[1, 2], [1, 1]]),
+              np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), np.array([[0]])]
+    n = sum(len(b) for b in blocks)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        a = np.zeros((n, n), dtype=np.int64)
+        i = 0
+        for b in blocks:
+            a[i:i + len(b), i:i + len(b)] = b
+            a[i:i + len(b), i + len(b):] = rng.integers(0, 2, size=(
+                len(b), n - i - len(b)))
+            i += len(b)
+        perm = rng.permutation(n)
+        a = a[np.ix_(perm, perm)]
+        assert perron(a) == pytest.approx(3.0, abs=1e-9)
+        # dropping the dominant block leaves 1 + sqrt(2)
+        keep = [j for j in range(n) if perm[j] != 0]
+        assert perron(a[np.ix_(keep, keep)]) == pytest.approx(
+            1 + math.sqrt(2), abs=1e-9)
+
+
+def test_block_length_below_one_is_rejected():
+    g = helpers.two_state()
+    for t in (0, -1):
+        with pytest.raises(ValueError):
+            rate_region(g, t)
+        with pytest.raises(ValueError):
+            coding_ratio(g, t)
+
+
 def test_perron_fixture_values():
     g = helpers.mixed()
     a0, a1, _ = adjacency_pair(power(g, 2))

@@ -10,9 +10,12 @@ from bimodal import (
     Finite,
     Infinite,
     NotDecodable,
+    PairGraph,
     PreconditionFailed,
+    TaggedEncoder,
     UnknownTag,
     anticipation,
+    assign_block_tags,
     check_encoder,
     decode_sliding,
     decode_stream,
@@ -155,6 +158,29 @@ def test_check_encoder_report():
     assert not bad.ok and bad.violations
 
 
+def test_check_encoder_builds_one_pair_graph(monkeypatch):
+    built = []
+    init = PairGraph.__init__
+
+    def counting(self, g):
+        built.append(g)
+        init(self, g)
+
+    g = power(helpers.two_state(), 3)
+    e = stether_punctured(g, (2, 1), 2, 2)
+    monkeypatch.setattr(PairGraph, "__init__", counting)
+    rep = check_encoder(e, g, 2, 2)
+    assert rep.ok and rep.definiteness is not None
+    assert built == [e.graph]
+    # the pair checks give the same answers from a prebuilt pair graph
+    monkeypatch.undo()
+    pg = PairGraph(e.graph)
+    assert losslessness(pg) == losslessness(e)
+    assert anticipation(pg) == anticipation(e)
+    assert definiteness(pg) == definiteness(e)
+    assert is_definite(pg, 1, 1) == is_definite(e, 1, 1)
+
+
 def test_witness_ae_quad():
     g = helpers.quad()
     e = extract_deterministic(g, (1, 1), 2, 2)
@@ -233,6 +259,14 @@ def test_decode_stream_errors_and_tail():
     assert not decoded[0].provisional
 
 
+def test_decode_stream_rejects_unknown_start():
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    start = e.graph.states[0]
+    word, _, _ = encode_stream(e, ["00", "11"], start)
+    with pytest.raises(ValueError, match="unknown start"):
+        decode_stream(e, word, "nope", p=2)
+
+
 def test_rds_min_bound_ex3():
     e = _ex3_t2_encoder()
     rng = random.Random(3)
@@ -286,3 +320,68 @@ def test_decode_sliding_and_error_propagation():
     diffs = [i for i in range(len(word)) if clean[i] != dirty[i]]
     assert all(pos - m - a <= i <= pos + m + a for i in diffs)
     assert len(diffs) <= m + a + 1
+
+
+def oracle_sliding(e, word, m, a, tag_of):
+    """Tag at position i by enumerating every path that reads
+    word[i-m : i+a+1] and collecting the tags of its edge at offset m."""
+    out = []
+    for i in range(len(word)):
+        if i < m or i + a >= len(word):
+            out.append(None)
+            continue
+        window = word[i - m:i + a + 1]
+        paths = [[ed] for ed in e.graph.edges if ed.label == window[0]]
+        for lbl in window[1:]:
+            paths = [path + [ed] for path in paths
+                     for ed in e.graph.out_edges(path[-1].dst)
+                     if ed.label == lbl]
+        tags = set()
+        for path in paths:
+            tags.update(tag_of(path[m]))
+        out.append(tags.pop() if len(tags) == 1 else None)
+    return out
+
+
+def _random_word(rng, g, n):
+    """A walk's word of length n, with one symbol sometimes replaced."""
+    state = g.states[rng.integers(len(g.states))]
+    word = []
+    for _ in range(n):
+        out = g.out_edges(state)
+        ed = out[rng.integers(len(out))]
+        word.append(ed.label)
+        state = ed.dst
+    if rng.random() < 0.5:
+        alphabet = sorted(g.alphabet)
+        word[rng.integers(n)] = alphabet[rng.integers(len(alphabet))]
+    return word
+
+
+def test_decode_sliding_matches_path_enumeration():
+    rng = np.random.default_rng(61)
+    for i in range(60):
+        g = helpers.random_graph(rng, strict=bool(i % 2))
+        tags = {}
+        for s in g.states:
+            for slot, ed in enumerate(g.out_edges(s)):
+                if rng.random() < 0.8:
+                    tags[ed] = ((int(rng.integers(2)), slot % 2),)
+        e = TaggedEncoder(g, tags, 1, 1)
+        word = _random_word(rng, g, 10)
+        for m in range(3):
+            for a in range(3):
+                want = oracle_sliding(
+                    e, word, m, a,
+                    lambda ed: [min(tags.get(ed, ((None, None),)))])
+                assert decode_sliding(e, word, m, a) == want, (g.edges, m, a)
+    # block tags: the blocks bound to the edge at its source state
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    table = assign_block_tags(e, 2)
+    blocks_of = lambda ed: [b for b, x in table[ed.src].items() if x == ed]
+    for _ in range(20):
+        word = _random_word(rng, e.graph, 12)
+        for m in range(3):
+            for a in range(3):
+                want = oracle_sliding(e, word, m, a, blocks_of)
+                assert decode_sliding(e, word, m, a, p=2) == want
