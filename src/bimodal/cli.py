@@ -9,14 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import graphs, io, spectra, synth, verify
-from .graphs import Finite, Infinite
-
-
-class DomainError(Exception):
-    pass
+from .graphs import BimodalError, Finite, Infinite
 
 
 def _load_graph(path):
@@ -83,12 +77,11 @@ def cmd_power(args):
 def cmd_franaszek(args):
     g = _maybe_power(_load_graph(args.file), args.t)
     a0, a1, _ = graphs.adjacency_pair(g)
-    xi = np.full(len(g.states), args.cap, dtype=np.int64)
-    x = spectra.franaszek_joint(a0, a1, args.n0, args.n1, xi)
-    if not x.any():
+    got = spectra.joint_ae_exists(a0, a1, args.n0, args.n1, xi_cap=args.cap)
+    if got is None:
         print("none <= %d" % args.cap)
-        raise DomainError("no nonzero vector within the cap")
-    print(" ".join(str(int(v)) for v in x))
+        raise BimodalError("no nonzero vector within the cap")
+    print(" ".join(str(v) for v in got.entries))
 
 
 def cmd_region(args):
@@ -106,7 +99,7 @@ def _synthesize(g, method, n0, n1, cap):
     if method == "det":
         got = spectra.joint_ae_exists(a0, a1, n0, n1, xi_cap=1)
         if got is None:
-            raise DomainError("no 0-1 joint approximate eigenvector")
+            raise BimodalError("no 0-1 joint approximate eigenvector")
         return synth.extract_deterministic(g, got.entries, n0, n1)
     if method == "split":
         _, got = spectra.min_infnorm_ae(a0, a1, n0, n1, xi_cap=cap)
@@ -121,16 +114,12 @@ def _synthesize(g, method, n0, n1, cap):
     if method == "punctured":
         _, got = spectra.min_infnorm_ae(a0, a1, n0 + 1, n1 + 1, xi_cap=cap)
         return synth.stether_punctured(g, got.entries, n0, n1)
-    raise DomainError("unknown method %r" % method)
+    raise BimodalError("unknown method %r" % method)
 
 
 def cmd_synth(args):
     g = _maybe_power(_load_graph(args.file), args.t)
-    try:
-        enc = _synthesize(g, args.method, args.n0, args.n1, args.cap)
-    except (spectra.NotFoundWithin, synth.InfeasibleVector,
-            synth.SplitInfeasible, synth.InsufficientWeight) as exc:
-        raise DomainError(str(exc))
+    enc = _synthesize(g, args.method, args.n0, args.n1, args.cap)
     _emit(io.serialize_encoder(enc), args.output)
 
 
@@ -140,17 +129,14 @@ def cmd_verify(args):
     report = verify.check_encoder(enc, g, args.n0, args.n1, cap=args.cap)
     print(report)
     if not report.ok:
-        raise DomainError("verification failed")
+        raise BimodalError("verification failed")
 
 
 def cmd_encode(args):
     enc = _load_encoder(args.encoder)
     tags = sys.stdin.read().split()
-    try:
-        word, end, trace = verify.encode_stream(
-            enc, tags, args.start, policy=args.policy, p=args.p)
-    except (verify.UnknownTag, synth.ArityMismatch, ValueError) as exc:
-        raise DomainError(str(exc))
+    word, end, trace = verify.encode_stream(
+        enc, tags, args.start, policy=args.policy, p=args.p)
     print(" ".join(word))
     print("end: %s" % end, file=sys.stderr)
     print("rds: %s" % " ".join(str(v) for v in trace), file=sys.stderr)
@@ -159,11 +145,7 @@ def cmd_encode(args):
 def cmd_decode(args):
     enc = _load_encoder(args.encoder)
     word = sys.stdin.read().split()
-    try:
-        decoded = verify.decode_stream(enc, word, args.start, p=args.p)
-    except (verify.NotDecodable, verify.PreconditionFailed,
-            synth.ArityMismatch, ValueError) as exc:
-        raise DomainError(str(exc))
+    decoded = verify.decode_stream(enc, word, args.start, p=args.p)
     parts = []
     for d in decoded:
         tag = d.tag if isinstance(d.tag, str) else "%d/%d" % d.tag
@@ -233,12 +215,12 @@ def build_parser():
     p.add_argument("--start", required=True)
     p.add_argument("--policy", default="as-tagged",
                    choices=["as-tagged", "fixed-parity", "rds-min"])
-    p.add_argument("-p", type=int, default=None)
+    p.add_argument("-p", type=positive, default=None)
 
     p = add("decode", cmd_decode, help="decode a word from stdin")
     p.add_argument("encoder")
     p.add_argument("--start", required=True)
-    p.add_argument("-p", type=int, default=None)
+    p.add_argument("-p", type=positive, default=None)
 
     p = add("export-dot", cmd_export_dot, help="Graphviz output")
     p.add_argument("file")
@@ -255,10 +237,10 @@ def main(argv=None):
     except (io.ParseError, graphs.ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (BimodalError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

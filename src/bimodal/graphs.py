@@ -22,6 +22,10 @@ import numpy as np
 WORD_SEP = "."
 
 
+class BimodalError(Exception):
+    """Base of the domain failures: infeasible, ill-posed, undecodable."""
+
+
 class ValidationError(Exception):
     """Raised with the full list of structural violations found."""
 
@@ -30,11 +34,11 @@ class ValidationError(Exception):
         super().__init__("; ".join(self.violations))
 
 
-class NotIrreducible(Exception):
+class NotIrreducible(BimodalError):
     pass
 
 
-class NotDeterministic(Exception):
+class NotDeterministic(BimodalError):
     pass
 
 

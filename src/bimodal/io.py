@@ -38,6 +38,7 @@ def _parse(text):
     parity1 = []
     edges = []
     tags = []
+    seen = set()
     for no, line in _lines(text):
         if ":" not in line:
             raise ParseError(no, "missing ':' directive")
@@ -69,6 +70,10 @@ def _parse(text):
                 raise ParseError(no, "bad tag class/slot")
             if cls not in (0, 1) or slot < 0:
                 raise ParseError(no, "bad tag class/slot")
+            if (fields[0], cls, slot) in seen:
+                raise ParseError(no, "duplicate tag %s %d %d"
+                                 % (fields[0], cls, slot))
+            seen.add((fields[0], cls, slot))
             tags.append((fields[0], cls, slot, fields[3], fields[4]))
         else:
             raise ParseError(no, "unknown directive %r" % key)

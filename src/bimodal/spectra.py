@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _scc, adjacency, adjacency_pair, power
+from .graphs import BimodalError, _scc, adjacency, adjacency_pair, power
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(BimodalError):
     pass
 
 
-class NotFoundWithin(Exception):
+class NotFoundWithin(BimodalError):
     def __init__(self, cap):
         self.cap = cap
         super().__init__("no nonzero vector with entries <= %d" % cap)
@@ -109,12 +109,20 @@ def franaszek_joint(a0, a1, n0, n1, xi):
     The iteration starts from the ceiling vector xi and repeatedly
     clamps with the floor-divided images until it stabilizes; the all
     zero vector means no nonzero solution fits under xi.  A zero n_b
-    drops that side's constraint.
+    drops that side's constraint.  Raises BimodalError when the largest
+    row sum times the largest ceiling entry leaves int64, checked in
+    Python ints before any int64 ceiling is built.
     """
     a0, a1 = _check_pair(a0, a1)
-    xi = np.asarray(xi, dtype=np.int64)
+    xi = np.asarray(xi)
     if xi.shape != (a0.shape[0],):
         raise DimensionMismatch("ceiling vector length mismatch")
+    rows = max(map(sum, a0.tolist() + a1.tolist()), default=0)
+    cap = int(xi.max(initial=0))
+    if cap * rows > np.iinfo(np.int64).max:
+        raise BimodalError("cap %d times row sum %d overflows int64"
+                           % (cap, rows))
+    xi = xi.astype(np.int64)
     if n0 < 0 or n1 < 0:
         raise ValueError("out-degree targets must be nonnegative")
     y = xi.copy()
@@ -133,11 +141,10 @@ def joint_ae_exists(a0, a1, n0, n1, xi_cap=64):
     """Nonzero joint approximate eigenvector under the cap, or None.
 
     None only means no solution with entries <= xi_cap exists; larger
-    solutions may still exist, so absence is not a disproof.
+    solutions may still exist, so absence is not a disproof.  Raises
+    BimodalError when the cap times the largest row sum leaves int64.
     """
-    a0, a1 = _check_pair(a0, a1)
-    xi = np.full(a0.shape[0], xi_cap, dtype=np.int64)
-    x = franaszek_joint(a0, a1, n0, n1, xi)
+    x = franaszek_joint(a0, a1, n0, n1, [xi_cap] * len(a0))
     if not x.any():
         return None
     return ApproxEigenvector(tuple(int(v) for v in x), n0, n1)

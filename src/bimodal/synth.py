@@ -9,11 +9,13 @@ stethering which builds one degree higher and deletes the top tag slot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import (
+    BimodalError,
     Edge,
     LabeledGraph,
     NotDeterministic,
@@ -26,19 +28,19 @@ from .graphs import (
 STATE_SEP = "@"
 
 
-class InfeasibleVector(Exception):
+class InfeasibleVector(BimodalError):
     pass
 
 
-class SplitInfeasible(Exception):
+class SplitInfeasible(BimodalError):
     pass
 
 
-class InsufficientWeight(Exception):
+class InsufficientWeight(BimodalError):
     pass
 
 
-class ArityMismatch(Exception):
+class ArityMismatch(BimodalError):
     pass
 
 
@@ -63,7 +65,7 @@ class TaggedEncoder:
 
     Every state carries exactly n_b out-edges tagged with class b; with
     an overlapping symbol cover a single edge may hold one tag of each
-    class.
+    class.  The tags are fixed once the encoder is built.
     """
 
     def __init__(self, graph, tags, n0, n1):
@@ -72,33 +74,29 @@ class TaggedEncoder:
         self.n0 = n0
         self.n1 = n1
 
-    def tag_list(self, edge):
-        return self.tags.get(edge, ())
+    @functools.cached_property
+    def by_tag(self):
+        """Tag index: state -> (class, slot) -> the out-edges carrying
+        that tag, in out-edge order."""
+        idx = {}
+        for s in self.graph.states:
+            d = idx[s] = {}
+            for e in self.graph.out_edges(s):
+                for t in self.tags.get(e, ()):
+                    d.setdefault(t, []).append(e)
+        return idx
 
     def class_edges(self, state, b):
         """Edges tagged with class b at state, in slot order."""
-        found = []
-        for e in self.graph.out_edges(state):
-            for (cls, slot) in self.tags.get(e, ()):
-                if cls == b:
-                    found.append((slot, e))
-        return [e for _, e in sorted(found)]
+        return [e for (cls, _), es in sorted(self.by_tag[state].items())
+                if cls == b for e in es]
 
     def out_degrees_ok(self):
-        for s in self.graph.states:
-            for b, n in ((0, self.n0), (1, self.n1)):
-                edges = self.class_edges(s, b)
-                if len(edges) != n:
-                    return False
-                slots = sorted(
-                    slot
-                    for e in self.graph.out_edges(s)
-                    for (cls, slot) in self.tags.get(e, ())
-                    if cls == b
-                )
-                if slots != list(range(n)):
-                    return False
-        return True
+        """Each state holds slots 0..n_b-1 of class b, one edge each."""
+        want = ([(0, i) for i in range(self.n0)]
+                + [(1, i) for i in range(self.n1)])
+        return all(sorted(t for t, es in idx.items() for _ in es) == want
+                   for idx in self.by_tag.values())
 
     def __repr__(self):
         return "TaggedEncoder(%d states, n0=%d, n1=%d)" % (
@@ -110,6 +108,16 @@ def split_state(name):
     """Parse a 'parent@index' state name back into its parts."""
     parent, _, idx = name.rpartition(STATE_SEP)
     return parent, int(idx)
+
+
+def _assemble(states, parity, tagged, n0, n1):
+    """Encoder from (edge, tag) pairs: each edge kept once, in first-seen
+    order, with its tags in the order given."""
+    tags = {}
+    for e, t in tagged:
+        tags.setdefault(e, []).append(t)
+    return TaggedEncoder(LabeledGraph(states, list(tags), parity),
+                         {e: tuple(t) for e, t in tags.items()}, n0, n1)
 
 
 def _check_ae(g, x, n0, n1):
@@ -137,8 +145,7 @@ def extract_deterministic(g, x, n0, n1):
     if not set(int(v) for v in xv) <= {0, 1}:
         raise InfeasibleVector("vector entries must be 0 or 1")
     keep = {s for s, v in zip(g.states, xv) if v == 1}
-    tags = {}
-    edges = []
+    tagged = []
     for u in g.states:
         if u not in keep:
             continue
@@ -150,14 +157,10 @@ def extract_deterministic(g, x, n0, n1):
                 raise InfeasibleVector(
                     "state %r has only %d class-%d survivors" %
                     (u, len(cands), b))
-            for slot, e in enumerate(cands[:n]):
-                ne = Edge(e.src, e.label, e.dst)
-                if ne not in tags:
-                    edges.append(ne)
-                    tags[ne] = []
-                tags[ne].append((b, slot))
-    graph = LabeledGraph([s for s in g.states if s in keep], edges, g.parity)
-    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()}, n0, n1)
+            tagged += [(Edge(e.src, e.label, e.dst), (b, slot))
+                       for slot, e in enumerate(cands[:n])]
+    return _assemble([s for s in g.states if s in keep], g.parity, tagged,
+                     n0, n1)
 
 
 def _cover_bins(weights, k, target):
@@ -301,34 +304,23 @@ def merge_split_pair(e0, e1, x, matching=None):
         raise InfeasibleVector("split graphs disagree on state copies")
     n0 = max((len(e0.out_edges(s)) for s in e0.states), default=0)
     n1 = max((len(e1.out_edges(s)) for s in e1.states), default=0)
-    tags = {}
-    edges = []
-
-    def add(e, tag):
-        if e not in tags:
-            tags[e] = []
-            edges.append(e)
-        tags[e].append(tag)
-
+    tagged = []
     for s in e0.states:
         for slot, e in enumerate(
                 sorted(e0.out_edges(s), key=lambda e: (e.label, e.dst))):
-            add(Edge(e.src, e.label, e.dst), (0, slot))
+            tagged.append((Edge(e.src, e.label, e.dst), (0, slot)))
     for s in e1.states:
         renamed = [Edge(rename(e.src), e.label, rename(e.dst))
                    for e in e1.out_edges(s)]
         renamed.sort(key=lambda e: (e.label, e.dst))
-        for slot, e in enumerate(renamed):
-            add(e, (1, slot))
+        tagged += [(e, (1, slot)) for slot, e in enumerate(renamed)]
     parity = e0.parity
     if e1.parity is not parity:
         parity = type(parity)(
             parity.class0 | e1.parity.class0,
             parity.class1 | e1.parity.class1,
         )
-    graph = LabeledGraph(states, edges, parity)
-    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
-                         n0, n1)
+    return _assemble(states, parity, tagged, n0, n1)
 
 
 def build_delta(g, x, u, b):
@@ -385,8 +377,7 @@ def stether(g, x, n0, n1, partitions=None):
     xv = [w[u] for u in g.states]
     states = ["%s%s%d" % (u, STATE_SEP, i)
               for u in g.states for i in range(w[u])]
-    tags = {}
-    edges = []
+    tagged = []
     for u in g.states:
         for b, n in ((0, n0), (1, n1)):
             part = None
@@ -399,13 +390,8 @@ def stether(g, x, n0, n1, partitions=None):
                     e = Edge("%s%s%d" % (u, STATE_SEP, i), a,
                              "%s%s%d" % (g.by_label[u][a][0].dst,
                                          STATE_SEP, j))
-                    if e not in tags:
-                        tags[e] = []
-                        edges.append(e)
-                    tags[e].append((b, slot))
-    graph = LabeledGraph(states, edges, g.parity)
-    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
-                         n0, n1)
+                    tagged.append((e, (b, slot)))
+    return _assemble(states, g.parity, tagged, n0, n1)
 
 
 def stether_punctured(g, x_plus, n0, n1):
@@ -417,16 +403,9 @@ def stether_punctured(g, x_plus, n0, n1):
     the smaller degrees.
     """
     wide = stether(g, x_plus, n0 + 1, n1 + 1)
-    tags = {}
-    edges = []
-    for e in wide.graph.edges:
-        kept = tuple(t for t in wide.tags[e]
-                     if t not in ((0, n0), (1, n1)))
-        if kept:
-            edges.append(e)
-            tags[e] = kept
-    graph = LabeledGraph(wide.graph.states, edges, wide.graph.parity)
-    return TaggedEncoder(graph, tags, n0, n1)
+    tagged = [(e, t) for e in wide.graph.edges for t in wide.tags[e]
+              if t not in ((0, n0), (1, n1))]
+    return _assemble(wide.graph.states, wide.graph.parity, tagged, n0, n1)
 
 
 def cover_consistent_partition(g, x, n0, n1):
@@ -472,26 +451,38 @@ def cover_consistent_partition(g, x, n0, n1):
     return out
 
 
-def assign_block_tags(e, p):
-    """Bind p-bit input blocks to edges: block parity = tag class.
-
-    Requires n0 = n1 = 2^(p-1).  At each state the even-parity blocks in
-    ascending binary order map to the class-0 slots, odd to class-1.
-    Returns state -> block string -> edge.
-    """
+def _check_block_width(e, p):
+    """p-bit blocks need out-degrees n0 = n1 = 2^(p-1)."""
     n = 2 ** (p - 1)
     if e.n0 != n or e.n1 != n:
         raise ArityMismatch(
             "block width %d needs out-degrees %d, encoder has (%d, %d)" %
             (p, n, e.n0, e.n1))
-    blocks = [format(i, "0%db" % p) for i in range(2 ** p)]
-    even = [b for b in blocks if b.count("1") % 2 == 0]
-    odd = [b for b in blocks if b.count("1") % 2 == 1]
-    table = {}
-    for s in e.graph.states:
-        m = {}
-        for b, blist in ((0, even), (1, odd)):
-            for slot, edge in enumerate(e.class_edges(s, b)):
-                m[blist[slot]] = edge
-        table[s] = m
-    return table
+
+
+def _block_tag(block, p):
+    """Tag of a p-bit block string: class its parity, slot the block
+    without its last bit; None when it is not a p-bit string."""
+    if len(block) != p or block.strip("01"):
+        return None
+    v = int(block, 2)
+    return v.bit_count() % 2, v >> 1
+
+
+def _tag_block(tag, p):
+    """Inverse of _block_tag: the last bit restores the class parity."""
+    cls, slot = tag
+    return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
+
+
+def assign_block_tags(e, p):
+    """Bind p-bit input blocks to edges: block parity = tag class.
+
+    Requires n0 = n1 = 2^(p-1).  Block b takes tag (parity of b,
+    int(b) >> 1), so at each state the even-parity blocks in ascending
+    binary order map to the class-0 slots, odd to class-1.  Returns
+    state -> block string -> edge.
+    """
+    _check_block_width(e, p)
+    return {s: {_tag_block(t, p): es[0] for t, es in idx.items()}
+            for s, idx in e.by_tag.items()}

@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graphs import (
+    BimodalError,
     Finite,
     Infinite,
     PairGraph,
@@ -30,20 +31,25 @@ from .graphs import (
     is_deterministic,
 )
 from .spectra import ApproxEigenvector
-from .synth import TaggedEncoder, assign_block_tags
+from .synth import (
+    TaggedEncoder,
+    _block_tag,
+    _check_block_width,
+    _tag_block,
+)
 
 
-class PreconditionFailed(Exception):
+class PreconditionFailed(BimodalError):
     pass
 
 
-class NotDecodable(Exception):
+class NotDecodable(BimodalError):
     def __init__(self, position, reason):
         self.position = position
         super().__init__("position %d: %s" % (position, reason))
 
 
-class UnknownTag(Exception):
+class UnknownTag(BimodalError):
     pass
 
 
@@ -314,23 +320,6 @@ def _channel_bits(g, label):
     return [0 if label in g.parity.class0 else 1]
 
 
-def _edge_tag_tables(e, p):
-    table = assign_block_tags(e, p)
-    inverse = {}
-    for s, m in table.items():
-        inv = {}
-        for block, edge in m.items():
-            inv.setdefault(edge, []).append(block)
-        inverse[s] = {edge: tuple(sorted(bs)) for edge, bs in inv.items()}
-    return table, inverse
-
-
-def _force_parity(block, parity):
-    rest = block[1:]
-    bit = (rest.count("1") + parity) % 2
-    return str(bit) + rest
-
-
 def _check_start(g, start):
     if start not in set(g.states):
         raise ValueError("unknown start state %r" % start)
@@ -356,7 +345,7 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
             if not tags:
                 return [], start, [0]
             p = len(tags[0])
-        table, _ = _edge_tag_tables(e, p)
+        _check_block_width(e, p)
     elif policy != "as-tagged":
         raise ValueError("raw (class, slot) tags require as-tagged policy")
     state = start
@@ -364,54 +353,32 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
     rds = 0
     trace = [0]
     word = []
-
-    def run_bits(bits, lv, s):
-        for b in bits:
-            if b == 1:
-                lv = -lv
-            s += lv
-        return lv, s
-
     for t in tags:
-        if block_mode:
-            if policy == "as-tagged":
-                block = t
-            elif policy == "fixed-parity":
-                block = _force_parity(t, 0)
-            elif policy == "rds-min":
-                cands = []
-                for parity in (0, 1):
-                    blk = _force_parity(t, parity)
-                    edge = table[state].get(blk)
-                    if edge is None:
-                        continue
-                    lv, s = run_bits(_channel_bits(g, edge.label),
-                                     level, rds)
-                    cands.append((abs(s), blk, edge, lv, s))
-                if not cands:
-                    raise UnknownTag("no edge for block %r at %r"
-                                     % (t, state))
-                cands.sort(key=lambda c: (c[0], c[1]))
-                _, block, edge, level, rds = cands[0]
-                word.append(edge.label)
-                trace.append(rds)
-                state = edge.dst
-                continue
-            else:
-                raise ValueError("unknown policy %r" % policy)
-            edge = table[state].get(block)
-            if edge is None:
-                raise UnknownTag("no edge for block %r at %r"
-                                 % (block, state))
+        if not block_mode or policy == "as-tagged":
+            options = (t,)
+        elif policy == "fixed-parity":
+            options = (str(t[1:].count("1") % 2) + t[1:],)
+        elif policy == "rds-min":
+            options = ("0" + t[1:], "1" + t[1:])
         else:
-            edge = None
-            for cand in g.out_edges(state):
-                if t in e.tags.get(cand, ()):
-                    edge = cand
-                    break
-            if edge is None:
-                raise UnknownTag("no edge for tag %r at %r" % (t, state))
-        level, rds = run_bits(_channel_bits(g, edge.label), level, rds)
+            raise ValueError("unknown policy %r" % policy)
+        move = None
+        for opt in options:
+            edges = e.by_tag[state].get(_block_tag(opt, p) if block_mode
+                                        else opt)
+            if edges:
+                lv, s = level, rds
+                for bit in _channel_bits(g, edges[0].label):
+                    if bit == 1:
+                        lv = -lv
+                    s += lv
+                # strict: a 0 reserved bit wins ties
+                if move is None or abs(s) < abs(move[2]):
+                    move = (edges[0], lv, s)
+        if move is None:
+            raise UnknownTag("no edge for %s %r at %r"
+                             % ("block" if block_mode else "tag", t, state))
+        edge, level, rds = move
         word.append(edge.label)
         trace.append(rds)
         state = edge.dst
@@ -432,6 +399,17 @@ def _candidates(g, states, label, ahead):
     return out
 
 
+def _lookahead(e):
+    """Uncapped anticipation of encoder e, computed on first use and
+    kept on the encoder, whose graph never changes; no pair graph is
+    kept alive."""
+    try:
+        return e._anticipation
+    except AttributeError:
+        e._anticipation = anticipation(e, cap=math.inf)
+        return e._anticipation
+
+
 def decode_stream(e, word, start, p=None, cap=32):
     """Recover the tag sequence from a word, tracking the state.
 
@@ -443,13 +421,12 @@ def decode_stream(e, word, start, p=None, cap=32):
     word = list(word)
     g = e.graph
     _check_start(g, start)
-    ant = anticipation(e, cap=cap)
-    if not isinstance(ant, Finite):
+    ant = _lookahead(e)
+    if not isinstance(ant, Finite) or ant.value > cap:
         raise PreconditionFailed("decoding needs finite anticipation")
     a = ant.value
-    inverse = None
     if p is not None:
-        _, inverse = _edge_tag_tables(e, p)
+        _check_block_width(e, p)
     state = start
     out = []
     for i, label in enumerate(word):
@@ -462,14 +439,12 @@ def decode_stream(e, word, start, p=None, cap=32):
             cands.sort(key=lambda ed: min(e.tags.get(ed, ((2, 0),))))
             provisional = True
         edge = cands[0]
-        if inverse is not None:
-            blocks = inverse[state].get(edge, ())
-            if not blocks:
+        tags = e.tags.get(edge, ())
+        if p is not None:
+            if not tags:
                 raise NotDecodable(i, "edge has no block tag")
-            out.append(DecodedTag(blocks[0], provisional))
-        else:
-            tag = min(e.tags.get(edge, ())) if e.tags.get(edge) else None
-            out.append(DecodedTag(tag, provisional))
+            tags = [_tag_block(t, p) for t in tags]
+        out.append(DecodedTag(min(tags) if tags else None, provisional))
         state = edge.dst
     return out
 
@@ -484,9 +459,8 @@ def decode_sliding(e, word, m, a, p=None):
     """
     word = list(word)
     g = e.graph
-    inverse = None
     if p is not None:
-        _, inverse = _edge_tag_tables(e, p)
+        _check_block_width(e, p)
     n = len(word)
     out = []
     for i in range(n):
@@ -498,8 +472,8 @@ def decode_sliding(e, word, m, a, p=None):
             z = _step(g, z, lbl)
         tags = set()
         for ed in _candidates(g, z, word[i], word[i + 1:i + a + 1]):
-            if inverse is not None:
-                tags.update(inverse[ed.src].get(ed, ()))
+            if p is not None:
+                tags.update(_tag_block(t, p) for t in e.tags.get(ed, ()))
             else:
                 tags.add(min(e.tags.get(ed, ((None, None),))))
         out.append(next(iter(tags)) if len(tags) == 1 else None)

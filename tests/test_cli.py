@@ -177,8 +177,10 @@ def test_cli_error_codes(tmp_path, capsys):
      "--n0", "1", "--n1", "1"],
     ["verify", "quad.cg", "--against", "twostate.cg", "-t", "0",
      "--n0", "1", "--n1", "1"],
+    ["encode", "quad.cg", "--start", "alpha", "-p", "0"],
+    ["decode", "quad.cg", "--start", "alpha", "-p", "0"],
 ], ids=["power-t", "franaszek-n0", "franaszek-cap", "region-t", "synth-t",
-        "verify-t"])
+        "verify-t", "encode-p", "decode-p"])
 def test_cli_error_codes_out_of_range(argv, capsys):
     argv = [fixture(a) if a.endswith(".cg") else a for a in argv]
     with pytest.raises(SystemExit) as exc:
@@ -202,8 +204,60 @@ def test_cli_info_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_info_binary_file(tmp_path, capsys):
+    # a decode failure is an input error, not a domain failure
+    path = tmp_path / "binary.cg"
+    path.write_bytes(b"states: \xff\xfe\n")
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_export_dot_multiplicity():
     g = helpers.rll_16()
     dot = export_dot(g)
     assert "digraph" in dot
     assert "x2" in dot or all(e.mult == 1 for e in g.edges)
+
+
+NONDETERMINISTIC = """states: s t
+parity0: a
+parity1: b
+edge: s a s
+edge: s a t
+edge: s b t
+edge: t a s
+edge: t b s
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "nondet.cg", "--method", "stether", "--n0", "1", "--n1", "1"],
+    ["verify", "enc.cg", "--against", "nondet.cg", "--n0", "2", "--n1", "2"],
+    ["franaszek", "quad.cg", "--n0", "1", "--n1", "1",
+     "--cap", "99999999999999999999"],
+], ids=["synth-nondeterministic", "verify-nondeterministic",
+        "franaszek-cap-overflow"])
+def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
+    (tmp_path / "nondet.cg").write_text(NONDETERMINISTIC)
+    (tmp_path / "enc.cg").write_text(serialize_encoder(
+        extract_deterministic(helpers.quad(), (1, 1), 2, 2)))
+    (tmp_path / "quad.cg").write_text(serialize_graph(helpers.quad()))
+    argv = [str(tmp_path / a) if a.endswith(".cg") else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_duplicate_tag(tmp_path, capsys, monkeypatch):
+    # two class-0 edges of s both claim slot 0
+    text = ("states: s\nparity0: a b\nparity1: c\n"
+            "edge: s a s\nedge: s b s\nedge: s c s\n"
+            "tag: s 0 0 a s\ntag: s 0 0 b s\ntag: s 1 0 c s\n")
+    with pytest.raises(ParseError) as exc:
+        parse_encoder_file(text)
+    assert exc.value.line_no == 8
+    enc = tmp_path / "enc.cg"
+    enc.write_text(text)
+    monkeypatch.setattr("sys.stdin", stdio.StringIO("0 1"))
+    assert main(["encode", str(enc), "--start", "s", "-p", "1"]) == 2
+    assert capsys.readouterr().err == "error: line 8: duplicate tag s 0 0\n"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from bimodal import (
+    BimodalError,
     NotFoundWithin,
     adjacency,
     adjacency_pair,
@@ -151,6 +152,17 @@ def test_joint_ae_exists_tri_state():
     got = joint_ae_exists(a0, a1, 173, 178, xi_cap=2)
     assert got is not None and got.entries == helpers.RLL16_X
     assert joint_ae_exists(a0, a1, 174, 178, xi_cap=2) is None
+
+
+def test_joint_ae_exists_int64_guard():
+    # the largest row sum of either matrix times the cap must fit int64
+    a0, a1, _ = adjacency_pair(helpers.quad())
+    rows = int(max(a0.sum(axis=1).max(), a1.sum(axis=1).max()))
+    top = (2 ** 63 - 1) // rows
+    got = joint_ae_exists(a0, a1, 1, 1, xi_cap=top)
+    assert got is not None and got.entries == (top, top)
+    with pytest.raises(BimodalError, match="overflows int64"):
+        joint_ae_exists(a0, a1, 1, 1, xi_cap=top + 1)
 
 
 def test_joint_ae_agrees_with_perron_on_single_class():

@@ -17,8 +17,10 @@ from bimodal import (
     cover_consistent_partition,
     extract_deterministic,
     franaszek_joint,
+    joint_ae_exists,
     merge_split_pair,
     merge_states,
+    min_infnorm_ae,
     parity_subgraph,
     power,
     split_one_round,
@@ -246,3 +248,41 @@ def test_assign_block_tags():
             assert edge in e.class_edges(s, b)
     with pytest.raises(ArityMismatch):
         assign_block_tags(e, 3)
+
+
+def _reference_block_table(e, p):
+    """The even/odd construction: at each state the even-parity blocks in
+    ascending binary order take the class-0 slots, the odd ones class 1."""
+    blocks = [format(i, "0%db" % p) for i in range(2 ** p)]
+    lists = ([b for b in blocks if b.count("1") % 2 == 0],
+             [b for b in blocks if b.count("1") % 2 == 1])
+    table = {s: {} for s in e.graph.states}
+    for ed in e.graph.edges:
+        for cls, slot in e.tags.get(ed, ()):
+            table[ed.src][lists[cls][slot]] = ed
+    return table
+
+
+# weight vectors with entries above 1 wherever a fixture has one
+@pytest.mark.parametrize("method, name, t, p", [
+    ("det", "twostate.cg", 2, 1), ("det", "quad.cg", 1, 2),
+    ("det", "twostate.cg", 4, 3), ("stether", "twostate.cg", 2, 1),
+    ("stether", "trisplit.cg", 1, 2), ("stether", "twostate.cg", 4, 3),
+    ("punctured", "trisplit.cg", 1, 1), ("punctured", "twostate.cg", 3, 2),
+    ("punctured", "twostate.cg", 4, 3),
+])
+def test_assign_block_tags_matches_reference(method, name, t, p):
+    g = helpers.load(name)
+    g = g if t == 1 else power(g, t)
+    a0, a1, _ = adjacency_pair(g)
+    n = 2 ** (p - 1)
+    if method == "det":
+        e = extract_deterministic(
+            g, joint_ae_exists(a0, a1, n, n, xi_cap=1).entries, n, n)
+    elif method == "stether":
+        e = stether(g, min_infnorm_ae(a0, a1, n, n)[1].entries, n, n)
+    else:
+        e = stether_punctured(
+            g, min_infnorm_ae(a0, a1, n + 1, n + 1)[1].entries, n, n)
+    assert e.out_degrees_ok()
+    assert assign_block_tags(e, p) == _reference_block_table(e, p)

@@ -181,6 +181,28 @@ def test_check_encoder_builds_one_pair_graph(monkeypatch):
     assert is_definite(pg, 1, 1) == is_definite(e, 1, 1)
 
 
+def test_decode_stream_builds_one_pair_graph(monkeypatch):
+    built = []
+    init = PairGraph.__init__
+
+    def counting(self, g):
+        built.append(g)
+        init(self, g)
+
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    start = e.graph.states[0]
+    word, _, _ = encode_stream(e, ["00", "11", "01", "10", "00"], start)
+    monkeypatch.setattr(PairGraph, "__init__", counting)
+    for _ in range(3):
+        decoded = decode_stream(e, word, start, p=2)
+    assert [d.tag for d in decoded[:4]] == ["00", "11", "01", "10"]
+    assert built == [e.graph]
+    # the cap still applies at each call: anticipation 1 exceeds cap 0
+    with pytest.raises(PreconditionFailed):
+        decode_stream(e, word, start, p=2, cap=0)
+    assert built == [e.graph]
+
+
 def test_witness_ae_quad():
     g = helpers.quad()
     e = extract_deterministic(g, (1, 1), 2, 2)
