@@ -13,6 +13,11 @@ import numpy as np
 
 from .graphs import BimodalError, _scc, adjacency, adjacency_pair, power
 
+# perron's power iteration stops once the estimate and every vector
+# entry move by less than this in one step
+_PERRON_STEP = 5e-10
+_PERRON_MAX_ITER = 10 ** 6
+
 
 class DimensionMismatch(BimodalError):
     pass
@@ -63,7 +68,7 @@ def _check_pair(a0, a1):
     return a0, a1
 
 
-def perron(a, tol=1e-9, max_iter=10 ** 6):
+def perron(a):
     """Largest eigenvalue of a nonnegative integer matrix.
 
     Power iteration on A + I, which is aperiodic whenever A is
@@ -82,12 +87,12 @@ def perron(a, tol=1e-9, max_iter=10 ** 6):
         m = a[np.ix_(comp, comp)].astype(float) + np.eye(len(comp))
         v = np.ones(len(comp))
         est = 0.0
-        for _ in range(max_iter):
+        for _ in range(_PERRON_MAX_ITER):
             w = m @ v
             new = w.max()
             w = w / new
-            done = (abs(new - est) < tol * 0.5
-                    and np.abs(w - v).max() < tol * 0.5)
+            done = (abs(new - est) < _PERRON_STEP
+                    and np.abs(w - v).max() < _PERRON_STEP)
             v, est = w, new
             if done:
                 break
@@ -95,12 +100,41 @@ def perron(a, tol=1e-9, max_iter=10 ** 6):
     return float(best)
 
 
-def capacity(g, tol=1e-9):
+def capacity(g):
     """log2 of the Perron eigenvalue of the full adjacency matrix."""
-    lam = perron(adjacency(g), tol=tol)
+    lam = perron(adjacency(g))
     if lam <= 0.0:
         return float("-inf")
     return math.log2(lam)
+
+
+def _row_bounds(a0, a1):
+    """(r0, r1, limit): each matrix's largest row sum, which bounds any
+    feasible n_b (n_b x_u <= (A_b x)_u <= rowsum_u x_u at x's top entry
+    u), and the largest cap whose products with both fit int64."""
+    r0, r1 = (max(map(sum, a.tolist()), default=0) for a in (a0, a1))
+    return r0, r1, int(np.iinfo(np.int64).max) // max(r0, r1, 1)
+
+
+def _ae_holds(a, x, n):
+    """A x >= n x entrywise, in exact integer arithmetic."""
+    x = [int(v) for v in x]
+    return all(sum(r * v for r, v in zip(row, x)) >= n * xu
+               for row, xu in zip(np.asarray(a).tolist(), x))
+
+
+def _largest(test, lo, hi):
+    """(n, test(n)) for the largest n in lo..hi with test(n) not None,
+    or None; test must hold on a prefix of the range."""
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        got = test(mid)
+        if got is None:
+            hi = mid - 1
+        else:
+            best, lo = (mid, got), mid + 1
+    return best
 
 
 def franaszek_joint(a0, a1, n0, n1, xi):
@@ -109,22 +143,25 @@ def franaszek_joint(a0, a1, n0, n1, xi):
     The iteration starts from the ceiling vector xi and repeatedly
     clamps with the floor-divided images until it stabilizes; the all
     zero vector means no nonzero solution fits under xi.  A zero n_b
-    drops that side's constraint.  Raises BimodalError when the largest
-    row sum times the largest ceiling entry leaves int64, checked in
-    Python ints before any int64 ceiling is built.
+    drops that side's constraint, and an n_b above the largest row sum
+    of A_b gives the zero vector at once.  Raises BimodalError when the
+    largest row sum times the largest ceiling entry leaves int64,
+    checked in Python ints before any int64 ceiling is built.
     """
     a0, a1 = _check_pair(a0, a1)
     xi = np.asarray(xi)
     if xi.shape != (a0.shape[0],):
         raise DimensionMismatch("ceiling vector length mismatch")
-    rows = max(map(sum, a0.tolist() + a1.tolist()), default=0)
+    r0, r1, limit = _row_bounds(a0, a1)
     cap = int(xi.max(initial=0))
-    if cap * rows > np.iinfo(np.int64).max:
+    if cap > limit:
         raise BimodalError("cap %d times row sum %d overflows int64"
-                           % (cap, rows))
+                           % (cap, max(r0, r1)))
     xi = xi.astype(np.int64)
     if n0 < 0 or n1 < 0:
         raise ValueError("out-degree targets must be nonnegative")
+    if n0 > r0 or n1 > r1:
+        return np.zeros_like(xi)
     y = xi.copy()
     x = np.zeros_like(xi)
     while not np.array_equal(x, y):
@@ -154,13 +191,20 @@ def min_infnorm_ae(a0, a1, n0, n1, xi_cap=64):
     """Smallest ceiling value admitting a solution, with a witness.
 
     Returns (norm, vector); raises NotFoundWithin when even xi_cap
-    admits nothing.
+    admits nothing.  The caps that fit int64 are bisected; above them
+    franaszek_joint's overflow error is raised instead.
     """
     a0, a1 = _check_pair(a0, a1)
-    for cap in range(1, xi_cap + 1):
-        got = joint_ae_exists(a0, a1, n0, n1, xi_cap=cap)
-        if got is not None:
-            return cap, got
+    limit = _row_bounds(a0, a1)[2]
+    top = min(xi_cap, limit)
+    # a solution under one cap is one under any larger cap, so index i
+    # standing for cap top - i makes the feasible indices a prefix
+    best = _largest(lambda i: joint_ae_exists(a0, a1, n0, n1,
+                                              xi_cap=top - i), 0, top - 1)
+    if best is not None:
+        return top - best[0], best[1]
+    if xi_cap > limit:
+        joint_ae_exists(a0, a1, n0, n1, xi_cap=limit + 1)  # raises
     raise NotFoundWithin(xi_cap)
 
 
@@ -175,54 +219,37 @@ def anticipation_lower_bound(a0, a1, n0, n1, xi_cap=64):
     return math.log(norm, n)
 
 
-def rate_region(g, t, xi_cap=64, tol=1e-9):
+def rate_region(g, t, xi_cap=64):
     """Achievable (n0, n1) pairs for block length t, one point per n0.
 
-    For each n0 up to the class-0 Perron bound the largest n1 admitting
-    a joint approximate eigenvector within the cap is located by binary
-    search (feasibility is monotone decreasing in n1).
+    Feasibility is monotone decreasing in both degrees, so n0 walks up
+    until no n1 is feasible, each n0 bisecting for n1 up to the last one
+    found (first up to the largest class-1 row sum).
     """
-    pw = g if t == 1 else power(g, t)
-    a0, a1, _ = adjacency_pair(pw)
-    lam0 = perron(a0, tol=tol)
-    lam1 = perron(a1, tol=tol)
+    a0, a1, _ = adjacency_pair(g if t == 1 else power(g, t))
+    r0, hi, _ = _row_bounds(a0, a1)
     points = []
-    for n0 in range(0, int(math.floor(lam0 + 1e-9)) + 1):
-        lo, hi = 0, int(math.floor(lam1 + 1e-9))
-        best = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            got = joint_ae_exists(a0, a1, n0, mid, xi_cap=xi_cap)
-            if got is not None:
-                best = (mid, got)
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        if best is not None:
-            points.append(RatePoint(n0, best[0], best[1].entries))
+    for n0 in range(r0 + 1):
+        best = _largest(lambda n1: joint_ae_exists(a0, a1, n0, n1,
+                                                   xi_cap=xi_cap), 0, hi)
+        if best is None:
+            break
+        hi, got = best
+        points.append(RatePoint(n0, hi, got.entries))
     return points
 
 
-def coding_ratio(g, t, xi_cap=64, tol=1e-9):
+def coding_ratio(g, t, xi_cap=64):
     """(n_max, ratio): best symmetric degree and its per-step rate.
 
     n_max is the largest n with a joint approximate eigenvector at
     (n, n) within the cap; the ratio is log2(2 n_max) / t, or -inf when
     even n = 1 is out of reach.
     """
-    pw = g if t == 1 else power(g, t)
-    a0, a1, _ = adjacency_pair(pw)
-    bound = int(math.floor(min(perron(a0, tol=tol),
-                               perron(a1, tol=tol)) + 1e-9))
-    lo, hi = 1, bound
-    n_max = 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if joint_ae_exists(a0, a1, mid, mid, xi_cap=xi_cap) is not None:
-            n_max = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if n_max == 0:
+    a0, a1, _ = adjacency_pair(g if t == 1 else power(g, t))
+    r0, r1, _ = _row_bounds(a0, a1)
+    best = _largest(lambda n: joint_ae_exists(a0, a1, n, n, xi_cap=xi_cap),
+                    1, min(r0, r1))
+    if best is None:
         return 0, float("-inf")
-    return n_max, math.log2(2 * n_max) / t
+    return best[0], math.log2(2 * best[0]) / t

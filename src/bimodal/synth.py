@@ -24,6 +24,7 @@ from .graphs import (
     adjacency_pair,
     is_deterministic,
 )
+from .spectra import _ae_holds
 
 STATE_SEP = "@"
 
@@ -127,9 +128,9 @@ def _check_ae(g, x, n0, n1):
         raise InfeasibleVector("vector length does not match state count")
     if (xv < 0).any() or not xv.any():
         raise InfeasibleVector("vector must be nonnegative and nonzero")
-    if n0 > 0 and not (a0 @ xv >= n0 * xv).all():
+    if not _ae_holds(a0, xv, n0):
         raise InfeasibleVector("class-0 inequality fails")
-    if n1 > 0 and not (a1 @ xv >= n1 * xv).all():
+    if not _ae_holds(a1, xv, n1):
         raise InfeasibleVector("class-1 inequality fails")
     return xv
 
@@ -242,8 +243,7 @@ def split_one_round(g_b, x, n_b):
         raise InfeasibleVector("vector length does not match state count")
     if (xv <= 0).any():
         raise InfeasibleVector("splitting needs strictly positive weights")
-    a = adjacency(g_b)
-    if not (a @ xv >= n_b * xv).all():
+    if not _ae_holds(adjacency(g_b), xv, n_b):
         raise InfeasibleVector("inequality fails for the split class")
     w = dict(zip(g_b.states, (int(v) for v in xv)))
     groups = {}

@@ -30,7 +30,7 @@ from .graphs import (
     irreducible_components,
     is_deterministic,
 )
-from .spectra import ApproxEigenvector
+from .spectra import ApproxEigenvector, _ae_holds
 from .synth import (
     TaggedEncoder,
     _block_tag,
@@ -291,33 +291,17 @@ def witness_ae(e, g, n0, n1):
     for u in g.states:
         vals = [len(members[z]) for z in hp.states if (z, u) in rel]
         x.append(max(vals, default=0))
-    xv = np.asarray(x, dtype=np.int64)
-    if not xv.any():
+    if not any(x):
         raise PreconditionFailed("lifted vector is zero")
     ag0, ag1, _ = adjacency_pair(g)
-    if not ((ag0 @ xv >= n0 * xv).all() and (ag1 @ xv >= n1 * xv).all()):
+    if not (_ae_holds(ag0, x, n0) and _ae_holds(ag1, x, n1)):
         raise PreconditionFailed("lifted vector fails the inequalities")
-    return ApproxEigenvector(tuple(int(v) for v in xv), n0, n1)
+    return ApproxEigenvector(tuple(x), n0, n1)
 
 
 class DecodedTag(NamedTuple):
     tag: object
     provisional: bool
-
-
-def _channel_bits(g, label):
-    """One bit per word component: its parity class (class 1 wins only
-    when the symbol is not in class 0).
-
-    A reloaded power graph only declares whole-word parities, so when
-    the components are not classifiable the label contributes a single
-    bit carrying its overall parity.
-    """
-    parts = label.split(".")
-    known = g.parity.class0 | g.parity.class1
-    if all(sym in known for sym in parts):
-        return [0 if sym in g.parity.class0 else 1 for sym in parts]
-    return [0 if label in g.parity.class0 else 1]
 
 
 def _check_start(g, start):
@@ -367,11 +351,9 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
             edges = e.by_tag[state].get(_block_tag(opt, p) if block_mode
                                         else opt)
             if edges:
-                lv, s = level, rds
-                for bit in _channel_bits(g, edges[0].label):
-                    if bit == 1:
-                        lv = -lv
-                    s += lv
+                # each emitted label carries one channel bit, its class
+                lv = level if edges[0].label in g.parity.class0 else -level
+                s = rds + lv
                 # strict: a 0 reserved bit wins ties
                 if move is None or abs(s) < abs(move[2]):
                     move = (edges[0], lv, s)

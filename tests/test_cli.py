@@ -235,8 +235,11 @@ edge: t b s
     ["verify", "enc.cg", "--against", "nondet.cg", "--n0", "2", "--n1", "2"],
     ["franaszek", "quad.cg", "--n0", "1", "--n1", "1",
      "--cap", "99999999999999999999"],
+    ["franaszek", "quad.cg", "--n0", "99999999999999999999", "--n1", "1"],
+    ["synth", "quad.cg", "--method", "det",
+     "--n0", "99999999999999999999", "--n1", "1"],
 ], ids=["synth-nondeterministic", "verify-nondeterministic",
-        "franaszek-cap-overflow"])
+        "franaszek-cap-overflow", "franaszek-n0-huge", "synth-det-n0-huge"])
 def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
     (tmp_path / "nondet.cg").write_text(NONDETERMINISTIC)
     (tmp_path / "enc.cg").write_text(serialize_encoder(
@@ -246,6 +249,15 @@ def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_synth_huge_cap(tmp_path, capsys):
+    # the norm is 1, far below the caps whose products leave int64
+    out = tmp_path / "enc.cg"
+    assert main(["synth", fixture("quad.cg"), "--method", "split",
+                 "--n0", "1", "--n1", "1", "--cap", "99999999999999999999",
+                 "-o", str(out)]) == 0
+    assert parse_encoder_file(out.read_text()).out_degrees_ok()
 
 
 def test_cli_duplicate_tag(tmp_path, capsys, monkeypatch):

@@ -195,6 +195,99 @@ def test_anticipation_lower_bound():
     assert anticipation_lower_bound(a0, a1, 1, 1) == 0.0
 
 
+def _reference_largest(test, lo, hi):
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        got = test(mid)
+        if got is not None:
+            best, lo = (mid, got), mid + 1
+        else:
+            hi = mid - 1
+    return best
+
+
+def _reference_tables(g, t, xi_cap):
+    """rate_region and coding_ratio with float Perron search bounds."""
+    a0, a1, _ = adjacency_pair(g if t == 1 else power(g, t))
+    lam0, lam1 = perron(a0), perron(a1)
+    points = []
+    for n0 in range(int(math.floor(lam0 + 1e-9)) + 1):
+        best = _reference_largest(
+            lambda n1: joint_ae_exists(a0, a1, n0, n1, xi_cap=xi_cap),
+            0, int(math.floor(lam1 + 1e-9)))
+        if best is not None:
+            points.append((n0, best[0], best[1].entries))
+    best = _reference_largest(
+        lambda n: joint_ae_exists(a0, a1, n, n, xi_cap=xi_cap),
+        1, int(math.floor(min(lam0, lam1) + 1e-9)))
+    return points, (best[0] if best else 0)
+
+
+def _reference_min_infnorm(a0, a1, n0, n1, xi_cap):
+    """Linear scan over the caps."""
+    for cap in range(1, xi_cap + 1):
+        got = joint_ae_exists(a0, a1, n0, n1, xi_cap=cap)
+        if got is not None:
+            return cap, got
+    return None
+
+
+@pytest.mark.parametrize("name,t_max", [
+    ("twostate", 6), ("altsplit", 3), ("quad", 3), ("mixed", 3),
+    ("overlap", 3), ("hexchain", 3), ("trisplit", 3), ("rll210", 3)])
+def test_searches_match_float_bound_reference(name, t_max):
+    g = (helpers.two_state_alt() if name == "altsplit"
+         else helpers.load(name + ".cg"))
+    for t in range(1, t_max + 1):
+        a0, a1, _ = adjacency_pair(g if t == 1 else power(g, t))
+        for cap in (1, 2, 64):
+            want, n_max = _reference_tables(g, t, cap)
+            got = rate_region(g, t, xi_cap=cap)
+            assert [(p.n0, p.n1, p.witness) for p in got] == want
+            assert coding_ratio(g, t, xi_cap=cap)[0] == n_max
+            # every point would make the scan slow on mixed t=3
+            for n0, n1, _ in want[::max(1, len(want) // 4)]:
+                for m1 in (n1, n1 + 1):
+                    ref = _reference_min_infnorm(a0, a1, n0, m1, cap)
+                    if ref is None:
+                        with pytest.raises(NotFoundWithin):
+                            min_infnorm_ae(a0, a1, n0, m1, xi_cap=cap)
+                    else:
+                        assert min_infnorm_ae(a0, a1, n0, m1,
+                                              xi_cap=cap) == ref
+
+
+def test_searches_need_no_perron(monkeypatch):
+    def boom(*args, **kw):
+        raise AssertionError("perron called")
+
+    monkeypatch.setattr("bimodal.spectra.perron", boom)
+    pts = {p.n0: p.n1 for p in rate_region(helpers.mixed(), 2)}
+    assert pts[20] == 26 and max(pts) == 39
+    assert coding_ratio(helpers.two_state(), 5)[0] == 15
+
+
+def test_min_infnorm_ae_bisects_caps(monkeypatch):
+    real = joint_ae_exists
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(kw["xi_cap"])
+        if len(calls) > 64:
+            raise AssertionError("cap scan")
+        return real(*args, **kw)
+
+    monkeypatch.setattr("bimodal.spectra.joint_ae_exists", counted)
+    a0, a1, _ = adjacency_pair(power(helpers.two_state(), 3))
+    with pytest.raises(NotFoundWithin):
+        min_infnorm_ae(a0, a1, 4, 4, xi_cap=10 ** 6)
+    assert len(calls) <= 25
+    calls.clear()
+    assert min_infnorm_ae(a0, a1, 3, 3, xi_cap=10 ** 6)[0] == 2
+    assert len(calls) <= 25
+
+
 def test_rate_region_golden():
     pts = {p.n0: p for p in rate_region(helpers.mixed(), 2)}
     assert pts[20].n1 == 26

@@ -29,6 +29,8 @@ from bimodal import (
     stether_partition,
     stether_punctured,
 )
+from bimodal.construct import rll_graph
+from bimodal.synth import _check_ae
 
 
 def test_split_state_parsing():
@@ -72,6 +74,12 @@ def test_extract_deterministic_rejections():
         extract_deterministic(g, (0, 0), 2, 2)
     with pytest.raises(InfeasibleVector):
         extract_deterministic(g, (1, 1), 3, 2)
+
+
+def test_check_ae_exact_on_huge_entries():
+    # int64 products wrap here: A0 x >= 5 x must still read as false
+    with pytest.raises(InfeasibleVector, match="class-0"):
+        _check_ae(rll_graph(2, 10), [2 ** 61 - 1] * 11, 5, 0)
 
 
 def test_split_one_round_unit_weights():
