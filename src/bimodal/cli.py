@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import graphs, io, spectra, synth, verify
-from .graphs import BimodalError, Finite, Infinite
+from .graphs import BimodalError, Finite
 
 
 def _load_graph(path):
@@ -60,12 +60,8 @@ def cmd_info(args):
     if len(comps) == 1 and g.edges:
         print("period: %d" % graphs.period(g))
     mem = graphs.memory(g)
-    if isinstance(mem, Finite):
-        print("memory: %d" % mem.value)
-    elif isinstance(mem, Infinite):
-        print("memory: infinite")
-    else:
-        print("memory: unknown (> %d)" % mem.bound)
+    print("memory: %s" % (mem.value if isinstance(mem, Finite)
+                          else "infinite"))
     print("capacity: %.6f" % spectra.capacity(g))
 
 
@@ -126,7 +122,7 @@ def cmd_synth(args):
 def cmd_verify(args):
     enc = _load_encoder(args.encoder)
     g = _maybe_power(_load_graph(args.against), args.t)
-    report = verify.check_encoder(enc, g, args.n0, args.n1, cap=args.cap)
+    report = verify.check_encoder(enc, g, args.n0, args.n1)
     print(report)
     if not report.ok:
         raise BimodalError("verification failed")
@@ -207,7 +203,6 @@ def build_parser():
     p.add_argument("--against", required=True)
     p.add_argument("--n0", type=count, required=True)
     p.add_argument("--n1", type=count, required=True)
-    p.add_argument("--cap", type=positive, default=32)
     p.add_argument("-t", type=positive, default=1)
 
     p = add("encode", cmd_encode, help="encode tag blocks from stdin")

@@ -53,11 +53,6 @@ class Infinite:
     certificate: tuple = field(default=(), compare=False)
 
 
-@dataclass(frozen=True)
-class Unknown:
-    bound: int
-
-
 class Edge(NamedTuple):
     src: str
     label: str
@@ -144,6 +139,19 @@ class LabeledGraph:
             for e in es:
                 d.setdefault(e.label, []).append(e)
         return idx
+
+    @functools.cached_property
+    def deterministic(self):
+        """No state has two out-edges with one label, and no edge has
+        multiplicity above one; scanned once, as the graph never
+        changes."""
+        for s in self.states:
+            seen = set()
+            for e in self.out_edges(s):
+                if e.mult > 1 or e.label in seen:
+                    return False
+                seen.add(e.label)
+        return True
 
     def __eq__(self, other):
         return isinstance(other, LabeledGraph) and self._key == other._key
@@ -302,13 +310,7 @@ def adjacency_pair(g):
 
 
 def is_deterministic(g):
-    for s in g.states:
-        seen = set()
-        for e in g.out_edges(s):
-            if e.mult > 1 or e.label in seen:
-                return False
-            seen.add(e.label)
-    return True
+    return g.deterministic
 
 
 def _step(g, states, label):
@@ -470,7 +472,7 @@ class PairGraph:
         return sets
 
 
-def memory(g, mu_max=64):
+def memory(g):
     """Smallest m such that equal words of length m force equal endpoints.
 
     Scans the pair graph's reach chain: the set of state pairs reachable
@@ -482,8 +484,6 @@ def memory(g, mu_max=64):
     for k, pairs in enumerate(sets):
         if all(p == q for (p, q) in pairs):
             return Finite(k)
-        if k >= mu_max:
-            return Unknown(mu_max)
     bad = sorted((p, q) for (p, q) in sets[-1] if p != q)
     return Infinite(tuple(bad[:4]))
 

@@ -61,11 +61,16 @@ def _as_int_matrix(a):
 
 
 def _check_pair(a0, a1):
+    """The checked pair with its bounds, (a0, a1, r0, r1, limit): r_b is
+    the largest row sum of A_b, which bounds any feasible n_b (n_b x_u <=
+    (A_b x)_u <= rowsum_u x_u at x's top entry u), and limit the largest
+    cap whose products with both fit int64."""
     a0 = _as_int_matrix(a0)
     a1 = _as_int_matrix(a1)
     if a0.shape != a1.shape:
         raise DimensionMismatch("matrix pair shapes differ")
-    return a0, a1
+    r0, r1 = (max(map(sum, a.tolist()), default=0) for a in (a0, a1))
+    return a0, a1, r0, r1, int(np.iinfo(np.int64).max) // max(r0, r1, 1)
 
 
 def perron(a):
@@ -108,14 +113,6 @@ def capacity(g):
     return math.log2(lam)
 
 
-def _row_bounds(a0, a1):
-    """(r0, r1, limit): each matrix's largest row sum, which bounds any
-    feasible n_b (n_b x_u <= (A_b x)_u <= rowsum_u x_u at x's top entry
-    u), and the largest cap whose products with both fit int64."""
-    r0, r1 = (max(map(sum, a.tolist()), default=0) for a in (a0, a1))
-    return r0, r1, int(np.iinfo(np.int64).max) // max(r0, r1, 1)
-
-
 def _ae_holds(a, x, n):
     """A x >= n x entrywise, in exact integer arithmetic."""
     x = [int(v) for v in x]
@@ -148,11 +145,16 @@ def franaszek_joint(a0, a1, n0, n1, xi):
     largest row sum times the largest ceiling entry leaves int64,
     checked in Python ints before any int64 ceiling is built.
     """
-    a0, a1 = _check_pair(a0, a1)
+    pair = _check_pair(a0, a1)
     xi = np.asarray(xi)
-    if xi.shape != (a0.shape[0],):
+    if xi.shape != (len(pair[0]),):
         raise DimensionMismatch("ceiling vector length mismatch")
-    r0, r1, limit = _row_bounds(a0, a1)
+    return _sweep(pair, n0, n1, xi)
+
+
+def _sweep(pair, n0, n1, xi):
+    """franaszek_joint on a checked pair; a search checks its pair once."""
+    a0, a1, r0, r1, limit = pair
     cap = int(xi.max(initial=0))
     if cap > limit:
         raise BimodalError("cap %d times row sum %d overflows int64"
@@ -181,7 +183,12 @@ def joint_ae_exists(a0, a1, n0, n1, xi_cap=64):
     solutions may still exist, so absence is not a disproof.  Raises
     BimodalError when the cap times the largest row sum leaves int64.
     """
-    x = franaszek_joint(a0, a1, n0, n1, [xi_cap] * len(a0))
+    return _exists(_check_pair(a0, a1), n0, n1, xi_cap)
+
+
+def _exists(pair, n0, n1, xi_cap):
+    """joint_ae_exists on a checked pair."""
+    x = _sweep(pair, n0, n1, np.asarray([xi_cap] * len(pair[0])))
     if not x.any():
         return None
     return ApproxEigenvector(tuple(int(v) for v in x), n0, n1)
@@ -194,17 +201,15 @@ def min_infnorm_ae(a0, a1, n0, n1, xi_cap=64):
     admits nothing.  The caps that fit int64 are bisected; above them
     franaszek_joint's overflow error is raised instead.
     """
-    a0, a1 = _check_pair(a0, a1)
-    limit = _row_bounds(a0, a1)[2]
+    pair = _, _, _, _, limit = _check_pair(a0, a1)
     top = min(xi_cap, limit)
     # a solution under one cap is one under any larger cap, so index i
     # standing for cap top - i makes the feasible indices a prefix
-    best = _largest(lambda i: joint_ae_exists(a0, a1, n0, n1,
-                                              xi_cap=top - i), 0, top - 1)
+    best = _largest(lambda i: _exists(pair, n0, n1, top - i), 0, top - 1)
     if best is not None:
         return top - best[0], best[1]
     if xi_cap > limit:
-        joint_ae_exists(a0, a1, n0, n1, xi_cap=limit + 1)  # raises
+        _exists(pair, n0, n1, limit + 1)  # raises
     raise NotFoundWithin(xi_cap)
 
 
@@ -227,11 +232,10 @@ def rate_region(g, t, xi_cap=64):
     found (first up to the largest class-1 row sum).
     """
     a0, a1, _ = adjacency_pair(g if t == 1 else power(g, t))
-    r0, hi, _ = _row_bounds(a0, a1)
+    pair = _, _, r0, hi, _ = _check_pair(a0, a1)
     points = []
     for n0 in range(r0 + 1):
-        best = _largest(lambda n1: joint_ae_exists(a0, a1, n0, n1,
-                                                   xi_cap=xi_cap), 0, hi)
+        best = _largest(lambda n1: _exists(pair, n0, n1, xi_cap), 0, hi)
         if best is None:
             break
         hi, got = best
@@ -247,9 +251,8 @@ def coding_ratio(g, t, xi_cap=64):
     even n = 1 is out of reach.
     """
     a0, a1, _ = adjacency_pair(g if t == 1 else power(g, t))
-    r0, r1, _ = _row_bounds(a0, a1)
-    best = _largest(lambda n: joint_ae_exists(a0, a1, n, n, xi_cap=xi_cap),
-                    1, min(r0, r1))
+    pair = _, _, r0, r1, _ = _check_pair(a0, a1)
+    best = _largest(lambda n: _exists(pair, n, n, xi_cap), 1, min(r0, r1))
     if best is None:
         return 0, float("-inf")
     return best[0], math.log2(2 * best[0]) / t

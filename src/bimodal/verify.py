@@ -21,7 +21,6 @@ from .graphs import (
     Finite,
     Infinite,
     PairGraph,
-    Unknown,
     _same_edge,
     _step,
     adjacency_pair,
@@ -68,17 +67,13 @@ class VerifyReport:
                 and self.lossless and isinstance(self.anticipation, Finite))
 
     def __str__(self):
-        if isinstance(self.anticipation, Finite):
-            ant = str(self.anticipation.value)
-        elif isinstance(self.anticipation, Infinite):
-            ant = "infinite"
-        else:
-            ant = "unknown (> %d)" % self.anticipation.bound
         lines = [
             "out-degrees: %s" % ("ok" if all(self.out_degree_ok) else "BAD"),
             "containment: %s" % ("ok" if self.containment_ok else "BAD"),
             "lossless:    %s" % ("yes" if self.lossless else "NO"),
-            "anticipation: %s" % ant,
+            "anticipation: %s" % (
+                self.anticipation.value
+                if isinstance(self.anticipation, Finite) else "infinite"),
             "definiteness: %s" % (
                 "(%d, %d)" % self.definiteness if self.definiteness
                 else "none found"),
@@ -138,7 +133,22 @@ def _infinite_certificate(pg, start_pair):
     return (tuple(prefix), node)
 
 
-def anticipation(e, cap=32):
+def _delay(pg, pairs):
+    """(d, kid): d is 1 + the longest synchronized walk after a distinct,
+    equally labeled edge pair leaving ``pairs`` (math.inf when a cycle
+    is reachable), kid the first target pair attaining it; (0, None)
+    when no such edge pair leaves."""
+    best = (0, None)
+    for (p, q) in pairs:
+        for (e1, e2) in pg.edge_pairs(p, q):
+            kid = (e1.dst, e2.dst)
+            d = pg.ext()[kid] + 1
+            if d > best[0]:
+                best = (d, kid)
+    return best
+
+
+def anticipation(e):
     """Lookahead needed to pin down the first edge from the word.
 
     Finite(a): every two paths with distinct first edges from a common
@@ -146,22 +156,9 @@ def anticipation(e, cap=32):
     certificate walk into a synchronized cycle.
     """
     pg = _pair_graph_of(e)
-    starts = []
-    for s in pg.g.states:
-        for (e1, e2) in pg.edge_pairs(s, s):
-            starts.append((e1.dst, e2.dst))
-    if not starts:
-        return Finite(0)
-    ext = pg.ext()
-    worst = -1
-    for n in starts:
-        v = ext[n]
-        if v == math.inf:
-            return Infinite(_infinite_certificate(pg, n))
-        worst = max(worst, v)
-    a = 1 + worst
-    if a > cap:
-        return Unknown(cap)
+    a, kid = _delay(pg, [(s, s) for s in pg.g.states])
+    if a == math.inf:
+        return Infinite(_infinite_certificate(pg, kid))
     return Finite(a)
 
 
@@ -183,18 +180,24 @@ def is_definite(e, m, a):
     return not _fails_definite(pg, pg.reach_sets(), m, a, _same_edge)
 
 
-def definiteness(e, m_max=8, a_max=8):
-    """Smallest (m, a) by total window then memory, or None in bounds."""
+def definiteness(e):
+    """Smallest (m, a) with is_definite(e, m, a), by total window m + a
+    and then by m; None when no window pins the edge down.
+
+    Every m past the last index L of the reach chain sees the same pairs
+    as L, so (L, a_L) is definite for the least a_L that works there,
+    and no window exists when a_L is infinite.
+    """
     pg = _pair_graph_of(e)
     reach = pg.reach_sets()
-    for total in range(0, m_max + a_max + 1):
-        for m in range(0, min(total, m_max) + 1):
-            a = total - m
-            if a > a_max:
-                continue
-            if not _fails_definite(pg, reach, m, a, _same_edge):
-                return (m, a)
-    return None
+    top = len(reach) - 1 + _delay(pg, reach[-1])[0]
+    if top == math.inf:
+        return None
+    # (L, a_L) is definite, so the search ends by total == top
+    for total in range(top + 1):
+        for m in range(total + 1):
+            if not _fails_definite(pg, reach, m, total - m, _same_edge):
+                return (m, total - m)
 
 
 def sliding_block_decodable(e, m, a):
@@ -236,7 +239,7 @@ def presents_subset(e, g):
     return True
 
 
-def check_encoder(e, g, n0, n1, cap=32):
+def check_encoder(e, g, n0, n1):
     """Aggregate structural report for a tagged encoder against g."""
     violations = []
     deg0 = deg1 = True
@@ -254,12 +257,12 @@ def check_encoder(e, g, n0, n1, cap=32):
     lossless = losslessness(pg)
     if not lossless:
         violations.append("two distinct equally labeled paths reconverge")
-    ant = anticipation(pg, cap=cap)
+    ant = anticipation(pg)
+    defin = None
     if isinstance(ant, Infinite):
         violations.append("anticipation is infinite")
-    defin = None
-    if isinstance(ant, Finite):
-        defin = definiteness(pg, m_max=8, a_max=max(8, ant.value))
+    else:
+        defin = definiteness(pg)
     return VerifyReport((deg0, deg1), contain, lossless, ant, defin,
                         violations)
 
@@ -382,17 +385,16 @@ def _candidates(g, states, label, ahead):
 
 
 def _lookahead(e):
-    """Uncapped anticipation of encoder e, computed on first use and
-    kept on the encoder, whose graph never changes; no pair graph is
-    kept alive."""
+    """Anticipation of encoder e, computed on first use and kept on the
+    encoder, whose graph never changes; no pair graph is kept alive."""
     try:
         return e._anticipation
     except AttributeError:
-        e._anticipation = anticipation(e, cap=math.inf)
+        e._anticipation = anticipation(e)
         return e._anticipation
 
 
-def decode_stream(e, word, start, p=None, cap=32):
+def decode_stream(e, word, start, p=None):
     """Recover the tag sequence from a word, tracking the state.
 
     Uses the encoder's anticipation as lookahead: the upcoming a+1
@@ -404,7 +406,7 @@ def decode_stream(e, word, start, p=None, cap=32):
     g = e.graph
     _check_start(g, start)
     ant = _lookahead(e)
-    if not isinstance(ant, Finite) or ant.value > cap:
+    if isinstance(ant, Infinite):
         raise PreconditionFailed("decoding needs finite anticipation")
     a = ant.value
     if p is not None:
@@ -422,11 +424,11 @@ def decode_stream(e, word, start, p=None, cap=32):
             provisional = True
         edge = cands[0]
         tags = e.tags.get(edge, ())
+        if not tags:
+            raise NotDecodable(i, "edge has no tag")
         if p is not None:
-            if not tags:
-                raise NotDecodable(i, "edge has no block tag")
             tags = [_tag_block(t, p) for t in tags]
-        out.append(DecodedTag(min(tags) if tags else None, provisional))
+        out.append(DecodedTag(min(tags), provisional))
         state = edge.dst
     return out
 
@@ -457,6 +459,7 @@ def decode_sliding(e, word, m, a, p=None):
             if p is not None:
                 tags.update(_tag_block(t, p) for t in e.tags.get(ed, ()))
             else:
-                tags.add(min(e.tags.get(ed, ((None, None),))))
+                # an untagged edge leaves the position undecided
+                tags.add(min(e.tags.get(ed) or (None,)))
         out.append(next(iter(tags)) if len(tags) == 1 else None)
     return out

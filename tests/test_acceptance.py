@@ -239,7 +239,7 @@ def test_criterion_9_oracle_suites():
             g = helpers.random_graph(rng)
             assert losslessness(g) == test_verify.oracle_lossless(g)
             want = test_verify.oracle_anticipation(g)
-            have = anticipation(g, cap=64)
+            have = anticipation(g)
             if want == math.inf:
                 assert isinstance(have, Infinite)
             else:

@@ -1,17 +1,26 @@
 import io as stdio
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from bimodal import (
     Edge,
     ParseError,
+    TaggedEncoder,
     export_dot,
     parse_encoder_file,
     parse_graph_file,
     serialize_encoder,
     serialize_graph,
     extract_deterministic,
+    validate_graph,
 )
 from bimodal.cli import main
 
@@ -273,3 +282,111 @@ def test_cli_duplicate_tag(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", stdio.StringIO("0 1"))
     assert main(["encode", str(enc), "--start", "s", "-p", "1"]) == 2
     assert capsys.readouterr().err == "error: line 8: duplicate tag s 0 0\n"
+
+
+def test_cli_decode_untagged_edge(capsys, monkeypatch):
+    # a graph file read as an encoder has no tags to decode to
+    monkeypatch.setattr("sys.stdin", stdio.StringIO("a"))
+    assert main(["decode", fixture("twostate.cg"), "--start", "alpha"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@st.composite
+def cli_cases(draw):
+    """(graph text, encoder text, argv, stdin) over every subcommand.
+
+    The graph has up to three states and a cover of up to four symbols;
+    the encoder file adds random tag lines.
+    In argv, G and E name the two files.
+    """
+    cmd = draw(st.sampled_from(["info", "power", "franaszek", "region",
+                                "synth", "verify", "encode", "decode",
+                                "export-dot"]))
+    states = ["s%d" % i for i in range(draw(st.integers(1, 3)))]
+    p0, p1 = (sorted(draw(st.sets(st.sampled_from("abcd"), min_size=1,
+                                  max_size=3))) for _ in range(2))
+    labels = sorted(set(p0 + p1)) or ["a"]
+    edges = draw(st.lists(st.tuples(*(st.sampled_from(v) for v in
+                                      (states, labels, states))),
+                          max_size=8, unique=True))
+    graph = "".join("%s: %s\n" % kv for kv in (
+        ("states", " ".join(states)), ("parity0", " ".join(p0)),
+        ("parity1", " ".join(p1)))) + "".join(
+        "edge: %s %s %s\n" % ed for ed in edges)
+    tags = draw(st.lists(st.tuples(st.sampled_from(edges), st.integers(0, 1),
+                                   st.integers(0, 1)),
+                         max_size=8, unique_by=lambda t: (t[0][0],) + t[1:])
+                ) if edges else []
+    encoder = graph + "".join("tag: %s %d %d %s %s\n" % (u, c, slot, a, v)
+                              for (u, a, v), c, slot in tags)
+    num = lambda lo, hi: str(draw(st.integers(lo, hi)))
+    t = ["-t", num(1, 2)]
+    degrees = ["--n0", num(0, 3), "--n1", num(0, 3)]
+    cap = ["--cap", num(1, 4)]
+    start = ["--start", draw(st.sampled_from(states + ["nope"]))]
+    p = draw(st.sampled_from([[], ["-p", "1"], ["-p", "2"]]))
+    argv = {
+        "info": ["info", "G"],
+        "power": ["power", "G"] + t,
+        "franaszek": ["franaszek", "G"] + degrees + cap + t,
+        "region": ["region", "G"] + t + cap,
+        "synth": ["synth", "G", "--method", draw(st.sampled_from(
+            ["det", "split", "stether", "punctured"]))] + degrees + cap + t,
+        "verify": ["verify", "E", "--against", "G"] + degrees + t,
+        "encode": ["encode", "E", "--policy", draw(st.sampled_from(
+            ["as-tagged", "fixed-parity", "rds-min"]))] + start + p,
+        "decode": ["decode", "E"] + start + p,
+        "export-dot": ["export-dot", "G"],
+    }[cmd]
+    words = st.sampled_from(labels + (["0", "1", "01", "10"]
+                                      if cmd == "encode" else []))
+    stdin = " ".join(draw(st.lists(words, max_size=6)))
+    return graph, encoder, argv, stdin
+
+
+TWOSTATE = serialize_graph(helpers.two_state())
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_cases())
+@example((TWOSTATE, TWOSTATE, ["decode", "E", "--start", "alpha"], "a"))
+def test_cli_never_raises(case):
+    graph, encoder, argv, stdin = case
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        files = {"G": (graph, "g.cg"), "E": (encoder, "e.cg")}
+        for text, name in files.values():
+            with open(os.path.join(d, name), "w") as fh:
+                fh.write(text)
+        argv = [os.path.join(d, files[a][1]) if a in files else a
+                for a in argv]
+        with mock.patch("sys.stdin", stdio.StringIO(stdin)), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_serialize_parse_identity(seed, strict):
+    rng = np.random.default_rng(seed)
+    g = helpers.random_graph(rng, max_states=4, strict=strict)
+    g = validate_graph(g.states, [ed[:3] + (int(rng.integers(1, 4)),)
+                                  for ed in g.edges],
+                       g.parity.class0, g.parity.class1, allow_mult=True)
+    text = serialize_graph(g)
+    assert serialize_graph(parse_graph_file(text)) == text
+    # each edge takes a random set of classes, slots counted per state
+    tags, slots = {}, {}
+    for ed in g.edges:
+        for c in (0, 1):
+            if rng.random() < 0.6:
+                slot = slots[ed.src, c] = slots.get((ed.src, c), -1) + 1
+                tags.setdefault(ed, []).append((c, slot))
+    text = serialize_encoder(TaggedEncoder(
+        g, {ed: tuple(v) for ed, v in tags.items()}, 1, 1))
+    assert serialize_encoder(parse_encoder_file(text)) == text

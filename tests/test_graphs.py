@@ -10,7 +10,6 @@ from bimodal import (
     Finite,
     Infinite,
     NotIrreducible,
-    Unknown,
     ValidationError,
     adjacency,
     adjacency_pair,
@@ -190,30 +189,30 @@ def _endpoint_pairs(g, k):
     return {(p, q) for vs in ends.values() for p in vs for q in vs}
 
 
-def oracle_memory(g, mu_max):
+def oracle_memory(g):
     """memory() by brute force.  The endpoint-pair sets shrink with k and
     settle within n*n steps: the memory is the first k whose set has no
-    distinct pair; the fixpoint step decides Infinite against Unknown."""
+    distinct pair, and a distinct pair at the fixpoint makes it
+    infinite."""
     n2 = len(g.states) ** 2
     sets = [_endpoint_pairs(g, k) for k in range(n2 + 2)]
     for k, pairs in enumerate(sets):
         if all(p == q for (p, q) in pairs):
-            return Finite(k) if k <= mu_max else Unknown(mu_max)
+            return Finite(k)
         if sets[k + 1] == pairs:
-            return Infinite() if k < mu_max else Unknown(mu_max)
+            return Infinite()
 
 
-def test_memory_matches_brute_force_across_mu_max():
+def test_memory_matches_brute_force():
     rng = np.random.default_rng(23)
     kinds = set()
     for i in range(40):
         g = helpers.random_graph(rng, max_states=3, strict=bool(i % 2),
                                  max_out=2)
-        for mu in range(len(g.states) ** 2 + 2):
-            want = oracle_memory(g, mu)
-            assert memory(g, mu_max=mu) == want, (g.edges, mu)
-            kinds.add(type(want))
-    assert kinds == {Finite, Infinite, Unknown}
+        want = oracle_memory(g)
+        assert memory(g) == want, g.edges
+        kinds.add(type(want))
+    assert kinds == {Finite, Infinite}
 
 
 def _words_up_to(g, length):

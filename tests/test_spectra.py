@@ -22,6 +22,7 @@ from bimodal import (
     power,
     rate_region,
 )
+from bimodal import spectra
 from bimodal.spectra import DimensionMismatch
 
 
@@ -269,16 +270,16 @@ def test_searches_need_no_perron(monkeypatch):
 
 
 def test_min_infnorm_ae_bisects_caps(monkeypatch):
-    real = joint_ae_exists
+    real = spectra._exists
     calls = []
 
-    def counted(*args, **kw):
-        calls.append(kw["xi_cap"])
+    def counted(*args):
+        calls.append(args[-1])
         if len(calls) > 64:
             raise AssertionError("cap scan")
-        return real(*args, **kw)
+        return real(*args)
 
-    monkeypatch.setattr("bimodal.spectra.joint_ae_exists", counted)
+    monkeypatch.setattr("bimodal.spectra._exists", counted)
     a0, a1, _ = adjacency_pair(power(helpers.two_state(), 3))
     with pytest.raises(NotFoundWithin):
         min_infnorm_ae(a0, a1, 4, 4, xi_cap=10 ** 6)
@@ -286,6 +287,24 @@ def test_min_infnorm_ae_bisects_caps(monkeypatch):
     calls.clear()
     assert min_infnorm_ae(a0, a1, 3, 3, xi_cap=10 ** 6)[0] == 2
     assert len(calls) <= 25
+
+
+def test_searches_check_their_pair_once(monkeypatch):
+    real = spectra._check_pair
+    calls = []
+
+    def counted(a0, a1):
+        calls.append(1)
+        return real(a0, a1)
+
+    monkeypatch.setattr("bimodal.spectra._check_pair", counted)
+    g = power(helpers.two_state(), 3)
+    a0, a1, _ = adjacency_pair(g)
+    for search in (lambda: rate_region(g, 1), lambda: coding_ratio(g, 1),
+                   lambda: min_infnorm_ae(a0, a1, 3, 3)):
+        calls.clear()
+        search()
+        assert len(calls) == 1
 
 
 def test_rate_region_golden():

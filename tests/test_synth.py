@@ -9,6 +9,7 @@ from bimodal import (
     Edge,
     InfeasibleVector,
     InsufficientWeight,
+    LabeledGraph,
     SplitInfeasible,
     adjacency,
     adjacency_pair,
@@ -294,3 +295,21 @@ def test_assign_block_tags_matches_reference(method, name, t, p):
             g, min_infnorm_ae(a0, a1, n + 1, n + 1)[1].entries, n, n)
     assert e.out_degrees_ok()
     assert assign_block_tags(e, p) == _reference_block_table(e, p)
+
+
+def test_determinism_scanned_once_per_graph(monkeypatch):
+    g = power(helpers.two_state(), 2)
+    reads = []
+    out_edges = LabeledGraph.out_edges
+
+    def counted(self, s):
+        reads.append(s)
+        return out_edges(self, s)
+
+    monkeypatch.setattr(LabeledGraph, "out_edges", counted)
+    for u in g.states:
+        for b in (0, 1):
+            build_delta(g, (1, 1), u, b)
+    # the determinism scan reads each state once for the graph, and
+    # each candidate list reads its own state
+    assert len(reads) == 3 * len(g.states)

@@ -33,6 +33,7 @@ from bimodal import (
     split_one_round,
     stether,
     stether_punctured,
+    validate_graph,
     witness_ae,
 )
 
@@ -91,7 +92,7 @@ def test_anticipation_oracle_agreement():
     for _ in range(200):
         g = helpers.random_graph(rng)
         want = oracle_anticipation(g)
-        got = anticipation(g, cap=64)
+        got = anticipation(g)
         if want == math.inf:
             assert isinstance(got, Infinite), g.edges
         else:
@@ -125,6 +126,90 @@ def test_definiteness_and_memory_cases():
     assert definiteness(e) is None
     assert not is_definite(e, 2, 2)
     assert sliding_block_decodable(e, 0, 0)
+
+
+def _paths(g, length):
+    """Every path of ``length`` edges, as a tuple of edges."""
+    paths = [(ed,) for ed in g.edges]
+    for _ in range(length - 1):
+        paths = [p + (ed,) for p in paths for ed in g.out_edges(p[-1].dst)]
+    return paths
+
+
+def test_definiteness_matches_path_enumeration():
+    # windows of up to 7 symbols: (m, a) is definite when all paths
+    # reading one word of m + a + 1 symbols share their edge at m
+    rng = np.random.default_rng(67)
+    kinds = set()
+    for i in range(80):
+        g = helpers.random_graph(rng, max_states=3, strict=bool(i % 2),
+                                 max_out=2)
+        window = {}
+        for total in range(7):
+            by_word = {}
+            for path in _paths(g, total + 1):
+                by_word.setdefault(tuple(ed.label for ed in path),
+                                   []).append(path)
+            for m in range(total + 1):
+                want = all(len({p[m] for p in ps}) == 1
+                           for ps in by_word.values())
+                assert is_definite(g, m, total - m) == want, (g.edges, m)
+                window[m, total - m] = want
+        first = next((ma for ma, ok in window.items() if ok), None)
+        got = definiteness(g)
+        if first is not None:
+            assert got == first, g.edges
+        else:
+            # nothing definite within the window
+            assert got is None or sum(got) > 6, g.edges
+        kinds.add("none" if got is None else
+                  "m > 0" if got[0] else "a > 0" if got[1] else "(0, 0)")
+    assert kinds == {"none", "m > 0", "a > 0", "(0, 0)"}
+
+
+def _chain_encoder(k=40):
+    """Lossless encoder at (1, 1) whose anticipation is exactly k: from
+    s, x enters one of two k-state y-chains by its tag's class, and the
+    chains return to s by z and by w."""
+    states = (["s"] + ["a%d" % i for i in range(1, k + 1)]
+              + ["b%d" % i for i in range(1, k + 1)])
+    both = ((0, 0), (1, 0))
+    tagged = [(("s", "x", "a1"), ((0, 0),)), (("s", "x", "b1"), ((1, 0),))]
+    for c in "ab":
+        tagged += [(("%s%d" % (c, i), "y", "%s%d" % (c, i + 1)), both)
+                   for i in range(1, k)]
+    tagged += [(("a%d" % k, "z", "s"), both), (("b%d" % k, "w", "s"), both)]
+    g = validate_graph(states, [ed for ed, _ in tagged], "xyzw", "xyzw")
+    return TaggedEncoder(g, {ed: tags for ed, (_, tags)
+                             in zip(g.edges, tagged)}, 1, 1)
+
+
+def test_long_anticipation_is_exact():
+    e = _chain_encoder()
+    g = validate_graph(["o"], [("o", c, "o") for c in "xyzw"],
+                       "xyzw", "xyzw")
+    rep = check_encoder(e, g, 1, 1)
+    assert rep.ok, str(rep)
+    assert rep.anticipation == Finite(40)
+    assert rep.definiteness == (0, 40)
+    assert "anticipation: 40" in str(rep)
+    # three laps round the chains, then the 40 symbols settling the last
+    tags = [t for c in (1, 0, 1, 0) for t in [(c, 0)] + [(0, 0)] * 40][:163]
+    word, _, _ = encode_stream(e, tags, "s")
+    assert len(word) >= 83
+    decoded = decode_stream(e, word, "s")
+    assert [d.tag for d in decoded[:3 * 41]] == tags[:3 * 41]
+    assert not any(d.provisional for d in decoded[:3 * 41])
+
+
+def test_untagged_edge_does_not_decode():
+    g = helpers.two_state()
+    e = TaggedEncoder(g, {}, 1, 1)
+    word = ["a", "b", "d"]
+    for p in (None, 1):
+        with pytest.raises(NotDecodable, match="no tag"):
+            decode_stream(e, word, "alpha", p=p)
+        assert decode_sliding(e, word, 0, 0, p=p) == [None] * 3
 
 
 def test_punctured_definiteness():
@@ -196,10 +281,6 @@ def test_decode_stream_builds_one_pair_graph(monkeypatch):
     for _ in range(3):
         decoded = decode_stream(e, word, start, p=2)
     assert [d.tag for d in decoded[:4]] == ["00", "11", "01", "10"]
-    assert built == [e.graph]
-    # the cap still applies at each call: anticipation 1 exceeds cap 0
-    with pytest.raises(PreconditionFailed):
-        decode_stream(e, word, start, p=2, cap=0)
     assert built == [e.graph]
 
 
@@ -395,7 +476,7 @@ def test_decode_sliding_matches_path_enumeration():
             for a in range(3):
                 want = oracle_sliding(
                     e, word, m, a,
-                    lambda ed: [min(tags.get(ed, ((None, None),)))])
+                    lambda ed: [min(tags[ed]) if ed in tags else None])
                 assert decode_sliding(e, word, m, a) == want, (g.edges, m, a)
     # block tags: the blocks bound to the edge at its source state
     e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
