@@ -2,7 +2,6 @@
 split evenly across a two-class parity cover of the alphabet."""
 
 from .graphs import (
-    AdjacencyPair,
     BimodalError,
     Edge,
     Finite,
@@ -17,7 +16,6 @@ from .graphs import (
     determinize,
     follower_le,
     irreducible_components,
-    is_deterministic,
     memory,
     merge_states,
     parity_subgraph,
@@ -40,13 +38,10 @@ from .spectra import (
 )
 from .synth import (
     ArityMismatch,
-    DeltaPartition,
-    DeltaSet,
     InfeasibleVector,
     InsufficientWeight,
     SplitInfeasible,
     TaggedEncoder,
-    assign_block_tags,
     build_delta,
     cover_consistent_partition,
     extract_deterministic,
@@ -83,6 +78,6 @@ from .io import (
     serialize_encoder,
     serialize_graph,
 )
-from .construct import graph_from_matrices, rll_graph
+from .construct import rll_graph
 
 __all__ = [n for n in dir() if not n.startswith("_")]

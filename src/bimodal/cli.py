@@ -53,8 +53,7 @@ def cmd_info(args):
     g = _load_graph(args.file)
     print("states: %d" % len(g.states))
     print("edges: %d" % len(g.edges))
-    print("deterministic: %s" % ("yes" if graphs.is_deterministic(g)
-                                 else "no"))
+    print("deterministic: %s" % ("yes" if g.deterministic else "no"))
     comps = graphs.irreducible_components(g)
     print("irreducible components: %d" % len(comps))
     if len(comps) == 1 and g.edges:

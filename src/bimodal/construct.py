@@ -22,23 +22,3 @@ def rll_graph(d, k):
             edges.append(("s%d" % i, "1", "s0"))
     return validate_graph(states, edges, ["0"], ["1"])
 
-
-def graph_from_matrices(a0, a1, states=None):
-    """Labeled graph realizing a pair of adjacency matrices.
-
-    Every edge gets a fresh symbol (class 0 prefixed 'e', class 1 'o'),
-    so the result is deterministic with all labels distinct.
-    """
-    n = len(a0)
-    if states is None:
-        states = ["v%d" % i for i in range(n)]
-    edges = []
-    p0, p1 = [], []
-    for cls, mat, pool, pref in ((0, a0, p0, "e"), (1, a1, p1, "o")):
-        for i in range(n):
-            for j in range(n):
-                for k in range(int(mat[i][j])):
-                    sym = "%s%d_%d_%d" % (pref, i, j, k)
-                    pool.append(sym)
-                    edges.append((states[i], sym, states[j]))
-    return validate_graph(states, edges, p0, p1)

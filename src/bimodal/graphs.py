@@ -76,10 +76,6 @@ class ParityPartition:
     def alphabet(self):
         return self.class0 | self.class1
 
-    @property
-    def strict(self):
-        return not (self.class0 & self.class1)
-
     def classes_of(self, symbol):
         """Parity bits the symbol may carry, as a tuple drawn from (0, 1)."""
         out = []
@@ -112,10 +108,6 @@ class LabeledGraph:
             out[e.src].append(e)
         self._out = {s: tuple(v) for s, v in out.items()}
         self._key = (self.states, self.edges, self.parity)
-
-    @property
-    def alphabet(self):
-        return self.parity.alphabet
 
     def state_index(self, s):
         return self._index[s]
@@ -166,6 +158,14 @@ class LabeledGraph:
         )
 
 
+def _empty_classes(parity):
+    """Violations for each empty class of a cover; a graph file needs
+    both classes, so such a graph can be neither read nor written."""
+    return ["parity class %d is empty" % b
+            for b, cls in enumerate((parity.class0, parity.class1))
+            if not cls]
+
+
 def validate_graph(states, edges, parity0, parity1, allow_mult=False,
                    allow_words=False):
     """Build a LabeledGraph, collecting every violation before failing.
@@ -184,18 +184,14 @@ def validate_graph(states, edges, parity0, parity1, allow_mult=False,
         if s in seen:
             violations.append("duplicate state %r" % s)
         seen.add(s)
-    p0 = frozenset(parity0)
-    p1 = frozenset(parity1)
-    if not p0:
-        violations.append("parity class 0 is empty")
-    if not p1:
-        violations.append("parity class 1 is empty")
+    parity = ParityPartition(frozenset(parity0), frozenset(parity1))
+    violations += _empty_classes(parity)
+    alphabet = parity.alphabet
     if not allow_words:
-        for a in p0 | p1:
+        for a in alphabet:
             if WORD_SEP in a:
                 violations.append(
                     "symbol %r contains reserved %r" % (a, WORD_SEP))
-    alphabet = p0 | p1
     built = []
     triples = set()
     for raw in edges:
@@ -217,7 +213,7 @@ def validate_graph(states, edges, parity0, parity1, allow_mult=False,
         built.append(e)
     if violations:
         raise ValidationError(violations)
-    return LabeledGraph(states, built, ParityPartition(p0, p1))
+    return LabeledGraph(states, built, parity)
 
 
 def parity_subgraph(g, b):
@@ -276,16 +272,6 @@ def power(g, t):
     return LabeledGraph(g.states, edges, parity)
 
 
-@dataclass(frozen=True)
-class AdjacencyPair:
-    a0: np.ndarray
-    a1: np.ndarray
-    states: tuple
-
-    def __iter__(self):
-        return iter((self.a0, self.a1, self.states))
-
-
 def adjacency(g):
     """Full adjacency matrix (all edges, multiplicities counted)."""
     n = len(g.states)
@@ -296,7 +282,8 @@ def adjacency(g):
 
 
 def adjacency_pair(g):
-    """Per-class adjacency matrices; a shared symbol counts in both."""
+    """(A0, A1, states): per-class adjacency matrices in the order of
+    ``states``; a shared symbol counts in both."""
     n = len(g.states)
     a0 = np.zeros((n, n), dtype=np.int64)
     a1 = np.zeros((n, n), dtype=np.int64)
@@ -306,11 +293,7 @@ def adjacency_pair(g):
             a0[i, j] += e.mult
         if e.label in g.parity.class1:
             a1[i, j] += e.mult
-    return AdjacencyPair(a0, a1, g.states)
-
-
-def is_deterministic(g):
-    return g.deterministic
+    return a0, a1, g.states
 
 
 def _step(g, states, label):
@@ -537,7 +520,7 @@ def follower_le(g1, g2):
     g2 must be deterministic; the relation is then exactly follower-set
     containment and is computed as a greatest fixpoint.
     """
-    if not is_deterministic(g2):
+    if not g2.deterministic:
         raise NotDeterministic("containment target must be deterministic")
     succ2 = {
         s: {e.label: e.dst for e in g2.out_edges(s)} for s in g2.states
@@ -607,7 +590,7 @@ def merge_states(g, weights=None):
     edges are dropped and its incoming edges are retargeted.  Dead-end
     states are pruned afterwards.
     """
-    if not is_deterministic(g):
+    if not g.deterministic:
         raise NotDeterministic("merge_states needs a deterministic graph")
     wmap = None
     if weights is not None:

@@ -15,7 +15,8 @@ source, label, target.
 
 from __future__ import annotations
 
-from .graphs import ValidationError, validate_graph
+from .graphs import (BimodalError, ValidationError, _empty_classes,
+                     validate_graph)
 from .synth import TaggedEncoder
 
 
@@ -113,6 +114,11 @@ def parse_encoder_file(text):
 
 
 def serialize_graph(g):
+    """Canonical graph text; a graph with an empty parity class is
+    refused, as the parser would refuse its file."""
+    empty = _empty_classes(g.parity)
+    if empty:
+        raise BimodalError("; ".join(empty))
     out = ["states: %s" % " ".join(g.states)]
     out.append("parity0: %s" % " ".join(sorted(g.parity.class0)))
     out.append("parity1: %s" % " ".join(sorted(g.parity.class1)))
@@ -138,9 +144,9 @@ def _dot_id(name):
     return '"%s"' % name.replace('"', '\\"')
 
 
-def export_dot(g, name="constraint"):
+def export_dot(g):
     """Graphviz text: class-0 edges solid, class-1 dashed, shared bold."""
-    lines = ["digraph %s {" % name, "  rankdir=LR;"]
+    lines = ["digraph constraint {", "  rankdir=LR;"]
     for s in g.states:
         lines.append("  %s;" % _dot_id(s))
     for e in sorted(g.edges, key=g.edge_key):

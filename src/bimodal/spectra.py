@@ -35,14 +35,6 @@ class ApproxEigenvector:
     n0: int
     n1: int
 
-    @property
-    def inf_norm(self):
-        return max(self.entries)
-
-    @property
-    def one_norm(self):
-        return sum(self.entries)
-
 
 @dataclass(frozen=True)
 class RatePoint:

@@ -10,7 +10,6 @@ stethering which builds one degree higher and deletes the top tag slot.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .graphs import (
     _drop_zero_weight,
     adjacency,
     adjacency_pair,
-    is_deterministic,
 )
 from .spectra import _ae_holds
 
@@ -43,22 +41,6 @@ class InsufficientWeight(BimodalError):
 
 class ArityMismatch(BimodalError):
     pass
-
-
-@dataclass(frozen=True)
-class DeltaSet:
-    """Ordered out-edge candidates (symbol, target copy) for one class."""
-
-    state: str
-    parity: int
-    elements: tuple
-
-
-@dataclass(frozen=True)
-class DeltaPartition:
-    state: str
-    parity: int
-    groups: tuple
 
 
 class TaggedEncoder:
@@ -165,19 +147,15 @@ def extract_deterministic(g, x, n0, n1):
 
 
 def _cover_bins(weights, k, target):
-    """Partition indices 0..len-1 into k bins, each of weight >= target.
+    """Partition indices 0..len-1 into k >= 1 bins, each of weight >= target.
 
     Greedy prefix fill first; exact backtracking (largest weights first,
     empty-bin symmetry broken) as fallback.  Returns a bin index per
     item, or None after exhaustive search.
     """
     total = sum(weights)
-    if k <= 0:
-        return None
     if total < k * target:
         return None
-    if k == 1:
-        return [0] * len(weights)
     # greedy: fill bins left to right from the canonical order
     assign = [0] * len(weights)
     b, acc = 0, 0
@@ -324,13 +302,14 @@ def merge_split_pair(e0, e1, x, matching=None):
 
 
 def build_delta(g, x, u, b):
-    """Candidate list for state u and class b: (symbol, target copy).
+    """Candidate list for state u and class b, as (u, b, elements) with
+    elements (symbol, target copy) pairs.
 
     Symbols of class b leaving u in sorted order, each expanded to one
     element per copy of its target; g must be deterministic so the
     symbol determines the target.
     """
-    if not is_deterministic(g):
+    if not g.deterministic:
         raise NotDeterministic("candidate lists need a deterministic graph")
     w = dict(zip(g.states, (int(v) for v in x)))
     cls = g.parity.class0 if b == 0 else g.parity.class1
@@ -339,24 +318,21 @@ def build_delta(g, x, u, b):
         if e.label in cls:
             for j in range(w[e.dst]):
                 elements.append((e.label, j))
-    return DeltaSet(u, b, tuple(elements))
+    return u, b, tuple(elements)
 
 
-def stether_partition(delta, x, n_b):
-    """Divide a candidate list into consecutive blocks of size n_b.
+def stether_partition(delta, x_u, n_b):
+    """Divide a candidate list into x_u consecutive blocks of size n_b.
 
     Copy i of the state receives elements [i*n_b, (i+1)*n_b); surplus
-    elements past x_u * n_b are discarded.
+    elements past x_u * n_b are discarded.  Returns the tuple of blocks.
     """
-    x_u = int(x[delta.state]) if isinstance(x, dict) else int(x)
-    if len(delta.elements) < n_b * x_u:
+    u, b, elements = delta
+    if len(elements) < n_b * x_u:
         raise InsufficientWeight(
             "state %r class %d has %d candidates, needs %d" %
-            (delta.state, delta.parity, len(delta.elements), n_b * x_u))
-    groups = tuple(
-        tuple(delta.elements[i * n_b:(i + 1) * n_b]) for i in range(x_u)
-    )
-    return DeltaPartition(delta.state, delta.parity, groups)
+            (u, b, len(elements), n_b * x_u))
+    return tuple(elements[i * n_b:(i + 1) * n_b] for i in range(x_u))
 
 
 def stether(g, x, n0, n1, partitions=None):
@@ -365,11 +341,11 @@ def stether(g, x, n0, n1, partitions=None):
     Copy i of u gets, for each class b, the i-th block of the class-b
     candidate list; element (a, j) becomes an edge to copy j of the
     symbol's target, tagged (b, position in block).  Custom
-    ``partitions`` (a dict keyed by (state, class)) override the
+    ``partitions`` (a dict (state, class) -> blocks) override the
     consecutive-block default; with an overlapping cover they must agree
     on shared symbols for the result to keep one edge per element.
     """
-    if not is_deterministic(g):
+    if not g.deterministic:
         raise NotDeterministic("stethering needs a deterministic graph")
     xv = _check_ae(g, x, n0, n1)
     w = dict(zip(g.states, (int(v) for v in xv)))
@@ -380,12 +356,10 @@ def stether(g, x, n0, n1, partitions=None):
     tagged = []
     for u in g.states:
         for b, n in ((0, n0), (1, n1)):
-            part = None
-            if partitions is not None:
-                part = partitions.get((u, b))
+            part = (partitions or {}).get((u, b))
             if part is None:
                 part = stether_partition(build_delta(g, xv, u, b), w[u], n)
-            for i, grp in enumerate(part.groups):
+            for i, grp in enumerate(part):
                 for slot, (a, j) in enumerate(grp):
                     e = Edge("%s%s%d" % (u, STATE_SEP, i), a,
                              "%s%s%d" % (g.by_label[u][a][0].dst,
@@ -414,9 +388,9 @@ def cover_consistent_partition(g, x, n0, n1):
     The class with the smaller degree is divided into consecutive blocks
     first; every shared element is then pinned to the same block index
     on the other class, whose blocks are filled up to size from the
-    untaken elements in order.  Returns a dict keyed by (state, class).
+    untaken elements in order.  Returns a dict (state, class) -> blocks.
     """
-    if not is_deterministic(g):
+    if not g.deterministic:
         raise NotDeterministic("partitioning needs a deterministic graph")
     xv = _check_ae(g, x, n0, n1)
     w = dict(zip(g.states, (int(v) for v in xv)))
@@ -426,18 +400,17 @@ def cover_consistent_partition(g, x, n0, n1):
     for u in g.states:
         if w[u] == 0:
             continue
-        d_lo = build_delta(g, xv, u, lo)
-        p_lo = stether_partition(d_lo, w[u], n_lo)
-        out[(u, lo)] = p_lo
-        d_hi = build_delta(g, xv, u, hi)
-        hi_set = set(d_hi.elements)
+        p_lo = out[(u, lo)] = stether_partition(
+            build_delta(g, xv, u, lo), w[u], n_lo)
+        _, _, d_hi = build_delta(g, xv, u, hi)
+        hi_set = set(d_hi)
         groups = []
         pinned = set()
-        for grp in p_lo.groups:
+        for grp in p_lo:
             forced = [el for el in grp if el in hi_set]
             groups.append(list(forced))
             pinned.update(forced)
-        free = [el for el in d_hi.elements if el not in pinned]
+        free = [el for el in d_hi if el not in pinned]
         pos = 0
         for grp in groups:
             while len(grp) < n_hi:
@@ -446,8 +419,7 @@ def cover_consistent_partition(g, x, n0, n1):
                         "state %r cannot fill class-%d blocks" % (u, hi))
                 grp.append(free[pos])
                 pos += 1
-        out[(u, hi)] = DeltaPartition(
-            u, hi, tuple(tuple(grp) for grp in groups))
+        out[(u, hi)] = tuple(tuple(grp) for grp in groups)
     return out
 
 
@@ -474,15 +446,3 @@ def _tag_block(tag, p):
     cls, slot = tag
     return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
 
-
-def assign_block_tags(e, p):
-    """Bind p-bit input blocks to edges: block parity = tag class.
-
-    Requires n0 = n1 = 2^(p-1).  Block b takes tag (parity of b,
-    int(b) >> 1), so at each state the even-parity blocks in ascending
-    binary order map to the class-0 slots, odd to class-1.  Returns
-    state -> block string -> edge.
-    """
-    _check_block_width(e, p)
-    return {s: {_tag_block(t, p): es[0] for t, es in idx.items()}
-            for s, idx in e.by_tag.items()}

@@ -27,7 +27,6 @@ from .graphs import (
     determinize,
     follower_le,
     irreducible_components,
-    is_deterministic,
 )
 from .spectra import ApproxEigenvector, _ae_holds
 from .synth import (
@@ -216,7 +215,7 @@ def presents_subset(e, g):
     g must be deterministic; tracks, per encoder state reached, the set
     of g-states still able to read the word.
     """
-    if not is_deterministic(g):
+    if not g.deterministic:
         raise PreconditionFailed("containment target must be deterministic")
     eg = _graph_of(e)
     full = frozenset(g.states)
@@ -258,13 +257,10 @@ def check_encoder(e, g, n0, n1):
     if not lossless:
         violations.append("two distinct equally labeled paths reconverge")
     ant = anticipation(pg)
-    defin = None
     if isinstance(ant, Infinite):
         violations.append("anticipation is infinite")
-    else:
-        defin = definiteness(pg)
-    return VerifyReport((deg0, deg1), contain, lossless, ant, defin,
-                        violations)
+    return VerifyReport((deg0, deg1), contain, lossless, ant,
+                        definiteness(pg), violations)
 
 
 def witness_ae(e, g, n0, n1):

@@ -9,6 +9,7 @@ from bimodal import (
     Edge,
     LabeledGraph,
     adjacency_pair,
+    encode_stream,
     power,
     validate_graph,
 )
@@ -170,3 +171,29 @@ def random_graph(rng, max_states=4, strict=True, max_out=3):
 def random_matrix(rng, max_n=4, max_entry=3):
     n = rng.integers(1, max_n + 1)
     return rng.integers(0, max_entry + 1, size=(n, n)).astype(np.int64)
+
+
+def reference_block_table(e, p):
+    """The even/odd construction: at each state the even-parity blocks in
+    ascending binary order take the class-0 slots, the odd ones class 1."""
+    blocks = [format(i, "0%db" % p) for i in range(2 ** p)]
+    lists = ([b for b in blocks if b.count("1") % 2 == 0],
+             [b for b in blocks if b.count("1") % 2 == 1])
+    table = {s: {} for s in e.graph.states}
+    for ed in e.graph.edges:
+        for cls, slot in e.tags.get(ed, ()):
+            table[ed.src][lists[cls][slot]] = ed
+    return table
+
+
+def check_block_table(e, p):
+    """reference_block_table(e, p), after checking that encode_stream
+    agrees with it: every p-bit block at every state emits the label of
+    its table edge and ends at that edge's target."""
+    table = reference_block_table(e, p)
+    for s in e.graph.states:
+        for i in range(2 ** p):
+            block = format(i, "0%db" % p)
+            ed = table[s][block]
+            assert encode_stream(e, [block], s)[:2] == ([ed.label], ed.dst)
+    return table

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import helpers
 from bimodal import (
+    BimodalError,
     Edge,
     ParseError,
     TaggedEncoder,
@@ -20,6 +21,7 @@ from bimodal import (
     serialize_encoder,
     serialize_graph,
     extract_deterministic,
+    power,
     validate_graph,
 )
 from bimodal.cli import main
@@ -247,10 +249,16 @@ edge: t b s
     ["franaszek", "quad.cg", "--n0", "99999999999999999999", "--n1", "1"],
     ["synth", "quad.cg", "--method", "det",
      "--n0", "99999999999999999999", "--n1", "1"],
+    # every word is odd, so the power's class 0 is empty and its file
+    # could not be read back
+    ["power", "odd.cg", "-t", "1", "-o", "p.cg"],
 ], ids=["synth-nondeterministic", "verify-nondeterministic",
-        "franaszek-cap-overflow", "franaszek-n0-huge", "synth-det-n0-huge"])
+        "franaszek-cap-overflow", "franaszek-n0-huge", "synth-det-n0-huge",
+        "power-empty-class"])
 def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
     (tmp_path / "nondet.cg").write_text(NONDETERMINISTIC)
+    (tmp_path / "odd.cg").write_text(
+        "states: s\nparity0: a\nparity1: b\nedge: s b s\n")
     (tmp_path / "enc.cg").write_text(serialize_encoder(
         extract_deterministic(helpers.quad(), (1, 1), 2, 2)))
     (tmp_path / "quad.cg").write_text(serialize_graph(helpers.quad()))
@@ -258,6 +266,7 @@ def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "p.cg").exists()
 
 
 def test_cli_synth_huge_cap(tmp_path, capsys):
@@ -390,3 +399,19 @@ def test_serialize_parse_identity(seed, strict):
     text = serialize_encoder(TaggedEncoder(
         g, {ed: tuple(v) for ed, v in tags.items()}, 1, 1))
     assert serialize_encoder(parse_encoder_file(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.integers(min_value=1, max_value=3))
+def test_power_file_reads_back(seed, strict, t):
+    # every graph file written is one the parser reads back
+    g = power(helpers.random_graph(np.random.default_rng(seed),
+                                   strict=strict), t)
+    try:
+        text = serialize_graph(g)
+    except BimodalError as exc:
+        assert not (g.parity.class0 and g.parity.class1)
+        assert "parity class" in str(exc) and "is empty" in str(exc)
+        return
+    assert serialize_graph(parse_graph_file(text)) == text

@@ -15,7 +15,6 @@ from bimodal import (
     adjacency_pair,
     determinize,
     irreducible_components,
-    is_deterministic,
     memory,
     merge_states,
     parity_subgraph,
@@ -29,7 +28,7 @@ def test_validate_accepts_fixture():
     g = helpers.two_state()
     assert g.states == ("alpha", "beta")
     assert len(g.edges) == 4
-    assert g.parity.strict
+    assert not g.parity.class0 & g.parity.class1
 
 
 def test_validate_collects_all_violations():
@@ -130,11 +129,11 @@ def test_power_overlap_word_in_both_classes():
 
 
 def test_is_deterministic():
-    assert is_deterministic(helpers.two_state())
-    assert is_deterministic(helpers.quad())
+    assert helpers.two_state().deterministic
+    assert helpers.quad().deterministic
     g = validate_graph(["u", "v"],
                        [("u", "a", "u"), ("u", "a", "v")], ["a"], ["b"])
-    assert not is_deterministic(g)
+    assert not g.deterministic
 
 
 def test_irreducible_components_and_sink():
@@ -234,7 +233,7 @@ def test_determinize_preserves_language():
     for _ in range(30):
         g = helpers.random_graph(rng)
         h = determinize(g)
-        assert is_deterministic(h)
+        assert h.deterministic
         # long enough to exercise every subset state on <= 4-state inputs
         bound = min(2 * len(g.states) ** 2, 7)
         assert _words_up_to(g, bound) == _words_up_to(h, bound)
@@ -289,5 +288,5 @@ def test_power_composes(seed, t):
     g = helpers.random_graph(rng, max_states=3, max_out=2)
     lhs = adjacency_pair(power(power(g, t), 2))
     rhs = adjacency_pair(power(g, 2 * t))
-    assert lhs.a0.tolist() == rhs.a0.tolist()
-    assert lhs.a1.tolist() == rhs.a1.tolist()
+    assert lhs[0].tolist() == rhs[0].tolist()
+    assert lhs[1].tolist() == rhs[1].tolist()

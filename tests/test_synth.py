@@ -13,9 +13,9 @@ from bimodal import (
     SplitInfeasible,
     adjacency,
     adjacency_pair,
-    assign_block_tags,
     build_delta,
     cover_consistent_partition,
+    encode_stream,
     extract_deterministic,
     franaszek_joint,
     joint_ae_exists,
@@ -177,26 +177,28 @@ def test_merged_rll_pipeline_structure():
 
 def test_build_delta_ordering():
     g = power(helpers.two_state(), 3)
-    d = build_delta(g, (2, 1), "alpha", 1)
-    syms = [a for a, _ in d.elements]
+    u, b, elements = build_delta(g, (2, 1), "alpha", 1)
+    assert (u, b) == ("alpha", 1)
+    syms = [a for a, _ in elements]
     assert syms == sorted(syms)
     w = {"alpha": 2, "beta": 1}
     succ = {e.label: e.dst for e in g.out_edges("alpha")}
-    for a, j in d.elements:
+    for a, j in elements:
         assert j < w[succ[a]]
     # one element per copy of the target
     a0, a1, _ = adjacency_pair(g)
-    assert len(d.elements) == int(a1[0] @ np.array([2, 1]))
+    assert len(elements) == int(a1[0] @ np.array([2, 1]))
 
 
 def test_stether_partition_blocks_and_surplus():
     g = power(helpers.two_state(), 3)
     d = build_delta(g, (2, 1), "alpha", 1)
+    elements = d[2]
     p = stether_partition(d, 2, 3)
-    assert len(p.groups) == 2 and all(len(grp) == 3 for grp in p.groups)
-    assert p.groups[0] + p.groups[1] == d.elements[:6]
-    with pytest.raises(InsufficientWeight):
-        stether_partition(d, 2, len(d.elements))
+    assert len(p) == 2 and all(len(grp) == 3 for grp in p)
+    assert p[0] + p[1] == elements[:6]
+    with pytest.raises(InsufficientWeight, match="'alpha' class 1"):
+        stether_partition(d, 2, len(elements))
 
 
 def test_stether_structure():
@@ -236,8 +238,8 @@ def test_stether_punctured_degrees():
 def test_cover_consistent_partition_overlap():
     g = helpers.load("overlap.cg")
     parts = cover_consistent_partition(g, (1,), 2, 2)
-    p0 = parts[("u", 0)].groups
-    p1 = parts[("u", 1)].groups
+    p0 = parts[("u", 0)]
+    p1 = parts[("u", 1)]
     assert p0 == ((("p", 0), ("q", 0)),)
     assert p1 == ((("p", 0), ("r", 0)),)
     e = stether(g, (1,), 2, 2, partitions=parts)
@@ -249,27 +251,14 @@ def test_cover_consistent_partition_overlap():
 def test_assign_block_tags():
     g = power(helpers.two_state(), 3)
     e = stether_punctured(g, (2, 1), 2, 2)
-    table = assign_block_tags(e, 2)
+    table = helpers.check_block_table(e, 2)
     for s in e.graph.states:
         assert set(table[s]) == {"00", "11", "01", "10"}
         for block, edge in table[s].items():
             b = sum(int(c) for c in block) % 2
             assert edge in e.class_edges(s, b)
     with pytest.raises(ArityMismatch):
-        assign_block_tags(e, 3)
-
-
-def _reference_block_table(e, p):
-    """The even/odd construction: at each state the even-parity blocks in
-    ascending binary order take the class-0 slots, the odd ones class 1."""
-    blocks = [format(i, "0%db" % p) for i in range(2 ** p)]
-    lists = ([b for b in blocks if b.count("1") % 2 == 0],
-             [b for b in blocks if b.count("1") % 2 == 1])
-    table = {s: {} for s in e.graph.states}
-    for ed in e.graph.edges:
-        for cls, slot in e.tags.get(ed, ()):
-            table[ed.src][lists[cls][slot]] = ed
-    return table
+        encode_stream(e, ["000"], e.graph.states[0])
 
 
 # weight vectors with entries above 1 wherever a fixture has one
@@ -294,7 +283,7 @@ def test_assign_block_tags_matches_reference(method, name, t, p):
         e = stether_punctured(
             g, min_infnorm_ae(a0, a1, n + 1, n + 1)[1].entries, n, n)
     assert e.out_degrees_ok()
-    assert assign_block_tags(e, p) == _reference_block_table(e, p)
+    helpers.check_block_table(e, p)
 
 
 def test_determinism_scanned_once_per_graph(monkeypatch):

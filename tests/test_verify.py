@@ -15,7 +15,6 @@ from bimodal import (
     TaggedEncoder,
     UnknownTag,
     anticipation,
-    assign_block_tags,
     check_encoder,
     decode_sliding,
     decode_stream,
@@ -243,6 +242,21 @@ def test_check_encoder_report():
     assert not bad.ok and bad.violations
 
 
+def test_definiteness_reported_when_anticipation_is_infinite():
+    # the two x-paths from s stay synchronized forever, but every path
+    # is on the loop at v after two symbols
+    g = validate_graph("stuv", [("s", "x", "t"), ("s", "x", "u"),
+                                ("t", "y", "v"), ("u", "y", "v"),
+                                ("v", "z", "v")], "xz", "y")
+    e = TaggedEncoder(g, {}, 0, 0)
+    one = validate_graph(["o"], [("o", c, "o") for c in "xyz"], "xz", "y")
+    rep = check_encoder(e, one, 0, 0)
+    assert isinstance(rep.anticipation, Infinite)
+    assert not rep.ok
+    assert rep.definiteness == (2, 0)
+    assert "definiteness: (2, 0)" in str(rep)
+
+
 def test_check_encoder_builds_one_pair_graph(monkeypatch):
     built = []
     init = PairGraph.__init__
@@ -456,7 +470,7 @@ def _random_word(rng, g, n):
         word.append(ed.label)
         state = ed.dst
     if rng.random() < 0.5:
-        alphabet = sorted(g.alphabet)
+        alphabet = sorted(g.parity.alphabet)
         word[rng.integers(n)] = alphabet[rng.integers(len(alphabet))]
     return word
 
@@ -480,7 +494,7 @@ def test_decode_sliding_matches_path_enumeration():
                 assert decode_sliding(e, word, m, a) == want, (g.edges, m, a)
     # block tags: the blocks bound to the edge at its source state
     e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
-    table = assign_block_tags(e, 2)
+    table = helpers.check_block_table(e, 2)
     blocks_of = lambda ed: [b for b, x in table[ed.src].items() if x == ed]
     for _ in range(20):
         word = _random_word(rng, e.graph, 12)
