@@ -37,7 +37,6 @@ from .spectra import (
     rate_region,
 )
 from .synth import (
-    ArityMismatch,
     InfeasibleVector,
     InsufficientWeight,
     SplitInfeasible,
@@ -53,6 +52,7 @@ from .synth import (
     stether_punctured,
 )
 from .verify import (
+    ArityMismatch,
     NotDecodable,
     PairGraph,
     PreconditionFailed,

@@ -76,15 +76,6 @@ class ParityPartition:
     def alphabet(self):
         return self.class0 | self.class1
 
-    def classes_of(self, symbol):
-        """Parity bits the symbol may carry, as a tuple drawn from (0, 1)."""
-        out = []
-        if symbol in self.class0:
-            out.append(0)
-        if symbol in self.class1:
-            out.append(1)
-        return tuple(out)
-
 
 class LabeledGraph:
     """Immutable labeled graph with a fixed state order.
@@ -166,16 +157,14 @@ def _empty_classes(parity):
             if not cls]
 
 
-def validate_graph(states, edges, parity0, parity1, allow_mult=False,
-                   allow_words=False):
+def validate_graph(states, edges, parity0, parity1):
     """Build a LabeledGraph, collecting every violation before failing.
 
     ``edges`` is an iterable of (src, label, dst) or (src, label, dst,
-    mult) tuples.  Duplicate (src, label, dst) triples are rejected;
-    multiplicities above one are rejected unless ``allow_mult`` is set
-    (graph powers are the sanctioned producer of multiplicities), and
-    dotted word symbols unless ``allow_words`` is set (for reloading a
-    serialized power graph).
+    mult) tuples.  Duplicate (src, label, dst) triples are rejected and
+    multiplicities must be positive.  Symbols may be words joined with
+    "." (as graph powers write them) only when every symbol splits into
+    the same number of parts, so that a joined word decodes one way.
     """
     violations = []
     states = list(states)
@@ -187,11 +176,9 @@ def validate_graph(states, edges, parity0, parity1, allow_mult=False,
     parity = ParityPartition(frozenset(parity0), frozenset(parity1))
     violations += _empty_classes(parity)
     alphabet = parity.alphabet
-    if not allow_words:
-        for a in alphabet:
-            if WORD_SEP in a:
-                violations.append(
-                    "symbol %r contains reserved %r" % (a, WORD_SEP))
+    if len({a.count(WORD_SEP) for a in alphabet}) > 1:
+        violations.append("symbols split into differing numbers of %r parts"
+                          % WORD_SEP)
     built = []
     triples = set()
     for raw in edges:
@@ -204,8 +191,6 @@ def validate_graph(states, edges, parity0, parity1, allow_mult=False,
             violations.append("edge label %r is not in either class" % e.label)
         if e.mult < 1:
             violations.append("edge %s has non-positive multiplicity" % (e,))
-        if e.mult > 1 and not allow_mult:
-            violations.append("edge %s has multiplicity > 1" % (e,))
         t = (e.src, e.label, e.dst)
         if t in triples:
             violations.append("duplicate edge %s %s %s" % t)
@@ -224,12 +209,16 @@ def parity_subgraph(g, b):
     )
 
 
-def _word_parities(parity, word):
-    ps = {0}
-    for a in word:
-        cs = parity.classes_of(a)
-        ps = {p ^ c for p in ps for c in cs}
-    return ps
+def _label_steps(g, reached):
+    """One step from ``reached`` (state -> path count), grouped by label:
+    label -> {target: path count}, labels in sorted order."""
+    steps = {}
+    for v, m in reached.items():
+        for a, es in g.by_label[v].items():
+            d = steps.setdefault(a, {})
+            for e in es:
+                d[e.dst] = d.get(e.dst, 0) + m * e.mult
+    return {a: steps[a] for a in sorted(steps)}
 
 
 def power(g, t):
@@ -237,37 +226,35 @@ def power(g, t):
 
     Word labels join the step symbols with ".".  A word's parity is the
     XOR of its symbol parities; with an overlapping cover a word can land
-    in both classes.  Parallel paths with the same word and endpoints are
-    folded into the multiplicity field.
+    in both classes, and a symbol in neither class leaves it in none.
+    Parallel paths with the same word and endpoints are folded into the
+    multiplicity field.  From each start state one walk visits the words
+    in label order, each node holding the path counts of the states it
+    reaches, so edges come out sorted by source, word and target.
     """
     if t < 1:
         raise ValueError("power exponent must be >= 1")
-    agg = {}
-    for u in g.states:
-        frontier = {(u, ()): 1}
-        for _ in range(t):
-            nxt = {}
-            for (v, word), m in frontier.items():
-                for e in g.out_edges(v):
-                    key = (e.dst, word + (e.label,))
-                    nxt[key] = nxt.get(key, 0) + m * e.mult
-            frontier = nxt
-        for (v, word), m in frontier.items():
-            agg[(u, word, v)] = agg.get((u, word, v), 0) + m
+    classes = (g.parity.class0, g.parity.class1)
     class0 = set()
     class1 = set()
     edges = []
-    for (u, word, v), m in sorted(
-        agg.items(), key=lambda kv: (g.state_index(kv[0][0]), kv[0][1],
-                                     g.state_index(kv[0][2]))
-    ):
-        label = WORD_SEP.join(word)
-        ps = _word_parities(g.parity, word)
-        if 0 in ps:
-            class0.add(label)
-        if 1 in ps:
-            class1.add(label)
-        edges.append(Edge(u, label, v, m))
+    for u in g.states:
+        stack = [(0, "", {0}, {u: 1})]
+        while stack:
+            depth, word, ps, reached = stack.pop()
+            if depth == t:
+                if 0 in ps:
+                    class0.add(word)
+                if 1 in ps:
+                    class1.add(word)
+                edges += [Edge(u, word, v, reached[v])
+                          for v in sorted(reached, key=g.state_index)]
+                continue
+            steps = _label_steps(g, reached)
+            for a in reversed(steps):
+                cs = [b for b, cls in enumerate(classes) if a in cls]
+                stack.append((depth + 1, word + WORD_SEP + a if depth else a,
+                              {p ^ c for p in ps for c in cs}, steps[a]))
     parity = ParityPartition(frozenset(class0), frozenset(class1))
     return LabeledGraph(g.states, edges, parity)
 
@@ -495,10 +482,8 @@ def determinize(g):
     edges = []
     while queue:
         z = queue.pop(0)
-        for a in sorted({a for v in z for a in g.by_label[v]}):
-            z2 = _step(g, z, a)
-            if not z2:
-                continue
+        for a, reached in _label_steps(g, dict.fromkeys(z, 1)).items():
+            z2 = frozenset(reached)
             if z2 not in index:
                 index.add(z2)
                 seen.append(z2)

@@ -86,8 +86,7 @@ def parse_graph_file(text):
     if tags:
         raise ParseError(0, "file contains tag lines; use the encoder parser")
     try:
-        return validate_graph(states, edges, p0, p1, allow_mult=True,
-                              allow_words=True)
+        return validate_graph(states, edges, p0, p1)
     except ValidationError as exc:
         raise ParseError(0, str(exc))
 
@@ -95,8 +94,7 @@ def parse_graph_file(text):
 def parse_encoder_file(text):
     states, p0, p1, edges, tags = _parse(text)
     try:
-        g = validate_graph(states, edges, p0, p1, allow_mult=True,
-                           allow_words=True)
+        g = validate_graph(states, edges, p0, p1)
     except ValidationError as exc:
         raise ParseError(0, str(exc))
     index = {(e.src, e.label, e.dst): e for e in g.edges}

@@ -223,7 +223,7 @@ def rate_region(g, t, xi_cap=64):
     until no n1 is feasible, each n0 bisecting for n1 up to the last one
     found (first up to the largest class-1 row sum).
     """
-    a0, a1, _ = adjacency_pair(g if t == 1 else power(g, t))
+    a0, a1, _ = adjacency_pair(power(g, t))
     pair = _, _, r0, hi, _ = _check_pair(a0, a1)
     points = []
     for n0 in range(r0 + 1):
@@ -242,7 +242,7 @@ def coding_ratio(g, t, xi_cap=64):
     (n, n) within the cap; the ratio is log2(2 n_max) / t, or -inf when
     even n = 1 is out of reach.
     """
-    a0, a1, _ = adjacency_pair(g if t == 1 else power(g, t))
+    a0, a1, _ = adjacency_pair(power(g, t))
     pair = _, _, r0, r1, _ = _check_pair(a0, a1)
     best = _largest(lambda n: _exists(pair, n, n, xi_cap), 1, min(r0, r1))
     if best is None:

@@ -39,10 +39,6 @@ class InsufficientWeight(BimodalError):
     pass
 
 
-class ArityMismatch(BimodalError):
-    pass
-
-
 class TaggedEncoder:
     """Labeled graph plus input tags: (class, slot) per edge.
 
@@ -421,28 +417,3 @@ def cover_consistent_partition(g, x, n0, n1):
                 pos += 1
         out[(u, hi)] = tuple(tuple(grp) for grp in groups)
     return out
-
-
-def _check_block_width(e, p):
-    """p-bit blocks need out-degrees n0 = n1 = 2^(p-1)."""
-    n = 2 ** (p - 1)
-    if e.n0 != n or e.n1 != n:
-        raise ArityMismatch(
-            "block width %d needs out-degrees %d, encoder has (%d, %d)" %
-            (p, n, e.n0, e.n1))
-
-
-def _block_tag(block, p):
-    """Tag of a p-bit block string: class its parity, slot the block
-    without its last bit; None when it is not a p-bit string."""
-    if len(block) != p or block.strip("01"):
-        return None
-    v = int(block, 2)
-    return v.bit_count() % 2, v >> 1
-
-
-def _tag_block(tag, p):
-    """Inverse of _block_tag: the last bit restores the class parity."""
-    cls, slot = tag
-    return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
-

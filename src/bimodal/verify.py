@@ -29,12 +29,7 @@ from .graphs import (
     irreducible_components,
 )
 from .spectra import ApproxEigenvector, _ae_holds
-from .synth import (
-    TaggedEncoder,
-    _block_tag,
-    _check_block_width,
-    _tag_block,
-)
+from .synth import TaggedEncoder
 
 
 class PreconditionFailed(BimodalError):
@@ -48,6 +43,10 @@ class NotDecodable(BimodalError):
 
 
 class UnknownTag(BimodalError):
+    pass
+
+
+class ArityMismatch(BimodalError):
     pass
 
 
@@ -93,23 +92,23 @@ def _pair_graph_of(e):
 def losslessness(e):
     """No two distinct equally labeled paths share both endpoints.
 
-    Explores pairs of word-synchronized walks from a common start,
-    tracking whether they have diverged; a diverged pair meeting again
-    on the diagonal is a violation.
+    Two such paths part with a distinct edge pair leaving some diagonal
+    pair (s, s); the graph is lossy iff a pair reached that way walks,
+    word-synchronized, back onto the diagonal.
     """
     pg = _pair_graph_of(e)
-    start = [((s, s), False) for s in pg.g.states]
-    seen = set(start)
-    queue = list(start)
+    queue = [(e1.dst, e2.dst) for s in pg.g.states
+             for (e1, e2) in pg.edge_pairs(s, s)]
+    seen = set(queue)
     while queue:
-        (p, q), diverged = queue.pop()
-        if diverged and p == q:
+        p, q = queue.pop()
+        if p == q:
             return False
         for (_, e1, e2) in pg.succ[(p, q)]:
-            node = ((e1.dst, e2.dst), diverged or not _same_edge(e1, e2))
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
+            kid = (e1.dst, e2.dst)
+            if kid not in seen:
+                seen.add(kid)
+                queue.append(kid)
     return True
 
 
@@ -306,6 +305,30 @@ class DecodedTag(NamedTuple):
 def _check_start(g, start):
     if start not in set(g.states):
         raise ValueError("unknown start state %r" % start)
+
+
+def _check_block_width(e, p):
+    """p-bit blocks need out-degrees n0 = n1 = 2^(p-1)."""
+    n = 2 ** (p - 1)
+    if e.n0 != n or e.n1 != n:
+        raise ArityMismatch(
+            "block width %d needs out-degrees %d, encoder has (%d, %d)" %
+            (p, n, e.n0, e.n1))
+
+
+def _block_tag(block, p):
+    """Tag of a p-bit block string: class its parity, slot the block
+    without its last bit; None when it is not a p-bit string."""
+    if len(block) != p or block.strip("01"):
+        return None
+    v = int(block, 2)
+    return v.bit_count() % 2, v >> 1
+
+
+def _tag_block(tag, p):
+    """Inverse of _block_tag: the last bit restores the class parity."""
+    cls, slot = tag
+    return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
 
 
 def encode_stream(e, tags, start, policy="as-tagged", p=None):

@@ -72,6 +72,20 @@ def test_cli_info(capsys):
     assert "capacity: 1.000000" in out
 
 
+def test_cli_rejects_mixed_word_lengths(tmp_path, capsys):
+    # the words (a, a.a) and (a.a, a) would join to one label a.a.a
+    src = tmp_path / "f.cg"
+    src.write_text("states: s\nparity0: a\nparity1: a.a\n"
+                   "edge: s a s\nedge: s a.a s\n")
+    out = tmp_path / "p.cg"
+    for argv in (["info", str(src)],
+                 ["power", str(src), "-t", "2", "-o", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_power_franaszek_pipeline(tmp_path, capsys):
     out = tmp_path / "p16.cg"
     assert main(["power", fixture("rll210.cg"), "-t", "16",
@@ -386,7 +400,7 @@ def test_serialize_parse_identity(seed, strict):
     g = helpers.random_graph(rng, max_states=4, strict=strict)
     g = validate_graph(g.states, [ed[:3] + (int(rng.integers(1, 4)),)
                                   for ed in g.edges],
-                       g.parity.class0, g.parity.class1, allow_mult=True)
+                       g.parity.class0, g.parity.class1)
     text = serialize_graph(g)
     assert serialize_graph(parse_graph_file(text)) == text
     # each edge takes a random set of classes, slots counted per state

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 import helpers
 from bimodal import (
+    Edge,
     Finite,
     Infinite,
+    LabeledGraph,
     NotIrreducible,
+    ParityPartition,
     ValidationError,
     adjacency,
     adjacency_pair,
@@ -118,6 +121,63 @@ def test_power_recursion_random():
             assert a0.tolist() == want0.tolist()
             assert a1.tolist() == want1.tolist()
             prev0, prev1 = a0, a1
+
+
+def _reference_power(g, t):
+    """Frontier of (state, word) paths per start state, folded into one
+    dict, sorted once, each word's parities refolded symbol by symbol."""
+    agg = {}
+    for u in g.states:
+        frontier = {(u, ()): 1}
+        for _ in range(t):
+            nxt = {}
+            for (v, word), m in frontier.items():
+                for e in g.out_edges(v):
+                    key = (e.dst, word + (e.label,))
+                    nxt[key] = nxt.get(key, 0) + m * e.mult
+            frontier = nxt
+        for (v, word), m in frontier.items():
+            agg[(u, word, v)] = agg.get((u, word, v), 0) + m
+    class0, class1, edges = set(), set(), []
+    for (u, word, v), m in sorted(
+            agg.items(), key=lambda kv: (g.state_index(kv[0][0]), kv[0][1],
+                                         g.state_index(kv[0][2]))):
+        label = ".".join(word)
+        ps = {0}
+        for a in word:
+            cs = [b for b, cls in enumerate((g.parity.class0,
+                                             g.parity.class1)) if a in cls]
+            ps = {p ^ c for p in ps for c in cs}
+        if 0 in ps:
+            class0.add(label)
+        if 1 in ps:
+            class1.add(label)
+        edges.append(Edge(u, label, v, m))
+    return LabeledGraph(g.states, edges,
+                        ParityPartition(frozenset(class0), frozenset(class1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.integers(min_value=1, max_value=3), st.booleans())
+def test_power_matches_reference(seed, strict, t, mult):
+    # equality covers states, edge order, multiplicities and both classes
+    rng = np.random.default_rng(seed)
+    g = helpers.random_graph(rng, strict=strict)
+    if mult:
+        g = validate_graph(g.states, [ed[:3] + (int(rng.integers(1, 4)),)
+                                      for ed in g.edges],
+                           g.parity.class0, g.parity.class1)
+    assert power(g, t) == _reference_power(g, t)
+    g2 = power(g, 2)
+    assert power(g2, t) == _reference_power(g2, t)
+
+
+def test_power_long_cycle_does_not_recurse():
+    g = validate_graph(["u"], [("u", "a", "u")], ["a"], ["b"])
+    p = power(g, 3000)
+    assert p.edges == (Edge("u", ".".join(["a"] * 3000), "u"),)
+    assert p.parity.class0 == {p.edges[0].label}
 
 
 def test_power_overlap_word_in_both_classes():
