@@ -70,8 +70,7 @@ def cmd_power(args):
 
 
 def cmd_franaszek(args):
-    g = _maybe_power(_load_graph(args.file), args.t)
-    a0, a1, _ = graphs.adjacency_pair(g)
+    a0, a1, _ = graphs.adjacency_pair(_load_graph(args.file), args.t)
     got = spectra.joint_ae_exists(a0, a1, args.n0, args.n1, xi_cap=args.cap)
     if got is None:
         print("none <= %d" % args.cap)

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 WORD_SEP = "."
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class BimodalError(Exception):
@@ -162,9 +163,11 @@ def validate_graph(states, edges, parity0, parity1):
 
     ``edges`` is an iterable of (src, label, dst) or (src, label, dst,
     mult) tuples.  Duplicate (src, label, dst) triples are rejected and
-    multiplicities must be positive.  Symbols may be words joined with
-    "." (as graph powers write them) only when every symbol splits into
-    the same number of parts, so that a joined word decodes one way.
+    multiplicities must be positive.  State names and symbols must be
+    nonempty and hold no whitespace and no '#', so that a written graph
+    file reads back.  Symbols may be words joined with "." (as graph
+    powers write them) only when every symbol splits into the same
+    number of parts, so that a joined word decodes one way.
     """
     violations = []
     states = list(states)
@@ -176,6 +179,11 @@ def validate_graph(states, edges, parity0, parity1):
     parity = ParityPartition(frozenset(parity0), frozenset(parity1))
     violations += _empty_classes(parity)
     alphabet = parity.alphabet
+    # a graph file splits its lines on whitespace and cuts them at '#'
+    violations += ["%s %r is empty or holds whitespace or '#'" % (kind, s)
+                   for kind, names in (("state", states),
+                                       ("symbol", sorted(alphabet)))
+                   for s in names if s.split() != [s] or "#" in s]
     if len({a.count(WORD_SEP) for a in alphabet}) > 1:
         violations.append("symbols split into differing numbers of %r parts"
                           % WORD_SEP)
@@ -268,19 +276,43 @@ def adjacency(g):
     return m
 
 
-def adjacency_pair(g):
-    """(A0, A1, states): per-class adjacency matrices in the order of
-    ``states``; a shared symbol counts in both."""
+def adjacency_pair(g, t=1):
+    """(A0, A1, states): the per-class adjacency matrices of power(g, t)
+    in the order of ``states``, counted without building the word graph.
+
+    The edges split by their label's classes into S0 (class 0 only), S1
+    (class 1 only) and S2 (both); a label in neither class is dropped,
+    as ``power`` leaves its words in neither class.  E and O count the
+    paths of strict symbols with even and odd parity, B the paths
+    through a shared symbol, which ``power`` puts in both classes.  From
+    E, O, B = S0, S1, S2 the counts step t - 1 times:
+
+        E' = E S0 + O S1,   O' = E S1 + O S0,
+        B' = B (S0 + S1 + S2) + (E + O) S2,
+
+    and A0 = E + B, A1 = O + B.  They are exact Python ints until the
+    end; an entry that leaves int64 raises BimodalError naming t.
+    """
+    if t < 1:
+        raise ValueError("power exponent must be >= 1")
     n = len(g.states)
-    a0 = np.zeros((n, n), dtype=np.int64)
-    a1 = np.zeros((n, n), dtype=np.int64)
+    s = [[[0] * n for _ in range(n)] for _ in range(3)]
     for e in g.edges:
-        i, j = g.state_index(e.src), g.state_index(e.dst)
-        if e.label in g.parity.class0:
-            a0[i, j] += e.mult
-        if e.label in g.parity.class1:
-            a1[i, j] += e.mult
-    return a0, a1, g.states
+        in0, in1 = e.label in g.parity.class0, e.label in g.parity.class1
+        if in0 or in1:
+            s[2 if in0 and in1 else int(in1)][g.state_index(e.src)][
+                g.state_index(e.dst)] += e.mult
+    s = np.array(s, dtype=object).reshape(3, n, n)
+    ev, od, both = s
+    total = s.sum(axis=0)
+    for _ in range(t - 1):
+        ev, od, both = (ev @ s[0] + od @ s[1], ev @ s[1] + od @ s[0],
+                        both @ total + (ev + od) @ s[2])
+    pair = ev + both, od + both
+    if any(v > INT64_MAX for a in pair for v in a.flat):
+        raise BimodalError("class counts of the power at t=%d leave int64"
+                           % t)
+    return pair[0].astype(np.int64), pair[1].astype(np.int64), g.states
 
 
 def _step(g, states, label):

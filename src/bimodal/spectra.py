@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BimodalError, _scc, adjacency, adjacency_pair, power
+from .graphs import (INT64_MAX, BimodalError, _scc, adjacency,
+                     adjacency_pair)
 
 # perron's power iteration stops once the estimate and every vector
 # entry move by less than this in one step
@@ -62,7 +63,7 @@ def _check_pair(a0, a1):
     if a0.shape != a1.shape:
         raise DimensionMismatch("matrix pair shapes differ")
     r0, r1 = (max(map(sum, a.tolist()), default=0) for a in (a0, a1))
-    return a0, a1, r0, r1, int(np.iinfo(np.int64).max) // max(r0, r1, 1)
+    return a0, a1, r0, r1, INT64_MAX // max(r0, r1, 1)
 
 
 def perron(a):
@@ -220,18 +221,27 @@ def rate_region(g, t, xi_cap=64):
     """Achievable (n0, n1) pairs for block length t, one point per n0.
 
     Feasibility is monotone decreasing in both degrees, so n0 walks up
-    until no n1 is feasible, each n0 bisecting for n1 up to the last one
-    found (first up to the largest class-1 row sum).
+    until no n1 is feasible, each point's n1 at most the last one found
+    (first the largest class-1 row sum).  The greatest solution under
+    the cap at (n0 - 1, n1) bounds the one at (n0, n1), so each n0 first
+    sweeps down from the last witness at the last n1; only when that
+    gives the zero vector does it bisect the smaller n1 from the cap.
+    Every witness is the greatest solution under the cap at its point.
     """
-    a0, a1, _ = adjacency_pair(power(g, t))
+    a0, a1, _ = adjacency_pair(g, t)
     pair = _, _, r0, hi, _ = _check_pair(a0, a1)
     points = []
+    x = np.asarray([xi_cap] * len(a0))
     for n0 in range(r0 + 1):
-        best = _largest(lambda n1: _exists(pair, n0, n1, xi_cap), 0, hi)
-        if best is None:
-            break
-        hi, got = best
-        points.append(RatePoint(n0, hi, got.entries))
+        x = _sweep(pair, n0, hi, x)
+        if not x.any():
+            best = _largest(lambda n1: _exists(pair, n0, n1, xi_cap),
+                            0, hi - 1)
+            if best is None:
+                break
+            hi, got = best
+            x = np.asarray(got.entries)
+        points.append(RatePoint(n0, hi, tuple(int(v) for v in x)))
     return points
 
 
@@ -242,7 +252,7 @@ def coding_ratio(g, t, xi_cap=64):
     (n, n) within the cap; the ratio is log2(2 n_max) / t, or -inf when
     even n = 1 is out of reach.
     """
-    a0, a1, _ = adjacency_pair(power(g, t))
+    a0, a1, _ = adjacency_pair(g, t)
     pair = _, _, r0, r1, _ = _check_pair(a0, a1)
     best = _largest(lambda n: _exists(pair, n, n, xi_cap), 1, min(r0, r1))
     if best is None:

@@ -283,6 +283,21 @@ def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
     assert not (tmp_path / "p.cg").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "-t", "70"],
+    ["franaszek", "--n0", "1", "--n1", "1", "-t", "70"],
+], ids=["region", "franaszek"])
+def test_cli_class_counts_overflow(argv, tmp_path, capsys):
+    # 2^69 words of each class: an error naming t, not 2^70 words built
+    path = tmp_path / "two.cg"
+    path.write_text("states: s\nparity0: a\nparity1: b\n"
+                    "edge: s a s\nedge: s b s\n")
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "t=70" in err
+
+
 def test_cli_synth_huge_cap(tmp_path, capsys):
     # the norm is 1, far below the caps whose products leave int64
     out = tmp_path / "enc.cg"

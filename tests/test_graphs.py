@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from bimodal import (
+    BimodalError,
     Edge,
     Finite,
     Infinite,
@@ -52,6 +53,24 @@ def test_validate_rejects_empty_class_and_dot():
         validate_graph(["u"], [("u", "a", "u")], ["a"], [])
     with pytest.raises(ValidationError):
         validate_graph(["u"], [("u", "a.b", "u")], ["a.b"], ["c"])
+
+
+@pytest.mark.parametrize("states,edges,p0,p1", [
+    (["u"], [("u", "a#", "u"), ("u", "b", "u")], ["a#"], ["b"]),
+    (["u v"], [("u v", "a", "u v")], ["a"], ["b"]),
+    ([""], [("", "a", "")], ["a"], ["b"]),
+    (["u"], [("u", "a", "u")], ["a"], [""]),
+    (["u"], [("u", "a\tb", "u")], ["a\tb"], ["c"]),
+    (["u#"], [("u#", "a", "u#")], ["a"], ["b"]),
+], ids=["hash-symbol", "space-state", "empty-state", "empty-symbol",
+        "tab-symbol", "hash-state"])
+def test_validate_rejects_unwritable_names(states, edges, p0, p1):
+    # a graph file splits on whitespace and cuts at '#', so these names
+    # would be written in a file that does not read back
+    with pytest.raises(ValidationError) as exc:
+        validate_graph(states, edges, p0, p1)
+    assert len(exc.value.violations) == 1
+    assert "is empty or holds whitespace or '#'" in str(exc.value)
 
 
 def test_parity_subgraph_partitions_edges():
@@ -171,6 +190,55 @@ def test_power_matches_reference(seed, strict, t, mult):
     assert power(g, t) == _reference_power(g, t)
     g2 = power(g, 2)
     assert power(g2, t) == _reference_power(g2, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.integers(min_value=1, max_value=4), st.booleans())
+def test_adjacency_pair_matches_power(seed, strict, t, mult):
+    rng = np.random.default_rng(seed)
+    g = helpers.random_graph(rng, strict=strict)
+    if mult:
+        g = validate_graph(g.states, [ed[:3] + (int(rng.integers(1, 4)),)
+                                      for ed in g.edges],
+                           g.parity.class0, g.parity.class1)
+    # a power of a power has word symbols; t is halved to keep it small
+    for h, k in ((g, t), (power(g, 2), (t + 1) // 2)):
+        want = adjacency_pair(power(h, k))
+        got = adjacency_pair(h, k)
+        assert got[0].dtype == got[1].dtype == np.int64
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2] == want[2]
+
+
+def test_adjacency_pair_drops_label_in_neither_class():
+    # validate_graph refuses such a label, so build the graph directly
+    g = LabeledGraph(["u", "v"],
+                     [Edge("u", "a", "v"), Edge("u", "z", "u"),
+                      Edge("v", "b", "u"), Edge("v", "a", "v", 2)],
+                     ParityPartition(frozenset("a"), frozenset("b")))
+    a0, a1, _ = adjacency_pair(g)
+    assert a0.tolist() == [[0, 1], [0, 2]]
+    assert a1.tolist() == [[0, 0], [1, 0]]
+    for t in range(1, 5):
+        want = adjacency_pair(power(g, t))
+        got = adjacency_pair(g, t)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+
+
+def test_adjacency_pair_int64_limit():
+    # 2^(t-1) words of each class: 2^62 fits int64 at t = 63, 2^63 not
+    g = validate_graph(["u"], [("u", "a", "u"), ("u", "b", "u")],
+                       ["a"], ["b"])
+    a0, a1, _ = adjacency_pair(g, 63)
+    assert a0.tolist() == a1.tolist() == [[2 ** 62]]
+    for t in (64, 70):
+        with pytest.raises(BimodalError, match="t=%d" % t):
+            adjacency_pair(g, t)
+    with pytest.raises(ValueError):
+        adjacency_pair(g, 0)
 
 
 def test_power_long_cycle_does_not_recurse():

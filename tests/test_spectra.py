@@ -23,6 +23,7 @@ from bimodal import (
     rate_region,
 )
 from bimodal import spectra
+from bimodal.construct import rll_graph
 from bimodal.spectra import DimensionMismatch
 
 
@@ -305,6 +306,60 @@ def test_searches_check_their_pair_once(monkeypatch):
         calls.clear()
         search()
         assert len(calls) == 1
+
+
+def _reference_region(g, t, xi_cap):
+    """rate_region as one bisection per n0 from the cap, each n1 at most
+    the last one found, with no warm start."""
+    a0, a1, _ = adjacency_pair(power(g, t))
+    hi = max(map(sum, a1.tolist()))
+    points = []
+    for n0 in range(max(map(sum, a0.tolist())) + 1):
+        best = _reference_largest(
+            lambda n1: joint_ae_exists(a0, a1, n0, n1, xi_cap=xi_cap),
+            0, hi)
+        if best is None:
+            break
+        hi = best[0]
+        points.append((n0, hi, best[1].entries))
+    return points
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.integers(min_value=1, max_value=3), st.sampled_from([1, 2, 64]))
+def test_rate_region_matches_cold_bisection(seed, strict, t, cap):
+    g = helpers.random_graph(np.random.default_rng(seed), strict=strict)
+    got = rate_region(g, t, xi_cap=cap)
+    assert [(p.n0, p.n1, p.witness) for p in got] == _reference_region(
+        g, t, cap)
+
+
+def test_spectra_builds_no_word_graph(monkeypatch):
+    def boom(*args, **kw):
+        raise AssertionError("power called")
+
+    monkeypatch.setattr("bimodal.graphs.power", boom)
+    pts = {p.n0: p.n1 for p in rate_region(helpers.mixed(), 2)}
+    assert pts[20] == 26 and max(pts) == 39
+    assert coding_ratio(helpers.two_state(), 5)[0] == 15
+
+
+def test_rate_region_sweep_count(monkeypatch):
+    # the warm first probe at each n0; a cold bisection per n0 makes 1615
+    real = spectra._sweep
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr("bimodal.spectra._sweep", counted)
+    g = rll_graph(2, 10)
+    pts = rate_region(g, 16)
+    assert len(calls) <= 400
+    assert [(p.n0, p.n1, p.witness) for p in pts] == _reference_region(
+        g, 16, 64)
 
 
 def test_rate_region_golden():
