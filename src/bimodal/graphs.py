@@ -407,52 +407,42 @@ def period(g):
     return p
 
 
-def _same_edge(e1, e2):
-    """One path, not two: equal edges of multiplicity one."""
-    return e1 == e2 and e1.mult == 1
-
-
 class PairGraph:
     """Synchronized product of a graph with itself, over ordered pairs.
 
-    Transitions pair up equally labeled edges.  ``ext`` gives, per pair,
-    the longest synchronized walk length leaving it (math.inf when a
-    cycle is reachable).
+    ``succ[(p, q)]`` is the set of pairs (p', q') reached from (p, q) by
+    one pair of equally labeled edges; ``steps`` lists those edge pairs
+    where edges or labels matter.  ``ext`` gives, per pair, the longest
+    synchronized walk length leaving it (math.inf when a cycle is
+    reachable).
     """
 
     def __init__(self, g):
         self.g = g
-        idx = g.by_label
         self.nodes = [(p, q) for p in g.states for q in g.states]
-        self.succ = {
-            (p, q): [(a, e1, e2) for a, es1 in idx[p].items()
-                     for e1 in es1 for e2 in idx[q].get(a, ())]
-            for (p, q) in self.nodes
-        }
+        self.succ = {n: {(e1.dst, e2.dst) for (_, e1, e2) in self.steps(n)}
+                     for n in self.nodes}
         self._ext = None
 
-    def edge_pairs(self, p, q):
-        """Distinct equally labeled edge pairs leaving (p, q).
-
-        When p == q a pair must use two genuinely different edges; an
-        edge of multiplicity > 1 counts as its own partner.
-        """
-        return [(e1, e2) for (_, e1, e2) in self.succ[(p, q)]
-                if not _same_edge(e1, e2)]
+    def steps(self, node):
+        """Equally labeled edge pairs (label, e1, e2) leaving ``node``."""
+        p, q = node
+        idx = self.g.by_label
+        return [(a, e1, e2) for a, es1 in idx[p].items()
+                for e1 in es1 for e2 in idx[q].get(a, ())]
 
     def ext(self):
         if self._ext is None:
-            kids = {n: [(e1.dst, e2.dst) for (_, e1, e2) in step]
-                    for n, step in self.succ.items()}
+            succ = self.succ
             longest = {}
             # sinks come first, so every child is settled before its
             # parent; a component with a cycle is unbounded
-            for comp in _scc(self.nodes, kids):
+            for comp in _scc(self.nodes, succ):
                 n = next(iter(comp))
-                if len(comp) > 1 or n in kids[n]:
+                if len(comp) > 1 or n in succ[n]:
                     v = math.inf
                 else:
-                    v = 1 + max((longest[k] for k in kids[n]), default=-1)
+                    v = 1 + max((longest[k] for k in succ[n]), default=-1)
                 longest.update(dict.fromkeys(comp, v))
             self._ext = longest
         return self._ext
@@ -463,11 +453,7 @@ class PairGraph:
         sets = [frozenset(self.nodes)]
         while True:
             cur = sets[-1]
-            nxt = frozenset(
-                (e1.dst, e2.dst)
-                for n in cur
-                for (_, e1, e2) in self.succ[n]
-            )
+            nxt = frozenset().union(*(self.succ[n] for n in cur))
             if nxt == cur:
                 break
             sets.append(nxt)

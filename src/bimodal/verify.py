@@ -21,7 +21,6 @@ from .graphs import (
     Finite,
     Infinite,
     PairGraph,
-    _same_edge,
     _step,
     adjacency_pair,
     determinize,
@@ -89,6 +88,40 @@ def _pair_graph_of(e):
     return e if isinstance(e, PairGraph) else PairGraph(_graph_of(e))
 
 
+def _parted(pg, s):
+    """Targets of the distinct edge pairs leaving (s, s), where two paths
+    part; an edge of multiplicity > 1 counts as its own partner."""
+    return [(e1.dst, e2.dst) for (_, e1, e2) in pg.steps((s, s))
+            if e1 != e2 or e1.mult != 1]
+
+
+def _parting(pg, states):
+    """(d, kid): d is 1 + the longest synchronized walk after a distinct
+    edge pair leaving some (s, s), s in ``states`` (math.inf when a cycle
+    is reachable), kid the first parted pair attaining it; (0, None)
+    when none leaves."""
+    ext = pg.ext()
+    return max(((ext[kid] + 1, kid) for s in states
+                for kid in _parted(pg, s)),
+               key=lambda dk: dk[0], default=(0, None))
+
+
+def _delays(pg):
+    """Largest delay d_m over each R(m) of the reach chain: (p, q) with
+    p != q delays the edge by ext[(p, q)], as every edge pair leaving it
+    is distinct, and (s, s) by its parting."""
+    ext = pg.ext()
+    parting = {s: _parting(pg, (s,))[0] for s in pg.g.states}
+    return [max((parting[p] if p == q else ext[(p, q)] for (p, q) in r),
+                default=0)
+            for r in pg.reach_sets()]
+
+
+def _check_window(m, a):
+    if m < 0 or a < 0:
+        raise ValueError("window (%d, %d) has a negative side" % (m, a))
+
+
 def losslessness(e):
     """No two distinct equally labeled paths share both endpoints.
 
@@ -97,15 +130,13 @@ def losslessness(e):
     word-synchronized, back onto the diagonal.
     """
     pg = _pair_graph_of(e)
-    queue = [(e1.dst, e2.dst) for s in pg.g.states
-             for (e1, e2) in pg.edge_pairs(s, s)]
+    queue = [kid for s in pg.g.states for kid in _parted(pg, s)]
     seen = set(queue)
     while queue:
         p, q = queue.pop()
         if p == q:
             return False
-        for (_, e1, e2) in pg.succ[(p, q)]:
-            kid = (e1.dst, e2.dst)
+        for kid in pg.succ[(p, q)]:
             if kid not in seen:
                 seen.add(kid)
                 queue.append(kid)
@@ -117,12 +148,12 @@ def _infinite_certificate(pg, start_pair):
     ext = pg.ext()
     prefix = []
     node = start_pair
-    visited = []
+    visited = set()
     while node not in visited:
-        visited.append(node)
-        for (a, e1, e2) in pg.succ[node]:
+        visited.add(node)
+        for (a, e1, e2) in pg.steps(node):
             kid = (e1.dst, e2.dst)
-            if ext.get(kid) == math.inf or kid in visited:
+            if ext[kid] == math.inf or kid in visited:
                 prefix.append((node, a))
                 node = kid
                 break
@@ -131,81 +162,58 @@ def _infinite_certificate(pg, start_pair):
     return (tuple(prefix), node)
 
 
-def _delay(pg, pairs):
-    """(d, kid): d is 1 + the longest synchronized walk after a distinct,
-    equally labeled edge pair leaving ``pairs`` (math.inf when a cycle
-    is reachable), kid the first target pair attaining it; (0, None)
-    when no such edge pair leaves."""
-    best = (0, None)
-    for (p, q) in pairs:
-        for (e1, e2) in pg.edge_pairs(p, q):
-            kid = (e1.dst, e2.dst)
-            d = pg.ext()[kid] + 1
-            if d > best[0]:
-                best = (d, kid)
-    return best
-
-
 def anticipation(e):
     """Lookahead needed to pin down the first edge from the word.
 
     Finite(a): every two paths with distinct first edges from a common
-    state disagree within a symbols after the first.  Infinite carries a
-    certificate walk into a synchronized cycle.
+    state disagree within a symbols after the first; a is the largest
+    parting over the states.  Infinite carries a certificate walk into a
+    synchronized cycle, from the first parted pair attaining it.
     """
     pg = _pair_graph_of(e)
-    a, kid = _delay(pg, [(s, s) for s in pg.g.states])
+    a, kid = _parting(pg, pg.g.states)
     if a == math.inf:
         return Infinite(_infinite_certificate(pg, kid))
     return Finite(a)
 
 
-def _fails_definite(pg, reach, m, a, compare):
-    ext = pg.ext()
-    r = reach[min(m, len(reach) - 1)]
-    for (p, q) in r:
-        for (e1, e2) in pg.edge_pairs(p, q):
-            if compare(e1, e2):
-                continue
-            if ext[(e1.dst, e2.dst)] >= a:
-                return True
-    return False
-
-
 def is_definite(e, m, a):
-    """Equal words of length m+a+1 force an equal edge at position m+1."""
-    pg = _pair_graph_of(e)
-    return not _fails_definite(pg, pg.reach_sets(), m, a, _same_edge)
+    """Equal words of length m+a+1 force an equal edge at position m+1:
+    the delay d_m over the pairs R(m) reached by m symbols is at most a
+    (every m past the end L of the reach chain sees R(L))."""
+    _check_window(m, a)
+    d = _delays(_pair_graph_of(e))
+    return d[min(m, len(d) - 1)] <= a
 
 
 def definiteness(e):
     """Smallest (m, a) with is_definite(e, m, a), by total window m + a
     and then by m; None when no window pins the edge down.
 
-    Every m past the last index L of the reach chain sees the same pairs
-    as L, so (L, a_L) is definite for the least a_L that works there,
-    and no window exists when a_L is infinite.
+    The delay d_m never grows with m, and every m past the end L of the
+    reach chain sees R(L), so the least total is the least m + d_m over
+    m <= L, and no window exists when it is infinite.
     """
-    pg = _pair_graph_of(e)
-    reach = pg.reach_sets()
-    top = len(reach) - 1 + _delay(pg, reach[-1])[0]
-    if top == math.inf:
+    delays = _delays(_pair_graph_of(e))
+    total, m = min((m + d, m) for m, d in enumerate(delays))
+    if total == math.inf:
         return None
-    # (L, a_L) is definite, so the search ends by total == top
-    for total in range(top + 1):
-        for m in range(total + 1):
-            if not _fails_definite(pg, reach, m, total - m, _same_edge):
-                return (m, total - m)
+    return (m, total - m)
 
 
 def sliding_block_decodable(e, m, a):
     """Equal words of length m+a+1 force equal tags at position m+1."""
     if not isinstance(e, TaggedEncoder):
         raise TypeError("tag comparison needs a TaggedEncoder")
+    _check_window(m, a)
     pg = PairGraph(e.graph)
-    return not _fails_definite(
-        pg, pg.reach_sets(), m, a,
-        lambda e1, e2: set(e.tags.get(e1, ())) == set(e.tags.get(e2, ())))
+    ext = pg.ext()
+    reach = pg.reach_sets()
+    return not any(
+        ext[(e1.dst, e2.dst)] >= a
+        and set(e.tags.get(e1, ())) != set(e.tags.get(e2, ()))
+        for pair in reach[min(m, len(reach) - 1)]
+        for (_, e1, e2) in pg.steps(pair))
 
 
 def presents_subset(e, g):
@@ -460,6 +468,7 @@ def decode_sliding(e, word, m, a, p=None):
     decodable at (m, a); a corrupted symbol then disturbs at most
     m + a + 1 outputs.
     """
+    _check_window(m, a)
     word = list(word)
     g = e.graph
     if p is not None:

@@ -475,16 +475,22 @@ def _random_word(rng, g, n):
     return word
 
 
+def _random_tagged(rng, strict):
+    """Random graph whose edges mostly carry one (class, slot) tag."""
+    g = helpers.random_graph(rng, strict=strict)
+    tags = {}
+    for s in g.states:
+        for slot, ed in enumerate(g.out_edges(s)):
+            if rng.random() < 0.8:
+                tags[ed] = ((int(rng.integers(2)), slot % 2),)
+    return TaggedEncoder(g, tags, 1, 1)
+
+
 def test_decode_sliding_matches_path_enumeration():
     rng = np.random.default_rng(61)
     for i in range(60):
-        g = helpers.random_graph(rng, strict=bool(i % 2))
-        tags = {}
-        for s in g.states:
-            for slot, ed in enumerate(g.out_edges(s)):
-                if rng.random() < 0.8:
-                    tags[ed] = ((int(rng.integers(2)), slot % 2),)
-        e = TaggedEncoder(g, tags, 1, 1)
+        e = _random_tagged(rng, strict=bool(i % 2))
+        g, tags = e.graph, e.tags
         word = _random_word(rng, g, 10)
         for m in range(3):
             for a in range(3):
@@ -502,3 +508,37 @@ def test_decode_sliding_matches_path_enumeration():
             for a in range(3):
                 want = oracle_sliding(e, word, m, a, blocks_of)
                 assert decode_sliding(e, word, m, a, p=2) == want
+
+
+def test_sliding_block_decodable_matches_path_enumeration():
+    # (m, a) decodes when all paths reading one word of m + a + 1
+    # symbols carry one tag set on their edge at m; untagged is empty
+    rng = np.random.default_rng(71)
+    seen = set()
+    for i in range(60):
+        e = _random_tagged(rng, strict=bool(i % 2))
+        for m in range(3):
+            for a in range(3):
+                by_word = {}
+                for path in _paths(e.graph, m + a + 1):
+                    word = tuple(ed.label for ed in path)
+                    tag_set = frozenset(e.tags.get(path[m], ()))
+                    by_word.setdefault(word, set()).add(tag_set)
+                want = all(len(ts) == 1 for ts in by_word.values())
+                assert sliding_block_decodable(e, m, a) == want, (
+                    e.graph.edges, e.tags, m, a)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def test_negative_window_is_refused():
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    word, _, _ = encode_stream(e, ["00", "11", "01", "10"],
+                               e.graph.states[0])
+    for m, a in ((-1, 0), (0, -1), (-2, 3)):
+        with pytest.raises(ValueError, match="negative"):
+            is_definite(e, m, a)
+        with pytest.raises(ValueError, match="negative"):
+            sliding_block_decodable(e, m, a)
+        with pytest.raises(ValueError, match="negative"):
+            decode_sliding(e, word, m, a, p=2)
