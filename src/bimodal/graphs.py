@@ -12,6 +12,7 @@ subset step, the synchronized pair graph, and induced subgraphs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -229,6 +230,95 @@ def _label_steps(g, reached):
     return {a: steps[a] for a in sorted(steps)}
 
 
+# most word rows (or edges) one power may hold: the sixth power of the
+# dense tests/fixtures/mixed.cg, 2^19 edges, is still built, and the
+# largest the bench builds, RLL(2,10) at t=18, has 9755 edges
+POWER_BUDGET = 2 ** 19
+
+# a word's parity set as a bit mask (bit p: the word can have parity p);
+# _XOR[m][k] is the mask of {p ^ q} over p in m and q in k
+_XOR = [[sum({1 << (p ^ q) for p in (0, 1) for q in (0, 1)
+              if m >> p & 1 and k >> q & 1}) for k in range(4)]
+        for m in range(4)]
+
+
+def _join(first, second, scale, u):
+    """Rows of the words from state index u that read a word of
+    ``first`` and then one of ``second``, in word order; ``scale`` is
+    s^j for s symbols and words of length j in ``second``.
+
+    A table holds, per state index, rows (key, word, mask, counts): key
+    the word's symbol ranks read as one number, so keys order like rank
+    tuples; word its label, mask its parity set and counts {target
+    index: path count} in state order, the rows sorted by key.  A row
+    with one target continues with that target's rows, already in
+    order; with several targets their rows are merged per word and
+    sorted by key, never by the joined label.
+    """
+    for k1, w1, m1, r1 in first[u]:
+        k1 *= scale
+        xor = _XOR[m1]
+        if len(r1) == 1:
+            (v, c), = r1.items()
+            for k2, w2, m2, r2 in second[v]:
+                yield (k1 + k2, w1 + WORD_SEP + w2, xor[m2],
+                       r2 if c == 1 else {x: c * n for x, n in r2.items()})
+            continue
+        merged = {}
+        for v, c in r1.items():
+            for k2, w2, m2, r2 in second[v]:
+                row = merged.get(k2)
+                if row is None:
+                    row = merged[k2] = (w2, m2, {})
+                d = row[2]
+                for x, n in r2.items():
+                    d[x] = d.get(x, 0) + c * n
+        for k2 in sorted(merged):
+            w2, m2, d = merged[k2]
+            yield (k1 + k2, w1 + WORD_SEP + w2, xor[m2],
+                   {x: d[x] for x in sorted(d)})
+
+
+def _too_big(t):
+    return BimodalError("power at t=%d holds more than %d word rows"
+                        % (t, POWER_BUDGET))
+
+
+def _power_rows(g, t):
+    """(u, row) for the rows of the length-t words from each state index
+    u in turn, in word order (see _join).  The last join is streamed;
+    the shorter tables are kept only until it ends."""
+    index = g.state_index
+    symbols = sorted({e.label for e in g.edges})
+    rank = {a: i for i, a in enumerate(symbols)}
+    c0, c1 = g.parity.class0, g.parity.class1
+    tables = {1: [[(rank[a], a, (a in c0) | (a in c1) << 1,
+                    {index(v): r[v] for v in sorted(r, key=index)})
+                   for a, r in _label_steps(g, {u: 1}).items()]
+                  for u in g.states]}
+    n = len(g.states)
+
+    def joined(k, u):
+        return _join(table(k - k // 2), table(k // 2),
+                     len(symbols) ** (k // 2), u)
+
+    def table(k):
+        if k not in tables:
+            rows, held = [], 0
+            for u in range(n):
+                # one row past the budget is enough to refuse
+                rows.append(list(itertools.islice(
+                    joined(k, u), POWER_BUDGET - held + 1)))
+                held += len(rows[-1])
+                if held > POWER_BUDGET:
+                    raise _too_big(t)
+            tables[k] = rows
+        return tables[k]
+
+    return ((u, row) for u in range(n)
+            for row in (tables[1][u] if t == 1 else joined(t, u)))
+
+
 def power(g, t):
     """t-th graph power: edges are t-step paths labeled by their words.
 
@@ -236,35 +326,34 @@ def power(g, t):
     XOR of its symbol parities; with an overlapping cover a word can land
     in both classes, and a symbol in neither class leaves it in none.
     Parallel paths with the same word and endpoints are folded into the
-    multiplicity field.  From each start state one walk visits the words
-    in label order, each node holding the path counts of the states it
-    reaches, so edges come out sorted by source, word and target.
+    multiplicity field.  Edges come out sorted by source, word (by the
+    ranks of its symbols in sorted-symbol order, not by the joined
+    label) and target.
+
+    Built by doubling: per start state, a table of rows (word, parity
+    set, path count per target) in word order; the table of length k
+    joins the rows of length ceil(k/2) with those of length floor(k/2)
+    from each target, down to the one-step rows of ``_label_steps``.
+    The last join streams straight into edges.  A power whose tables or
+    edges pass POWER_BUDGET rows raises BimodalError naming t.
     """
     if t < 1:
         raise ValueError("power exponent must be >= 1")
-    classes = (g.parity.class0, g.parity.class1)
+    states = g.states
     class0 = set()
     class1 = set()
     edges = []
-    for u in g.states:
-        stack = [(0, "", {0}, {u: 1})]
-        while stack:
-            depth, word, ps, reached = stack.pop()
-            if depth == t:
-                if 0 in ps:
-                    class0.add(word)
-                if 1 in ps:
-                    class1.add(word)
-                edges += [Edge(u, word, v, reached[v])
-                          for v in sorted(reached, key=g.state_index)]
-                continue
-            steps = _label_steps(g, reached)
-            for a in reversed(steps):
-                cs = [b for b, cls in enumerate(classes) if a in cls]
-                stack.append((depth + 1, word + WORD_SEP + a if depth else a,
-                              {p ^ c for p in ps for c in cs}, steps[a]))
+    for u, (_, word, mask, counts) in _power_rows(g, t):
+        if mask & 1:
+            class0.add(word)
+        if mask & 2:
+            class1.add(word)
+        src = states[u]
+        edges += [Edge(src, word, states[x], n) for x, n in counts.items()]
+        if len(edges) > POWER_BUDGET:
+            raise _too_big(t)
     parity = ParityPartition(frozenset(class0), frozenset(class1))
-    return LabeledGraph(g.states, edges, parity)
+    return LabeledGraph(states, edges, parity)
 
 
 def adjacency(g):
@@ -412,7 +501,8 @@ class PairGraph:
 
     ``succ[(p, q)]`` is the set of pairs (p', q') reached from (p, q) by
     one pair of equally labeled edges; ``steps`` lists those edge pairs
-    where edges or labels matter.  ``ext`` gives, per pair, the longest
+    where edges or labels matter, and ``parted`` the distinct ones
+    leaving each diagonal pair.  ``ext`` gives, per pair, the longest
     synchronized walk length leaving it (math.inf when a cycle is
     reachable).
     """
@@ -430,6 +520,15 @@ class PairGraph:
         idx = self.g.by_label
         return [(a, e1, e2) for a, es1 in idx[p].items()
                 for e1 in es1 for e2 in idx[q].get(a, ())]
+
+    @functools.cached_property
+    def parted(self):
+        """State -> targets of the distinct edge pairs leaving (s, s),
+        where two paths part; an edge of multiplicity > 1 counts as its
+        own partner.  Listed once for all the pair checks."""
+        return {s: [(e1.dst, e2.dst) for (_, e1, e2) in self.steps((s, s))
+                    if e1 != e2 or e1.mult != 1]
+                for s in self.g.states}
 
     def ext(self):
         if self._ext is None:

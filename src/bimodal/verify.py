@@ -88,21 +88,13 @@ def _pair_graph_of(e):
     return e if isinstance(e, PairGraph) else PairGraph(_graph_of(e))
 
 
-def _parted(pg, s):
-    """Targets of the distinct edge pairs leaving (s, s), where two paths
-    part; an edge of multiplicity > 1 counts as its own partner."""
-    return [(e1.dst, e2.dst) for (_, e1, e2) in pg.steps((s, s))
-            if e1 != e2 or e1.mult != 1]
-
-
 def _parting(pg, states):
     """(d, kid): d is 1 + the longest synchronized walk after a distinct
     edge pair leaving some (s, s), s in ``states`` (math.inf when a cycle
     is reachable), kid the first parted pair attaining it; (0, None)
     when none leaves."""
-    ext = pg.ext()
-    return max(((ext[kid] + 1, kid) for s in states
-                for kid in _parted(pg, s)),
+    ext, parted = pg.ext(), pg.parted
+    return max(((ext[kid] + 1, kid) for s in states for kid in parted[s]),
                key=lambda dk: dk[0], default=(0, None))
 
 
@@ -130,7 +122,7 @@ def losslessness(e):
     word-synchronized, back onto the diagonal.
     """
     pg = _pair_graph_of(e)
-    queue = [kid for s in pg.g.states for kid in _parted(pg, s)]
+    queue = [kid for s in pg.g.states for kid in pg.parted[s]]
     seen = set(queue)
     while queue:
         p, q = queue.pop()

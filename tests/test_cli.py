@@ -1,6 +1,7 @@
 import io as stdio
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -296,6 +297,29 @@ def test_cli_class_counts_overflow(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "t=70" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "two.cg", "-t", "40", "-o", "out.cg"],
+    ["synth", "two.cg", "--method", "det", "--n0", "1", "--n1", "1",
+     "-t", "40", "-o", "out.cg"],
+    ["verify", "enc.cg", "--against", "two.cg", "--n0", "1", "--n1", "1",
+     "-t", "40"],
+], ids=["power", "synth", "verify"])
+def test_cli_power_budget(argv, tmp_path, capsys):
+    # 2^40 words: the power's row budget refuses them, none is enumerated
+    (tmp_path / "two.cg").write_text("states: s\nparity0: a\nparity1: b\n"
+                                     "edge: s a s\nedge: s b s\n")
+    (tmp_path / "enc.cg").write_text(serialize_encoder(
+        extract_deterministic(helpers.quad(), (1, 1), 2, 2)))
+    argv = [str(tmp_path / a) if a.endswith(".cg") else a for a in argv]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "t=40" in err
+    assert sorted(os.listdir(tmp_path)) == ["enc.cg", "two.cg"]
 
 
 def test_cli_synth_huge_cap(tmp_path, capsys):

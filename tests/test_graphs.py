@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from bimodal import graphs
 from bimodal import (
     BimodalError,
     Edge,
@@ -178,9 +179,10 @@ def _reference_power(g, t):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
-       st.integers(min_value=1, max_value=3), st.booleans())
+       st.integers(min_value=1, max_value=5), st.booleans())
 def test_power_matches_reference(seed, strict, t, mult):
-    # equality covers states, edge order, multiplicities and both classes
+    # equality covers states, edge order, multiplicities and both classes;
+    # t up to 5 draws nested, uneven splits such as 5 = 3 + 2, 3 = 2 + 1
     rng = np.random.default_rng(seed)
     g = helpers.random_graph(rng, strict=strict)
     if mult:
@@ -188,8 +190,34 @@ def test_power_matches_reference(seed, strict, t, mult):
                                       for ed in g.edges],
                            g.parity.class0, g.parity.class1)
     assert power(g, t) == _reference_power(g, t)
-    g2 = power(g, 2)
-    assert power(g2, t) == _reference_power(g2, t)
+    if t <= 3:
+        g2 = power(g, 2)
+        assert power(g2, t) == _reference_power(g2, t)
+
+
+def test_power_orders_words_by_symbol_rank():
+    # a < a- < b, yet the label a.a-.a sorts before a.a.a as a string:
+    # words follow the symbols' ranks, not their joined labels
+    g = validate_graph("uvw", [("u", "a", "v"), ("u", "a", "w"),
+                               ("v", "a", "u"), ("v", "b", "u"),
+                               ("w", "a-", "u"), ("w", "a", "w")],
+                       ["a", "b"], ["a-"])
+    for t in range(2, 6):
+        assert power(g, t) == _reference_power(g, t)
+    words = [e.label for e in power(g, 3).out_edges("u")]
+    assert words.index("a.a.a") < words.index("a.a-.a")
+    assert words != sorted(words)
+
+
+def test_power_budget(monkeypatch):
+    # the edges, or a half table, past the budget refuse the power
+    g = validate_graph(["u"], [("u", "a", "u"), ("u", "b", "u")],
+                       ["a"], ["b"])
+    monkeypatch.setattr(graphs, "POWER_BUDGET", 8)
+    assert len(power(g, 3).edges) == 8
+    for t in (4, 8, 40):
+        with pytest.raises(BimodalError, match="t=%d" % t):
+            power(g, t)
 
 
 @settings(max_examples=150, deadline=None)
