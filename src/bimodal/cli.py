@@ -7,6 +7,7 @@ undecodable), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import graphs, io, spectra, synth, verify
@@ -222,15 +223,16 @@ def build_parser():
     return ap
 
 
+# one parser per process: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.fn(args)
-    except (io.ParseError, graphs.ValidationError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (io.ParseError, graphs.ValidationError, OSError,
+            UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (BimodalError, ValueError) as exc:

@@ -284,6 +284,20 @@ def _too_big(t):
                         % (t, POWER_BUDGET))
 
 
+def _doubling(t, one, join):
+    """The value at t of a sequence whose value at k joins those at
+    ceil(k/2) and floor(k/2): join(first, second, k) gives it from them,
+    down to ``one`` at 1.  Each value is computed once."""
+    values = {1: one}
+
+    def at(k):
+        if k not in values:
+            values[k] = join(at(k - k // 2), at(k // 2), k)
+        return values[k]
+
+    return at(t)
+
+
 def _power_rows(g, t):
     """(u, row) for the rows of the length-t words from each state index
     u in turn, in word order (see _join).  The last join is streamed;
@@ -292,31 +306,27 @@ def _power_rows(g, t):
     symbols = sorted({e.label for e in g.edges})
     rank = {a: i for i, a in enumerate(symbols)}
     c0, c1 = g.parity.class0, g.parity.class1
-    tables = {1: [[(rank[a], a, (a in c0) | (a in c1) << 1,
-                    {index(v): r[v] for v in sorted(r, key=index)})
-                   for a, r in _label_steps(g, {u: 1}).items()]
-                  for u in g.states]}
-    n = len(g.states)
+    one = [[(rank[a], a, (a in c0) | (a in c1) << 1,
+             {index(v): r[v] for v in sorted(r, key=index)})
+            for a, r in _label_steps(g, {u: 1}).items()]
+           for u in g.states]
 
-    def joined(k, u):
-        return _join(table(k - k // 2), table(k // 2),
-                     len(symbols) ** (k // 2), u)
+    def join(first, second, k):
+        scale = len(symbols) ** (k // 2)
+        rows = [_join(first, second, scale, u) for u in range(len(one))]
+        if k == t:
+            return rows
+        table, held = [], 0
+        for r in rows:
+            # one row past the budget is enough to refuse
+            table.append(list(itertools.islice(r, POWER_BUDGET - held + 1)))
+            held += len(table[-1])
+            if held > POWER_BUDGET:
+                raise _too_big(t)
+        return table
 
-    def table(k):
-        if k not in tables:
-            rows, held = [], 0
-            for u in range(n):
-                # one row past the budget is enough to refuse
-                rows.append(list(itertools.islice(
-                    joined(k, u), POWER_BUDGET - held + 1)))
-                held += len(rows[-1])
-                if held > POWER_BUDGET:
-                    raise _too_big(t)
-            tables[k] = rows
-        return tables[k]
-
-    return ((u, row) for u in range(n)
-            for row in (tables[1][u] if t == 1 else joined(t, u)))
+    return ((u, row) for u, rows in enumerate(_doubling(t, one, join))
+            for row in rows)
 
 
 def power(g, t):
@@ -330,11 +340,8 @@ def power(g, t):
     ranks of its symbols in sorted-symbol order, not by the joined
     label) and target.
 
-    Built by doubling: per start state, a table of rows (word, parity
-    set, path count per target) in word order; the table of length k
-    joins the rows of length ceil(k/2) with those of length floor(k/2)
-    from each target, down to the one-step rows of ``_label_steps``.
-    The last join streams straight into edges.  A power whose tables or
+    Built on the doubling schedule from tables of word rows (see _join),
+    the last join streamed straight into edges.  A power whose tables or
     edges pass POWER_BUDGET rows raises BimodalError naming t.
     """
     if t < 1:
@@ -356,13 +363,37 @@ def power(g, t):
     return LabeledGraph(states, edges, parity)
 
 
+def _ints(values, bound=None):
+    """``values`` as exact ints: an int64 array when ``bound`` fits
+    int64, else an object array of Python ints.  ``bound`` must bound
+    every entry and every sum of products the caller forms from them;
+    by default it is the largest entry, enough for a matrix."""
+    if bound is None:
+        values = np.asarray(values, dtype=object)
+        bound = max(values.flat, default=0)
+    return np.asarray(values, dtype=np.int64 if bound <= INT64_MAX
+                      else object)
+
+
 def adjacency(g):
     """Full adjacency matrix (all edges, multiplicities counted)."""
     n = len(g.states)
-    m = np.zeros((n, n), dtype=np.int64)
+    m = np.zeros((n, n), dtype=object)
     for e in g.edges:
         m[g.state_index(e.src), g.state_index(e.dst)] += e.mult
-    return m
+    return _ints(m)
+
+
+def _join_counts(first, second, _k):
+    """Class counts (E, O, B) of the words of length a + b from those of
+    lengths a and b (see adjacency_pair):
+
+        E = Ea Eb + Oa Ob,   O = Ea Ob + Oa Eb,
+        B = Ba (Eb + Ob + Bb) + (Ea + Oa) Bb.
+    """
+    (ea, oa, ba), (eb, ob, bb) = first, second
+    return (ea @ eb + oa @ ob, ea @ ob + oa @ eb,
+            ba @ (eb + ob + bb) + (ea + oa) @ bb)
 
 
 def adjacency_pair(g, t=1):
@@ -372,36 +403,23 @@ def adjacency_pair(g, t=1):
     The edges split by their label's classes into S0 (class 0 only), S1
     (class 1 only) and S2 (both); a label in neither class is dropped,
     as ``power`` leaves its words in neither class.  E and O count the
-    paths of strict symbols with even and odd parity, B the paths
-    through a shared symbol, which ``power`` puts in both classes.  From
-    E, O, B = S0, S1, S2 the counts step t - 1 times:
-
-        E' = E S0 + O S1,   O' = E S1 + O S0,
-        B' = B (S0 + S1 + S2) + (E + O) S2,
-
-    and A0 = E + B, A1 = O + B.  They are exact Python ints until the
-    end; an entry that leaves int64 raises BimodalError naming t.
+    words of strict symbols with even and odd parity, B the words with
+    a shared symbol, which ``power`` puts in both classes.  They start
+    from E, O, B = S0, S1, S2 and double on power's schedule
+    (_join_counts); A0 = E + B and A1 = O + B, in exact ints (int64
+    arrays when every entry fits, Python ints past it).
     """
     if t < 1:
         raise ValueError("power exponent must be >= 1")
     n = len(g.states)
-    s = [[[0] * n for _ in range(n)] for _ in range(3)]
+    s = np.zeros((3, n, n), dtype=object)
     for e in g.edges:
         in0, in1 = e.label in g.parity.class0, e.label in g.parity.class1
         if in0 or in1:
-            s[2 if in0 and in1 else int(in1)][g.state_index(e.src)][
-                g.state_index(e.dst)] += e.mult
-    s = np.array(s, dtype=object).reshape(3, n, n)
-    ev, od, both = s
-    total = s.sum(axis=0)
-    for _ in range(t - 1):
-        ev, od, both = (ev @ s[0] + od @ s[1], ev @ s[1] + od @ s[0],
-                        both @ total + (ev + od) @ s[2])
-    pair = ev + both, od + both
-    if any(v > INT64_MAX for a in pair for v in a.flat):
-        raise BimodalError("class counts of the power at t=%d leave int64"
-                           % t)
-    return pair[0].astype(np.int64), pair[1].astype(np.int64), g.states
+            s[2 if in0 and in1 else int(in1), g.state_index(e.src),
+              g.state_index(e.dst)] += e.mult
+    ev, od, both = _doubling(t, tuple(s), _join_counts)
+    return _ints(ev + both), _ints(od + both), g.states
 
 
 def _step(g, states, label):
@@ -415,47 +433,40 @@ def _scc(states, succ):
     topological order, so every component after those it reaches."""
     index = {}
     low = {}
-    onstack = {}
+    onstack = set()
     stack = []
     comps = []
-    counter = [0]
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        onstack.add(v)
+        return v, iter(succ[v])
+
     for root in states:
         if root in index:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack[root] = True
+        work = [visit(root)]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
+                    work.append(visit(w))
                     break
-                elif onstack.get(w):
+                if w in onstack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.append(w)
+                    comps.append(frozenset(comp))
     return comps
 
 

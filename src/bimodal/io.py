@@ -81,22 +81,23 @@ def _parse(text):
     return states, parity0, parity1, edges, tags
 
 
-def parse_graph_file(text):
-    states, p0, p1, edges, tags = _parse(text)
-    if tags:
-        raise ParseError(0, "file contains tag lines; use the encoder parser")
+def _validated(states, p0, p1, edges):
     try:
         return validate_graph(states, edges, p0, p1)
     except ValidationError as exc:
         raise ParseError(0, str(exc))
 
 
+def parse_graph_file(text):
+    states, p0, p1, edges, tags = _parse(text)
+    if tags:
+        raise ParseError(0, "file contains tag lines; use the encoder parser")
+    return _validated(states, p0, p1, edges)
+
+
 def parse_encoder_file(text):
     states, p0, p1, edges, tags = _parse(text)
-    try:
-        g = validate_graph(states, edges, p0, p1)
-    except ValidationError as exc:
-        raise ParseError(0, str(exc))
+    g = _validated(states, p0, p1, edges)
     index = {(e.src, e.label, e.dst): e for e in g.edges}
     tag_map = {}
     n = [0, 0]
@@ -121,10 +122,8 @@ def serialize_graph(g):
     out.append("parity0: %s" % " ".join(sorted(g.parity.class0)))
     out.append("parity1: %s" % " ".join(sorted(g.parity.class1)))
     for e in sorted(g.edges, key=g.edge_key):
-        if e.mult == 1:
-            out.append("edge: %s %s %s" % (e.src, e.label, e.dst))
-        else:
-            out.append("edge: %s %s %s %d" % (e.src, e.label, e.dst, e.mult))
+        mult = "" if e.mult == 1 else " %d" % e.mult
+        out.append("edge: %s %s %s%s" % (e.src, e.label, e.dst, mult))
     return "\n".join(out) + "\n"
 
 

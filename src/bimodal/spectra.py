@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (INT64_MAX, BimodalError, _scc, adjacency,
+from .graphs import (POWER_BUDGET, BimodalError, _ints, _scc, adjacency,
                      adjacency_pair)
 
 # perron's power iteration stops once the estimate and every vector
@@ -45,25 +45,25 @@ class RatePoint:
 
 
 def _as_int_matrix(a):
-    m = np.asarray(a, dtype=np.int64)
+    m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch("expected a square matrix")
+    m = _ints(m)
     if (m < 0).any():
         raise ValueError("matrix entries must be nonnegative")
     return m
 
 
 def _check_pair(a0, a1):
-    """The checked pair with its bounds, (a0, a1, r0, r1, limit): r_b is
-    the largest row sum of A_b, which bounds any feasible n_b (n_b x_u <=
-    (A_b x)_u <= rowsum_u x_u at x's top entry u), and limit the largest
-    cap whose products with both fit int64."""
+    """The checked pair with its bounds, (a0, a1, r0, r1): r_b is the
+    largest row sum of A_b, which bounds any feasible n_b (n_b x_u <=
+    (A_b x)_u <= rowsum_u x_u at x's top entry u)."""
     a0 = _as_int_matrix(a0)
     a1 = _as_int_matrix(a1)
     if a0.shape != a1.shape:
         raise DimensionMismatch("matrix pair shapes differ")
     r0, r1 = (max(map(sum, a.tolist()), default=0) for a in (a0, a1))
-    return a0, a1, r0, r1, INT64_MAX // max(r0, r1, 1)
+    return a0, a1, r0, r1
 
 
 def perron(a):
@@ -134,9 +134,8 @@ def franaszek_joint(a0, a1, n0, n1, xi):
     clamps with the floor-divided images until it stabilizes; the all
     zero vector means no nonzero solution fits under xi.  A zero n_b
     drops that side's constraint, and an n_b above the largest row sum
-    of A_b gives the zero vector at once.  Raises BimodalError when the
-    largest row sum times the largest ceiling entry leaves int64,
-    checked in Python ints before any int64 ceiling is built.
+    of A_b gives the zero vector at once.  Exact: int64 when the largest
+    row sum times the largest ceiling entry fits, Python ints otherwise.
     """
     pair = _check_pair(a0, a1)
     xi = np.asarray(xi)
@@ -146,42 +145,38 @@ def franaszek_joint(a0, a1, n0, n1, xi):
 
 
 def _sweep(pair, n0, n1, xi):
-    """franaszek_joint on a checked pair; a search checks its pair once."""
-    a0, a1, r0, r1, limit = pair
-    cap = int(xi.max(initial=0))
-    if cap > limit:
-        raise BimodalError("cap %d times row sum %d overflows int64"
-                           % (cap, max(r0, r1)))
-    xi = xi.astype(np.int64)
+    """franaszek_joint on a checked pair; a search checks its pair once.
+    The iterate never rises, so it is the fixpoint once no entry falls."""
+    a0, a1, r0, r1 = pair
     if n0 < 0 or n1 < 0:
         raise ValueError("out-degree targets must be nonnegative")
+    # A_b x <= rowsum * cap bounds every product the sweep forms
+    bound = max(r0, r1) * int(np.max(xi, initial=0))
+    a0, a1, x = (_ints(v, bound) for v in (a0, a1, xi))
     if n0 > r0 or n1 > r1:
-        return np.zeros_like(xi)
-    y = xi.copy()
-    x = np.zeros_like(xi)
-    while not np.array_equal(x, y):
-        x = y
+        return np.zeros_like(x)
+    while True:
         y = x
-        if n0 > 0:
-            y = np.minimum(y, (a0 @ x) // n0)
-        if n1 > 0:
-            y = np.minimum(y, (a1 @ x) // n1)
-    return x
+        for a, n in ((a0, n0), (a1, n1)):
+            if n > 0:
+                y = np.minimum(y, (a @ x) // n)
+        if not (y < x).any():
+            return x
+        x = y
 
 
 def joint_ae_exists(a0, a1, n0, n1, xi_cap=64):
     """Nonzero joint approximate eigenvector under the cap, or None.
 
     None only means no solution with entries <= xi_cap exists; larger
-    solutions may still exist, so absence is not a disproof.  Raises
-    BimodalError when the cap times the largest row sum leaves int64.
+    solutions may still exist, so absence is not a disproof.
     """
     return _exists(_check_pair(a0, a1), n0, n1, xi_cap)
 
 
 def _exists(pair, n0, n1, xi_cap):
     """joint_ae_exists on a checked pair."""
-    x = _sweep(pair, n0, n1, np.asarray([xi_cap] * len(pair[0])))
+    x = _sweep(pair, n0, n1, [xi_cap] * len(pair[0]))
     if not x.any():
         return None
     return ApproxEigenvector(tuple(int(v) for v in x), n0, n1)
@@ -191,19 +186,16 @@ def min_infnorm_ae(a0, a1, n0, n1, xi_cap=64):
     """Smallest ceiling value admitting a solution, with a witness.
 
     Returns (norm, vector); raises NotFoundWithin when even xi_cap
-    admits nothing.  The caps that fit int64 are bisected; above them
-    franaszek_joint's overflow error is raised instead.
+    admits nothing.
     """
-    pair = _, _, _, _, limit = _check_pair(a0, a1)
-    top = min(xi_cap, limit)
+    pair = _check_pair(a0, a1)
     # a solution under one cap is one under any larger cap, so index i
-    # standing for cap top - i makes the feasible indices a prefix
-    best = _largest(lambda i: _exists(pair, n0, n1, top - i), 0, top - 1)
-    if best is not None:
-        return top - best[0], best[1]
-    if xi_cap > limit:
-        _exists(pair, n0, n1, limit + 1)  # raises
-    raise NotFoundWithin(xi_cap)
+    # standing for cap xi_cap - i makes the feasible indices a prefix
+    best = _largest(lambda i: _exists(pair, n0, n1, xi_cap - i),
+                    0, xi_cap - 1)
+    if best is None:
+        raise NotFoundWithin(xi_cap)
+    return xi_cap - best[0], best[1]
 
 
 def anticipation_lower_bound(a0, a1, n0, n1, xi_cap=64):
@@ -227,11 +219,16 @@ def rate_region(g, t, xi_cap=64):
     sweeps down from the last witness at the last n1; only when that
     gives the zero vector does it bisect the smaller n1 from the cap.
     Every witness is the greatest solution under the cap at its point.
+    A table of more than POWER_BUDGET rows (one per n0 up to the largest
+    class-0 row sum) raises BimodalError naming t before the walk.
     """
     a0, a1, _ = adjacency_pair(g, t)
-    pair = _, _, r0, hi, _ = _check_pair(a0, a1)
+    pair = _, _, r0, hi = _check_pair(a0, a1)
+    if r0 + 1 > POWER_BUDGET:
+        raise BimodalError("rate table at t=%d could hold %d rows, more "
+                           "than %d" % (t, r0 + 1, POWER_BUDGET))
     points = []
-    x = np.asarray([xi_cap] * len(a0))
+    x = [xi_cap] * len(a0)
     for n0 in range(r0 + 1):
         x = _sweep(pair, n0, hi, x)
         if not x.any():
@@ -240,7 +237,7 @@ def rate_region(g, t, xi_cap=64):
             if best is None:
                 break
             hi, got = best
-            x = np.asarray(got.entries)
+            x = got.entries
         points.append(RatePoint(n0, hi, tuple(int(v) for v in x)))
     return points
 
@@ -253,7 +250,7 @@ def coding_ratio(g, t, xi_cap=64):
     even n = 1 is out of reach.
     """
     a0, a1, _ = adjacency_pair(g, t)
-    pair = _, _, r0, r1, _ = _check_pair(a0, a1)
+    pair = _, _, r0, r1 = _check_pair(a0, a1)
     best = _largest(lambda n: _exists(pair, n, n, xi_cap), 1, min(r0, r1))
     if best is None:
         return 0, float("-inf")

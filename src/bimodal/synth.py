@@ -99,18 +99,28 @@ def _assemble(states, parity, tagged, n0, n1):
                          {e: tuple(t) for e, t in tags.items()}, n0, n1)
 
 
-def _check_ae(g, x, n0, n1):
-    a0, a1, _ = adjacency_pair(g)
-    xv = np.asarray(x, dtype=np.int64)
+def _check_vector(g, x, bounds, positive=False):
+    """x as Python ints, once it has one entry per state of g, positive
+    entries (``positive``) or nonnegative ones not all zero, and A x >=
+    n x for each (A, n, failure) in ``bounds``; else InfeasibleVector."""
+    xv = np.asarray(x)
     if xv.shape != (len(g.states),):
         raise InfeasibleVector("vector length does not match state count")
-    if (xv < 0).any() or not xv.any():
+    xv = [int(v) for v in xv.tolist()]
+    if positive and min(xv, default=1) < 1:
+        raise InfeasibleVector("splitting needs strictly positive weights")
+    if not positive and (min(xv, default=0) < 0 or not any(xv)):
         raise InfeasibleVector("vector must be nonnegative and nonzero")
-    if not _ae_holds(a0, xv, n0):
-        raise InfeasibleVector("class-0 inequality fails")
-    if not _ae_holds(a1, xv, n1):
-        raise InfeasibleVector("class-1 inequality fails")
+    for a, n, failure in bounds:
+        if not _ae_holds(a, xv, n):
+            raise InfeasibleVector(failure)
     return xv
+
+
+def _check_ae(g, x, n0, n1):
+    a0, a1, _ = adjacency_pair(g)
+    return _check_vector(g, x, ((a0, n0, "class-0 inequality fails"),
+                                (a1, n1, "class-1 inequality fails")))
 
 
 def extract_deterministic(g, x, n0, n1):
@@ -121,7 +131,7 @@ def extract_deterministic(g, x, n0, n1):
     deterministic whenever g is, hence has anticipation 0.
     """
     xv = _check_ae(g, x, n0, n1)
-    if not set(int(v) for v in xv) <= {0, 1}:
+    if not set(xv) <= {0, 1}:
         raise InfeasibleVector("vector entries must be 0 or 1")
     keep = {s for s, v in zip(g.states, xv) if v == 1}
     tagged = []
@@ -212,14 +222,10 @@ def split_one_round(g_b, x, n_b):
     SplitInfeasible when some state admits no such division, after
     exhaustive search.
     """
-    xv = np.asarray(x, dtype=np.int64)
-    if xv.shape != (len(g_b.states),):
-        raise InfeasibleVector("vector length does not match state count")
-    if (xv <= 0).any():
-        raise InfeasibleVector("splitting needs strictly positive weights")
-    if not _ae_holds(adjacency(g_b), xv, n_b):
-        raise InfeasibleVector("inequality fails for the split class")
-    w = dict(zip(g_b.states, (int(v) for v in xv)))
+    xv = _check_vector(g_b, x, ((adjacency(g_b), n_b,
+                                 "inequality fails for the split class"),),
+                       positive=True)
+    w = dict(zip(g_b.states, xv))
     groups = {}
     for u in g_b.states:
         out = g_b.sorted_out_edges(u)
@@ -344,7 +350,7 @@ def stether(g, x, n0, n1, partitions=None):
     if not g.deterministic:
         raise NotDeterministic("stethering needs a deterministic graph")
     xv = _check_ae(g, x, n0, n1)
-    w = dict(zip(g.states, (int(v) for v in xv)))
+    w = dict(zip(g.states, xv))
     g = _drop_zero_weight(g, xv)
     xv = [w[u] for u in g.states]
     states = ["%s%s%d" % (u, STATE_SEP, i)
@@ -389,7 +395,7 @@ def cover_consistent_partition(g, x, n0, n1):
     if not g.deterministic:
         raise NotDeterministic("partitioning needs a deterministic graph")
     xv = _check_ae(g, x, n0, n1)
-    w = dict(zip(g.states, (int(v) for v in xv)))
+    w = dict(zip(g.states, xv))
     lo, hi = (0, 1) if n0 <= n1 else (1, 0)
     n_lo, n_hi = (n0, n1) if n0 <= n1 else (n1, n0)
     out = {}

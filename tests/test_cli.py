@@ -1,5 +1,7 @@
 import io as stdio
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bimodal
 import helpers
 from bimodal import (
     BimodalError,
@@ -259,8 +262,6 @@ edge: t b s
 @pytest.mark.parametrize("argv", [
     ["synth", "nondet.cg", "--method", "stether", "--n0", "1", "--n1", "1"],
     ["verify", "enc.cg", "--against", "nondet.cg", "--n0", "2", "--n1", "2"],
-    ["franaszek", "quad.cg", "--n0", "1", "--n1", "1",
-     "--cap", "99999999999999999999"],
     ["franaszek", "quad.cg", "--n0", "99999999999999999999", "--n1", "1"],
     ["synth", "quad.cg", "--method", "det",
      "--n0", "99999999999999999999", "--n1", "1"],
@@ -268,7 +269,7 @@ edge: t b s
     # could not be read back
     ["power", "odd.cg", "-t", "1", "-o", "p.cg"],
 ], ids=["synth-nondeterministic", "verify-nondeterministic",
-        "franaszek-cap-overflow", "franaszek-n0-huge", "synth-det-n0-huge",
+        "franaszek-n0-huge", "synth-det-n0-huge",
         "power-empty-class"])
 def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
     (tmp_path / "nondet.cg").write_text(NONDETERMINISTIC)
@@ -284,19 +285,74 @@ def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
     assert not (tmp_path / "p.cg").exists()
 
 
+TWO = "states: s\nparity0: a\nparity1: b\nedge: s a s\nedge: s b s\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["region", "-t", "70"],
-    ["franaszek", "--n0", "1", "--n1", "1", "-t", "70"],
-], ids=["region", "franaszek"])
+], ids=["region"])
 def test_cli_class_counts_overflow(argv, tmp_path, capsys):
-    # 2^69 words of each class: an error naming t, not 2^70 words built
+    # 2^69 words of each class: the rate table would have 2^69 + 1 rows,
+    # so the row budget refuses it, naming t, before any sweep
     path = tmp_path / "two.cg"
-    path.write_text("states: s\nparity0: a\nparity1: b\n"
-                    "edge: s a s\nedge: s b s\n")
+    path.write_text(TWO)
     assert main(argv[:1] + [str(path)] + argv[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "t=70" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["franaszek", "quad.cg", "--n0", "1", "--n1", "1",
+      "--cap", "99999999999999999999"],
+     "99999999999999999999 99999999999999999999"),
+    (["franaszek", "two.cg", "--n0", "1", "--n1", "1", "-t", "70"], "64"),
+], ids=["cap-overflow", "t70"])
+def test_cli_franaszek_exact(argv, want, tmp_path, capsys):
+    # caps and class counts past int64 are searched in Python ints
+    (tmp_path / "quad.cg").write_text(serialize_graph(helpers.quad()))
+    (tmp_path / "two.cg").write_text(TWO)
+    argv = [str(tmp_path / a) if a.endswith(".cg") else a for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == want + "\n" and out.err == ""
+
+
+def test_cli_info_huge_multiplicity(tmp_path, capsys):
+    # an edge of multiplicity 10^20 is counted in Python ints
+    path = tmp_path / "huge.cg"
+    path.write_text("states: s\nparity0: a\nparity1: b\n"
+                    "edge: s a s 100000000000000000000\nedge: s b s\n")
+    assert main(["info", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "capacity: 66.438562" in out
+
+
+def _run_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_cli_main_calls_in_sequence(capsys):
+    # main keeps one parser per process: calls in a row, a usage error
+    # among them, print what each prints in a process of its own
+    calls = [["info", fixture("twostate.cg")],
+             ["region", fixture("twostate.cg"), "-t", "3"],
+             ["franaszek", fixture("quad.cg"), "--n0", "1"],
+             ["franaszek", fixture("quad.cg"), "--n0", "2", "--n1", "2",
+              "-t", "2"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(bimodal.__file__)))
+    for argv in calls:
+        alone = subprocess.run([sys.executable, "-m", "bimodal.cli"] + argv,
+                               capture_output=True, text=True, env=env)
+        want = alone.returncode, alone.stdout, alone.stderr
+        assert _run_in_process(argv, capsys) == want
+    assert [_run_in_process(a, capsys)[0] for a in calls] == [0, 0, 2, 0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from bimodal import graphs
+from bimodal.construct import rll_graph
 from bimodal import (
     BimodalError,
     Edge,
@@ -257,16 +258,63 @@ def test_adjacency_pair_drops_label_in_neither_class():
 
 
 def test_adjacency_pair_int64_limit():
-    # 2^(t-1) words of each class: 2^62 fits int64 at t = 63, 2^63 not
+    # 2^(t-1) words of each class: 2^62 fits int64 at t = 63, 2^63 is
+    # held as an exact Python int
     g = validate_graph(["u"], [("u", "a", "u"), ("u", "b", "u")],
                        ["a"], ["b"])
     a0, a1, _ = adjacency_pair(g, 63)
+    assert a0.dtype == a1.dtype == np.int64
     assert a0.tolist() == a1.tolist() == [[2 ** 62]]
     for t in (64, 70):
-        with pytest.raises(BimodalError, match="t=%d" % t):
-            adjacency_pair(g, t)
+        a0, a1, _ = adjacency_pair(g, t)
+        assert a0.tolist() == a1.tolist() == [[2 ** (t - 1)]]
     with pytest.raises(ValueError):
         adjacency_pair(g, 0)
+
+
+def _class_counts_by_steps(g, t):
+    """(A0, A1) of power(g, t) as lists of Python ints, one symbol at a
+    time: per start state, the paths of strict symbols with even and odd
+    class-1 counts, and the paths through a shared symbol."""
+    c0, c1 = g.parity.class0, g.parity.class1
+    a0, a1 = [], []
+    for u in g.states:
+        ev, od, sh = {u: 1}, {}, {}
+        for _ in range(t):
+            nev, nod, nsh = {}, {}, {}
+            for e in g.edges:
+                in0, in1 = e.label in c0, e.label in c1
+                m = e.mult
+                e_, o_, s_ = (ev.get(e.src, 0), od.get(e.src, 0),
+                              sh.get(e.src, 0))
+                if in0 and in1:
+                    nsh[e.dst] = nsh.get(e.dst, 0) + (e_ + o_ + s_) * m
+                    continue
+                if in1:
+                    e_, o_ = o_, e_
+                if in0 or in1:
+                    nev[e.dst] = nev.get(e.dst, 0) + e_ * m
+                    nod[e.dst] = nod.get(e.dst, 0) + o_ * m
+                    nsh[e.dst] = nsh.get(e.dst, 0) + s_ * m
+            ev, od, sh = nev, nod, nsh
+        a0.append([ev.get(v, 0) + sh.get(v, 0) for v in g.states])
+        a1.append([od.get(v, 0) + sh.get(v, 0) for v in g.states])
+    return a0, a1
+
+
+def test_adjacency_pair_exact_past_int64():
+    # RLL(2,10) counts pass int64 at t=121; step-by-step Python ints agree
+    g = rll_graph(2, 10)
+    for t in (16, 128, 256):
+        a0, a1, _ = adjacency_pair(g, t)
+        assert (a0.tolist(), a1.tolist()) == _class_counts_by_steps(g, t)
+    assert max(a0.flat) > 2 ** 128
+    for fixture in ("overlap.cg", "mixed.cg"):
+        g = helpers.load(fixture)
+        for t in (1, 5, 70):
+            a0, a1, _ = adjacency_pair(g, t)
+            assert ((a0.tolist(), a1.tolist())
+                    == _class_counts_by_steps(g, t))
 
 
 def test_power_long_cycle_does_not_recurse():

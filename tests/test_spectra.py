@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from bimodal import (
     perron,
     power,
     rate_region,
+    validate_graph,
 )
-from bimodal import spectra
+from bimodal import graphs, spectra
 from bimodal.construct import rll_graph
 from bimodal.spectra import DimensionMismatch
 
@@ -157,14 +159,78 @@ def test_joint_ae_exists_tri_state():
 
 
 def test_joint_ae_exists_int64_guard():
-    # the largest row sum of either matrix times the cap must fit int64
+    # past the largest cap whose products fit int64 the sweep runs in
+    # Python ints, with the same answer
     a0, a1, _ = adjacency_pair(helpers.quad())
     rows = int(max(a0.sum(axis=1).max(), a1.sum(axis=1).max()))
     top = (2 ** 63 - 1) // rows
-    got = joint_ae_exists(a0, a1, 1, 1, xi_cap=top)
-    assert got is not None and got.entries == (top, top)
-    with pytest.raises(BimodalError, match="overflows int64"):
-        joint_ae_exists(a0, a1, 1, 1, xi_cap=top + 1)
+    for cap in (top, top + 1, 10 ** 40):
+        got = joint_ae_exists(a0, a1, 1, 1, xi_cap=cap)
+        assert got is not None and got.entries == (cap, cap)
+    assert min_infnorm_ae(a0, a1, 2, 2, xi_cap=10 ** 40)[0] == 1
+
+
+def _exact_sweep_cases():
+    """(name, result) of searches on the fixtures, for comparing runs."""
+    out = []
+    for name in ("twostate.cg", "mixed.cg", "overlap.cg", "quad.cg",
+                 "trisplit.cg"):
+        g = helpers.load(name)
+        for t in (1, 2, 3):
+            a0, a1, _ = adjacency_pair(g, t)
+            xi = [7] * len(a0)
+            out.append((name, t, rate_region(g, t), coding_ratio(g, t),
+                        franaszek_joint(a0, a1, 1, 1, xi).tolist()))
+            try:
+                out.append(min_infnorm_ae(a0, a1, 1, 1))
+            except NotFoundWithin as exc:
+                out.append(str(exc))
+    return out
+
+
+def test_sweep_same_in_int64_and_python_ints(monkeypatch):
+    # a bound of -1 fits nothing, so every array holds Python ints
+    want = _exact_sweep_cases()
+    monkeypatch.setattr(graphs, "INT64_MAX", -1)
+    a0, _, _ = adjacency_pair(helpers.quad())
+    assert a0.dtype == object
+    assert _exact_sweep_cases() == want
+
+
+def _holds(a, x, n):
+    return all(sum(r * v for r, v in zip(row, x)) >= n * xu
+               for row, xu in zip(a, x))
+
+
+def test_coding_ratio_exact_past_int64():
+    # n_max has 69, 138 and 277 bits; the ratio tends to the capacity
+    g = rll_graph(2, 10)
+    cap = capacity(g)
+    for t in (128, 256, 512):
+        n, rho = coding_ratio(g, t)
+        assert n > 2 ** 63
+        assert rho == math.log2(2 * n) / t and rho < cap
+        a0, a1, _ = adjacency_pair(g, t)
+        got = joint_ae_exists(a0, a1, n, n)
+        assert got is not None
+        rows0, rows1 = a0.tolist(), a1.tolist()
+        assert any(got.entries)
+        assert _holds(rows0, got.entries, n) and _holds(rows1, got.entries, n)
+        assert joint_ae_exists(a0, a1, n + 1, n + 1) is None
+    assert cap - rho < 1e-4
+
+
+def test_rate_region_row_budget(monkeypatch):
+    # one row per n0 up to the largest class-0 row sum, 2^(t-1) here
+    g = validate_graph(["s"], [("s", "a", "s"), ("s", "b", "s")],
+                       ["a"], ["b"])
+    monkeypatch.setattr(spectra, "POWER_BUDGET", 8)
+    assert len(rate_region(g, 3)) == 5
+    for t in (4, 24, 70):
+        start = time.perf_counter()
+        with pytest.raises(BimodalError, match="t=%d" % t):
+            rate_region(g, t)
+        assert time.perf_counter() - start < 1
 
 
 def test_joint_ae_agrees_with_perron_on_single_class():

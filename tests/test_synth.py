@@ -81,6 +81,17 @@ def test_check_ae_exact_on_huge_entries():
     # int64 products wrap here: A0 x >= 5 x must still read as false
     with pytest.raises(InfeasibleVector, match="class-0"):
         _check_ae(rll_graph(2, 10), [2 ** 61 - 1] * 11, 5, 0)
+    # entries past int64 are checked in Python ints: s10 has no class-0
+    # edge, and at (10^20, 1) alpha's class-0 edges weigh 10^20 + 1, short
+    # of 2 * 10^20
+    with pytest.raises(InfeasibleVector, match="class-0"):
+        stether(rll_graph(2, 10), (10 ** 20,) * 11, 1, 1)
+    g0 = parity_subgraph(helpers.quad(), 0)
+    with pytest.raises(InfeasibleVector, match="split class"):
+        split_one_round(g0, (10 ** 20, 1), 2)
+    for bad in ((1, 0), (1, -1), (1,)):
+        with pytest.raises(InfeasibleVector):
+            split_one_round(g0, bad, 1)
 
 
 def test_split_one_round_unit_weights():
