@@ -41,6 +41,7 @@ from .synth import (
     InsufficientWeight,
     SplitInfeasible,
     TaggedEncoder,
+    TooManyCopies,
     build_delta,
     cover_consistent_partition,
     extract_deterministic,

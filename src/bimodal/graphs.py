@@ -230,9 +230,10 @@ def _label_steps(g, reached):
     return {a: steps[a] for a in sorted(steps)}
 
 
-# most word rows (or edges) one power may hold: the sixth power of the
-# dense tests/fixtures/mixed.cg, 2^19 edges, is still built, and the
-# largest the bench builds, RLL(2,10) at t=18, has 9755 edges
+# most word rows (or edges) one power may hold, and state copies one
+# encoder may name: the sixth power of the dense tests/fixtures/mixed.cg,
+# 2^19 edges, is still built, and the largest the bench builds,
+# RLL(2,10) at t=18, has 9755 edges
 POWER_BUDGET = 2 ** 19
 
 # a word's parity set as a bit mask (bit p: the word can have parity p);
@@ -470,6 +471,27 @@ def _scc(states, succ):
     return comps
 
 
+def _successors(g):
+    """State -> the set of states one edge away."""
+    return {s: {e.dst for e in g.out_edges(s)} for s in g.states}
+
+
+def _longest(nodes, succ):
+    """Node -> length of the longest walk leaving it along ``succ``,
+    math.inf when a cycle is reachable."""
+    longest = {}
+    # sinks come first, so every child is settled before its parent;
+    # a component with a cycle is unbounded
+    for comp in _scc(nodes, succ):
+        n = next(iter(comp))
+        if len(comp) > 1 or n in succ[n]:
+            v = math.inf
+        else:
+            v = 1 + max((longest[k] for k in succ[n]), default=-1)
+        longest.update(dict.fromkeys(comp, v))
+    return longest
+
+
 def irreducible_components(g):
     """Strongly connected components as induced subgraphs.
 
@@ -478,9 +500,7 @@ def irreducible_components(g):
     leaves it.  Trivial components (single state, no self-loop) are
     included.
     """
-    succs = {s: sorted({e.dst for e in g.out_edges(s)},
-                       key=g.state_index) for s in g.states}
-    comps = _scc(g.states, succs)
+    comps = _scc(g.states, _successors(g))
     comps.sort(key=lambda c: min(g.state_index(s) for s in c))
     return [(_induced(g, comp),
              all(e.dst in comp for s in comp for e in g.out_edges(s)))
@@ -514,8 +534,7 @@ class PairGraph:
     one pair of equally labeled edges; ``steps`` lists those edge pairs
     where edges or labels matter, and ``parted`` the distinct ones
     leaving each diagonal pair.  ``ext`` gives, per pair, the longest
-    synchronized walk length leaving it (math.inf when a cycle is
-    reachable).
+    synchronized walk length leaving it (see _longest).
     """
 
     def __init__(self, g):
@@ -543,18 +562,7 @@ class PairGraph:
 
     def ext(self):
         if self._ext is None:
-            succ = self.succ
-            longest = {}
-            # sinks come first, so every child is settled before its
-            # parent; a component with a cycle is unbounded
-            for comp in _scc(self.nodes, succ):
-                n = next(iter(comp))
-                if len(comp) > 1 or n in succ[n]:
-                    v = math.inf
-                else:
-                    v = 1 + max((longest[k] for k in succ[n]), default=-1)
-                longest.update(dict.fromkeys(comp, v))
-            self._ext = longest
+            self._ext = _longest(self.nodes, self.succ)
         return self._ext
 
     def reach_sets(self):
@@ -598,24 +606,16 @@ def determinize(g):
     ``members``.  The result is deterministic and presents the same
     words.
     """
-    seen = []
-    queue = []
-    index = set()
-    for v in g.states:
-        z = frozenset([v])
-        if z not in index:
-            index.add(z)
-            seen.append(z)
-            queue.append(z)
+    seen = [frozenset([v]) for v in g.states]
+    index = set(seen)
     edges = []
-    while queue:
-        z = queue.pop(0)
+    # breadth first: the loop walks ``seen`` as it grows
+    for z in seen:
         for a, reached in _label_steps(g, dict.fromkeys(z, 1)).items():
             z2 = frozenset(reached)
             if z2 not in index:
                 index.add(z2)
                 seen.append(z2)
-                queue.append(z2)
             edges.append((z, a, z2))
     names = {z: _subset_name(g, z) for z in seen}
     members = {names[z]: z for z in seen}
@@ -630,29 +630,30 @@ def determinize(g):
 def follower_le(g1, g2):
     """Pairs (u, v) with every word from u in g1 readable from v in g2.
 
-    g2 must be deterministic; the relation is then exactly follower-set
-    containment and is computed as a greatest fixpoint.
+    g2 must be deterministic, so that each g1 edge leaves a pair for one
+    successor pair.  A pair fails when it, or a pair it reaches, has a
+    g1 label that its g2 state lacks; components come sinks first, so
+    each is settled after every pair it reaches outside itself.
     """
     if not g2.deterministic:
         raise NotDeterministic("containment target must be deterministic")
     succ2 = {
         s: {e.label: e.dst for e in g2.out_edges(s)} for s in g2.states
     }
-    rel = {(u, v) for u in g1.states for v in g2.states}
-    changed = True
-    while changed:
-        changed = False
-        for (u, v) in list(rel):
-            ok = True
-            for e in g1.out_edges(u):
-                t = succ2[v].get(e.label)
-                if t is None or (e.dst, t) not in rel:
-                    ok = False
-                    break
-            if not ok:
-                rel.discard((u, v))
-                changed = True
-    return rel
+    succ, lacks = {}, set()
+    for u in g1.states:
+        es = g1.out_edges(u)
+        for v, d in succ2.items():
+            if all(e.label in d for e in es):
+                succ[(u, v)] = {(e.dst, d[e.label]) for e in es}
+            else:
+                succ[(u, v)] = ()
+                lacks.add((u, v))
+    failed = set()
+    for comp in _scc(succ, succ):
+        if any(n in lacks or not failed.isdisjoint(succ[n]) for n in comp):
+            failed |= comp
+    return set(succ) - failed
 
 
 def _induced(g, keep):
@@ -667,15 +668,11 @@ def _induced(g, keep):
 
 
 def _essential(g):
-    """Iteratively drop states with no outgoing edges."""
-    keep = set(g.states)
-    while True:
-        dead = {s for s in keep
-                if not any(e.dst in keep for e in g.out_edges(s))}
-        if not dead:
-            break
-        keep -= dead
-    if keep == set(g.states):
+    """Induced subgraph on the states with an infinite walk, dropping
+    the dead ends and the states that lead only to them."""
+    longest = _longest(g.states, _successors(g))
+    keep = [s for s in g.states if longest[s] == math.inf]
+    if len(keep) == len(g.states):
         return g
     return _induced(g, keep)
 

@@ -7,17 +7,13 @@ matrices of a pair must share dimensions and a state order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import (POWER_BUDGET, BimodalError, _ints, _scc, adjacency,
                      adjacency_pair)
-
-# perron's power iteration stops once the estimate and every vector
-# entry move by less than this in one step
-_PERRON_STEP = 5e-10
-_PERRON_MAX_ITER = 10 ** 6
 
 
 class DimensionMismatch(BimodalError):
@@ -69,33 +65,32 @@ def _check_pair(a0, a1):
 def perron(a):
     """Largest eigenvalue of a nonnegative integer matrix.
 
-    Power iteration on A + I, which is aperiodic whenever A is
-    irreducible; nilpotent matrices short-circuit to 0.
+    The largest Perron root of its strongly connected components with
+    a cycle, 0 when none has one.  A block's Perron root is real and no
+    smaller than the real part of any of its eigenvalues, so it is the
+    largest real part numpy finds.  Raises BimodalError when an entry
+    or the root is past the largest float.
     """
     a = _as_int_matrix(a)
-    if not a.any():
-        return 0.0
-    # the spectral radius is attained on some strongly connected
-    # component, and A+I restricted to one is primitive, so the
-    # iteration converges geometrically there
+    try:
+        m = a.astype(float)
+    except OverflowError:
+        raise _past_float("matrix entry") from None
     succ = [np.flatnonzero(row).tolist() for row in a]
     best = 0.0
-    for comp in _scc(range(a.shape[0]), succ):
+    for comp in _scc(range(len(a)), succ):
         comp = sorted(comp)
-        m = a[np.ix_(comp, comp)].astype(float) + np.eye(len(comp))
-        v = np.ones(len(comp))
-        est = 0.0
-        for _ in range(_PERRON_MAX_ITER):
-            w = m @ v
-            new = w.max()
-            w = w / new
-            done = (abs(new - est) < _PERRON_STEP
-                    and np.abs(w - v).max() < _PERRON_STEP)
-            v, est = w, new
-            if done:
-                break
-        best = max(best, est - 1.0)
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
+            block = m[np.ix_(comp, comp)]
+            best = max(best, np.linalg.eigvals(block).real.max())
+    if not math.isfinite(best):
+        raise _past_float("Perron root")
     return float(best)
+
+
+def _past_float(what):
+    return BimodalError("%s past the largest float, %g"
+                        % (what, sys.float_info.max))
 
 
 def capacity(g):

@@ -18,6 +18,7 @@ from .graphs import (
     Edge,
     LabeledGraph,
     NotDeterministic,
+    POWER_BUDGET,
     _drop_zero_weight,
     adjacency,
     adjacency_pair,
@@ -36,6 +37,10 @@ class SplitInfeasible(BimodalError):
 
 
 class InsufficientWeight(BimodalError):
+    pass
+
+
+class TooManyCopies(BimodalError):
     pass
 
 
@@ -70,12 +75,15 @@ class TaggedEncoder:
         return [e for (cls, _), es in sorted(self.by_tag[state].items())
                 if cls == b for e in es]
 
+    def slots_ok(self, state, b, n):
+        """``state`` holds slots 0..n-1 of class b, one edge each."""
+        return sorted(slot for (cls, slot), es in self.by_tag[state].items()
+                      if cls == b for _ in es) == list(range(n))
+
     def out_degrees_ok(self):
         """Each state holds slots 0..n_b-1 of class b, one edge each."""
-        want = ([(0, i) for i in range(self.n0)]
-                + [(1, i) for i in range(self.n1)])
-        return all(sorted(t for t, es in idx.items() for _ in es) == want
-                   for idx in self.by_tag.values())
+        return all(self.slots_ok(s, b, n) for s in self.graph.states
+                   for b, n in ((0, self.n0), (1, self.n1)))
 
     def __repr__(self):
         return "TaggedEncoder(%d states, n0=%d, n1=%d)" % (
@@ -102,7 +110,9 @@ def _assemble(states, parity, tagged, n0, n1):
 def _check_vector(g, x, bounds, positive=False):
     """x as Python ints, once it has one entry per state of g, positive
     entries (``positive``) or nonnegative ones not all zero, and A x >=
-    n x for each (A, n, failure) in ``bounds``; else InfeasibleVector."""
+    n x for each (A, n, failure) in ``bounds``; else InfeasibleVector.
+    A sum past POWER_BUDGET, the state copies an encoder would name,
+    raises TooManyCopies."""
     xv = np.asarray(x)
     if xv.shape != (len(g.states),):
         raise InfeasibleVector("vector length does not match state count")
@@ -114,6 +124,9 @@ def _check_vector(g, x, bounds, positive=False):
     for a, n, failure in bounds:
         if not _ae_holds(a, xv, n):
             raise InfeasibleVector(failure)
+    if sum(xv) > POWER_BUDGET:
+        raise TooManyCopies("vector sum %d passes the budget of %d state "
+                            "copies" % (sum(xv), POWER_BUDGET))
     return xv
 
 

@@ -211,11 +211,9 @@ def sliding_block_decodable(e, m, a):
 def presents_subset(e, g):
     """Every word generated by e is generated somewhere in g.
 
-    g must be deterministic; tracks, per encoder state reached, the set
-    of g-states still able to read the word.
+    Tracks, per encoder state reached, the set of g-states still able to
+    read the word, so g may be nondeterministic.
     """
-    if not g.deterministic:
-        raise PreconditionFailed("containment target must be deterministic")
     eg = _graph_of(e)
     full = frozenset(g.states)
     seen = set()
@@ -239,15 +237,10 @@ def presents_subset(e, g):
 
 def check_encoder(e, g, n0, n1):
     """Aggregate structural report for a tagged encoder against g."""
-    violations = []
-    deg0 = deg1 = True
-    for s in e.graph.states:
-        if len(e.class_edges(s, 0)) != n0:
-            deg0 = False
-            violations.append("state %r class-0 degree != %d" % (s, n0))
-        if len(e.class_edges(s, 1)) != n1:
-            deg1 = False
-            violations.append("state %r class-1 degree != %d" % (s, n1))
+    bad = [(s, b, n) for s in e.graph.states for b, n in ((0, n0), (1, n1))
+           if not e.slots_ok(s, b, n)]
+    violations = ["state %r class-%d degree != %d" % v for v in bad]
+    degrees = tuple(all(c != b for _, c, _ in bad) for b in (0, 1))
     contain = presents_subset(e, g)
     if not contain:
         violations.append("encoder generates a word outside the constraint")
@@ -258,7 +251,7 @@ def check_encoder(e, g, n0, n1):
     ant = anticipation(pg)
     if isinstance(ant, Infinite):
         violations.append("anticipation is infinite")
-    return VerifyReport((deg0, deg1), contain, lossless, ant,
+    return VerifyReport(degrees, contain, lossless, ant,
                         definiteness(pg), violations)
 
 

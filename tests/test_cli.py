@@ -259,6 +259,36 @@ edge: t b s
 """
 
 
+@pytest.mark.parametrize("method", ["det", "split"])
+def test_cli_synth_verify_nondeterministic_target(method, tmp_path, capsys):
+    # containment tracks sets of target states, so the target graph
+    # need not be deterministic
+    (tmp_path / "nondet.cg").write_text(NONDETERMINISTIC)
+    graph, enc = str(tmp_path / "nondet.cg"), str(tmp_path / "enc.cg")
+    assert main(["synth", graph, "--method", method, "--n0", "1",
+                 "--n1", "1", "-o", enc]) == 0
+    assert main(["verify", enc, "--against", graph,
+                 "--n0", "1", "--n1", "1"]) == 0
+    assert "containment: ok" in capsys.readouterr().out
+
+
+def test_cli_verify_slot_gap(tmp_path, capsys):
+    # two class-0 edges, but in slots 0 and 5: verify and encode read
+    # the same slot rule, so verify fails as encode -p 2 would
+    graph = ("states: s\nparity0: a b\nparity1: c d\n"
+             "edge: s a s\nedge: s b s\nedge: s c s\nedge: s d s\n")
+    (tmp_path / "g.cg").write_text(graph)
+    (tmp_path / "enc.cg").write_text(
+        graph + "tag: s 0 0 a s\ntag: s 0 5 b s\n"
+        "tag: s 1 0 c s\ntag: s 1 1 d s\n")
+    assert main(["verify", str(tmp_path / "enc.cg"), "--against",
+                 str(tmp_path / "g.cg"), "--n0", "2", "--n1", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "out-degrees: BAD" in out
+    assert "violation: state 's' class-0 degree != 2" in out
+    assert "class-1" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "nondet.cg", "--method", "stether", "--n0", "1", "--n1", "1"],
     ["verify", "enc.cg", "--against", "nondet.cg", "--n0", "2", "--n1", "2"],
@@ -268,11 +298,16 @@ edge: t b s
     # every word is odd, so the power's class 0 is empty and its file
     # could not be read back
     ["power", "odd.cg", "-t", "1", "-o", "p.cg"],
+    # the capacity is computed in floats, which stop near 1.8e308
+    ["info", "past-float.cg"],
 ], ids=["synth-nondeterministic", "verify-nondeterministic",
         "franaszek-n0-huge", "synth-det-n0-huge",
-        "power-empty-class"])
+        "power-empty-class", "info-past-float"])
 def test_cli_library_errors_exit_1(argv, tmp_path, capsys):
     (tmp_path / "nondet.cg").write_text(NONDETERMINISTIC)
+    (tmp_path / "past-float.cg").write_text(
+        "states: s\nparity0: a\nparity1: b\n"
+        "edge: s a s 1%s\nedge: s b s\n" % ("0" * 400))
     (tmp_path / "odd.cg").write_text(
         "states: s\nparity0: a\nparity1: b\nedge: s b s\n")
     (tmp_path / "enc.cg").write_text(serialize_encoder(

@@ -14,12 +14,14 @@ from bimodal import (
     Finite,
     Infinite,
     LabeledGraph,
+    NotDeterministic,
     NotIrreducible,
     ParityPartition,
     ValidationError,
     adjacency,
     adjacency_pair,
     determinize,
+    follower_le,
     irreducible_components,
     memory,
     merge_states,
@@ -450,6 +452,74 @@ def test_determinize_on_deterministic_input_wraps_singletons():
     h = determinize(g)
     assert set(h.states) == {"{alpha}", "{beta}"}
     assert adjacency(h).tolist() == adjacency(g).tolist()
+
+
+def _sparse_graph(rng, det):
+    """Random graph on 1-3 states over a, b (class 0) and c (class 1);
+    a state may have no out-edge, and with ``det`` no state has two
+    edges with one label."""
+    n = int(rng.integers(1, 4))
+    states = ["n%d" % i for i in range(n)]
+    edges = {(s, a, states[rng.integers(n)])
+             for s in states for a in "abc"
+             for _ in range(1 if det else 2) if rng.random() < 0.4}
+    return validate_graph(states, sorted(edges), ["a", "b"], ["c"])
+
+
+def _walk_words(g, u, length):
+    """Label sequences of the walks of at most ``length`` steps from u."""
+    out = frontier = {((), u)}
+    for _ in range(length):
+        frontier = {(w + (e.label,), e.dst)
+                    for w, s in frontier for e in g.out_edges(s)}
+        out = out | frontier
+    return {w for w, _ in out}
+
+
+def _reads(g, v, word):
+    """A deterministic g reads ``word`` from v."""
+    for a in word:
+        es = g.by_label[v].get(a)
+        if not es:
+            return False
+        v = es[0].dst
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_follower_le_matches_words(seed, same):
+    # a failing pair reaches a pair that lacks a label within
+    # |g1| * |g2| steps, so words of that length decide the relation
+    rng = np.random.default_rng(seed)
+    g2 = _sparse_graph(rng, det=True)
+    g1 = g2 if same else _sparse_graph(rng, det=False)
+    bound = len(g1.states) * len(g2.states)
+    want = {(u, v) for u in g1.states for v in g2.states
+            if all(_reads(g2, v, w) for w in _walk_words(g1, u, bound))}
+    assert follower_le(g1, g2) == want
+
+
+def test_follower_le_needs_deterministic_target():
+    nondet = validate_graph(["s", "t"], [("s", "a", "s"), ("s", "a", "t")],
+                            ["a"], ["b"])
+    with pytest.raises(NotDeterministic):
+        follower_le(helpers.two_state(), nondet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_essential_keeps_states_with_long_walks(seed):
+    # a walk of |states| steps repeats a state, so it reaches a cycle
+    rng = np.random.default_rng(seed)
+    g = _sparse_graph(rng, det=False)
+    n = len(g.states)
+    kept = graphs._essential(g)
+    assert kept.states == tuple(s for s in g.states
+                                if any(len(w) == n
+                                       for w in _walk_words(g, s, n)))
+    assert set(kept.edges) == {e for e in g.edges
+                               if {e.src, e.dst} <= set(kept.states)}
 
 
 def test_merge_states_leaves_minimal_graph_alone():

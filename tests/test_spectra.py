@@ -36,10 +36,20 @@ def test_perron_simple_values():
     assert perron(np.zeros((3, 3), dtype=int)) == 0.0
 
 
+def test_perron_refuses_past_float():
+    # an entry floats cannot hold, and entries that fit whose root
+    # (2 * 10^308) does not
+    for a in ([[10 ** 400]], [[10 ** 308] * 2] * 2):
+        with pytest.raises(BimodalError, match="largest float"):
+            perron(np.array(a, dtype=object))
+
+
 def test_perron_matches_numpy_oracle():
     rng = np.random.default_rng(11)
-    for _ in range(120):
-        a = helpers.random_matrix(rng)
+    # eigenvalues near 1e10 and -1e10: A + I has two of almost one
+    # modulus, where a power iteration oscillates
+    near_equal = np.array([[1, 10 ** 20], [1, 0]])
+    for a in [helpers.random_matrix(rng) for _ in range(120)] + [near_equal]:
         want = max(abs(np.linalg.eigvals(a.astype(float))))
         assert perron(a) == pytest.approx(want, abs=1e-6)
 

@@ -11,6 +11,7 @@ from bimodal import (
     InsufficientWeight,
     LabeledGraph,
     SplitInfeasible,
+    TooManyCopies,
     adjacency,
     adjacency_pair,
     build_delta,
@@ -92,6 +93,16 @@ def test_check_ae_exact_on_huge_entries():
     for bad in ((1, 0), (1, -1), (1,)):
         with pytest.raises(InfeasibleVector):
             split_one_round(g0, bad, 1)
+
+
+def test_vector_sum_past_budget_refused():
+    # feasible vectors, but past POWER_BUDGET state copies: refused with
+    # the sum named before any list of that size is built
+    g0 = parity_subgraph(helpers.quad(), 0)
+    with pytest.raises(TooManyCopies, match=str(10 ** 20 + 1)):
+        split_one_round(g0, (10 ** 20, 1), 1)
+    with pytest.raises(TooManyCopies, match=str(2 * 10 ** 20)):
+        stether(helpers.quad(), (10 ** 20,) * 2, 2, 2)
 
 
 def test_split_one_round_unit_weights():
