@@ -10,6 +10,7 @@ equality for edge equality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -324,6 +325,57 @@ def _tag_block(tag, p):
     return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
 
 
+def _kept(e, name, build):
+    """build(), computed on the first codec call that needs it and kept
+    on the encoder as ``name``: an encoder's graph and tags never change
+    once it is built, and constructing one builds nothing."""
+    try:
+        return e.__dict__[name]
+    except KeyError:
+        value = e.__dict__[name] = build()
+        return value
+
+
+# the blocks each policy may send for an input block: the reserved
+# first bit is the policy's
+_SENDS = {
+    "as-tagged": lambda t: (t,),
+    "fixed-parity": lambda t: (str(t[1:].count("1") % 2) + t[1:],),
+    "rds-min": lambda t: ("0" + t[1:], "1" + t[1:]),
+}
+
+
+def _sends(e, p, policy):
+    """input -> the tags the policy may send for it, in the order _SENDS
+    lists their blocks, kept on the encoder.  The inputs are the
+    encoder's raw tags (p None, as-tagged) or the p-bit blocks that can
+    send one of its tags, a block sending its _block_tag: the blocks of
+    the tags and their reserved-bit twins, so at most twice as many as
+    tags, whatever p.  A state's move is the first edge carrying a sent
+    tag there (by_tag); with two, the policy picks."""
+    def build():
+        tags = {t for row in e.by_tag.values() for t in row}
+        if p is None:
+            return {t: (t,) for t in tags}
+        blocks = [_tag_block(t, p) for t in tags]
+        inputs = {r + b[1:] for b, t in zip(blocks, tags)
+                  if _block_tag(b, p) == t for r in "01"}
+        return {k: tuple(_block_tag(b, p) for b in _SENDS[policy](k))
+                for k in inputs}
+    return _kept(e, "_sends_%s_%s" % (p, policy), build)
+
+
+def _decoded_tags(e, p):
+    """Each tagged edge -> its least raw tag (p None) or least p-bit
+    block, kept on the encoder."""
+    def build():
+        blocks = {}  # one string per block, however many edges carry it
+        key = (lambda t: t) if p is None else (
+            lambda t: blocks.setdefault(t, _tag_block(t, p)))
+        return {ed: min(map(key, ts)) for ed, ts in e.tags.items() if ts}
+    return _kept(e, "_decoded_%s" % p, build)
+
+
 def encode_stream(e, tags, start, policy="as-tagged", p=None):
     """Drive the encoder from ``start`` over a tag sequence.
 
@@ -332,7 +384,8 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
     first bit of each block is the reserved parity bit: fixed-parity
     forces every block even, rds-min picks the parity whose codeword
     keeps the running digital sum closest to zero (ties go to a 0
-    reserved bit).  Returns (word, end_state, rds_trace); the trace
+    reserved bit).  Every policy refuses a block that is not a p-bit
+    binary string.  Returns (word, end_state, rds_trace); the trace
     starts at 0 and appends one value per emitted label.
     """
     tags = list(tags)
@@ -340,34 +393,32 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
     _check_start(g, start)
     block_mode = not tags or isinstance(tags[0], str)
     if block_mode:
-        if p is None:
-            if not tags:
-                return [], start, [0]
+        if p is None and tags:
             p = len(tags[0])
-        _check_block_width(e, p)
+        if p is not None:
+            _check_block_width(e, p)
     elif policy != "as-tagged":
         raise ValueError("raw (class, slot) tags require as-tagged policy")
+    if not tags:
+        return [], start, [0]
+    if policy not in _SENDS:
+        raise ValueError("unknown policy %r" % policy)
+    sends = _sends(e, p if block_mode else None, policy)
+    by_tag = e.by_tag
+    class0 = g.parity.class0
     state = start
     level = 1
     rds = 0
     trace = [0]
     word = []
     for t in tags:
-        if not block_mode or policy == "as-tagged":
-            options = (t,)
-        elif policy == "fixed-parity":
-            options = (str(t[1:].count("1") % 2) + t[1:],)
-        elif policy == "rds-min":
-            options = ("0" + t[1:], "1" + t[1:])
-        else:
-            raise ValueError("unknown policy %r" % policy)
+        row = by_tag[state]
         move = None
-        for opt in options:
-            edges = e.by_tag[state].get(_block_tag(opt, p) if block_mode
-                                        else opt)
+        for tag in sends.get(t, ()):
+            edges = row.get(tag)
             if edges:
                 # each emitted label carries one channel bit, its class
-                lv = level if edges[0].label in g.parity.class0 else -level
+                lv = level if edges[0].label in class0 else -level
                 s = rds + lv
                 # strict: a 0 reserved bit wins ties
                 if move is None or abs(s) < abs(move[2]):
@@ -396,14 +447,20 @@ def _candidates(g, states, label, ahead):
     return out
 
 
-def _lookahead(e):
-    """Anticipation of encoder e, computed on first use and kept on the
-    encoder, whose graph never changes; no pair graph is kept alive."""
-    try:
-        return e._anticipation
-    except AttributeError:
-        e._anticipation = anticipation(e)
-        return e._anticipation
+def _decode_step(e, decoded, state, window):
+    """(DecodedTag, next state) for the edge leaving ``state`` that reads
+    the window of upcoming labels, or the reason none decodes."""
+    cands = _candidates(e.graph, (state,), window[0], window[1:])
+    if not cands:
+        return "no edge matches the upcoming labels"
+    provisional = len(cands) > 1
+    if provisional:
+        # only possible when the lookahead window was truncated
+        cands.sort(key=lambda ed: min(e.tags.get(ed, ((2, 0),))))
+    edge = cands[0]
+    if edge not in decoded:
+        return "edge has no tag"
+    return DecodedTag(decoded[edge], provisional), edge.dst
 
 
 def decode_stream(e, word, start, p=None):
@@ -413,35 +470,35 @@ def decode_stream(e, word, start, p=None):
     labels determine the edge taken.  Within the last a positions the
     lookahead may be truncated; if several edges remain possible there,
     the canonically first is chosen and the output flagged provisional.
+    Each (state, window) is resolved once per call.
     """
     word = list(word)
     g = e.graph
     _check_start(g, start)
-    ant = _lookahead(e)
+    ant = _kept(e, "_anticipation", lambda: anticipation(e))
     if isinstance(ant, Infinite):
         raise PreconditionFailed("decoding needs finite anticipation")
     a = ant.value
     if p is not None:
         _check_block_width(e, p)
+    decoded = _decoded_tags(e, p)
+    # the upcoming a + 1 labels at each position, truncated at the end
+    n = len(word)
+    windows = itertools.chain(
+        zip(word, *(itertools.islice(word, j, None) for j in range(1, a + 1))),
+        (tuple(word[i:]) for i in range(max(n - a, 0), n)))
+    steps = {}
     state = start
     out = []
-    for i, label in enumerate(word):
-        cands = _candidates(g, (state,), label, word[i + 1:i + 1 + a])
-        if not cands:
-            raise NotDecodable(i, "no edge matches the upcoming labels")
-        provisional = False
-        if len(cands) > 1:
-            # only possible when the lookahead window was truncated
-            cands.sort(key=lambda ed: min(e.tags.get(ed, ((2, 0),))))
-            provisional = True
-        edge = cands[0]
-        tags = e.tags.get(edge, ())
-        if not tags:
-            raise NotDecodable(i, "edge has no tag")
-        if p is not None:
-            tags = [_tag_block(t, p) for t in tags]
-        out.append(DecodedTag(min(tags), provisional))
-        state = edge.dst
+    for i, window in enumerate(windows):
+        key = (state, window)
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = _decode_step(e, decoded, *key)
+        if isinstance(step, str):
+            raise NotDecodable(i, step)
+        tag, state = step
+        out.append(tag)
     return out
 
 
@@ -449,15 +506,17 @@ def decode_sliding(e, word, m, a, p=None):
     """Stateless window decoding: tag at i from word[i-m : i+a+1].
 
     Returns one entry per position; None where the window is truncated
-    or does not pin the tag down.  Needs the encoder to be sliding-block
-    decodable at (m, a); a corrupted symbol then disturbs at most
-    m + a + 1 outputs.
+    or does not pin the tag down.  Tags are read as decode_stream reads
+    them, so an untagged edge leaves its position undecided.  Needs the
+    encoder to be sliding-block decodable at (m, a); a corrupted symbol
+    then disturbs at most m + a + 1 outputs.
     """
     _check_window(m, a)
     word = list(word)
     g = e.graph
     if p is not None:
         _check_block_width(e, p)
+    decoded = _decoded_tags(e, p)
     n = len(word)
     out = []
     for i in range(n):
@@ -467,12 +526,7 @@ def decode_sliding(e, word, m, a, p=None):
         z = g.states
         for lbl in word[i - m:i]:
             z = _step(g, z, lbl)
-        tags = set()
-        for ed in _candidates(g, z, word[i], word[i + 1:i + a + 1]):
-            if p is not None:
-                tags.update(_tag_block(t, p) for t in e.tags.get(ed, ()))
-            else:
-                # an untagged edge leaves the position undecided
-                tags.add(min(e.tags.get(ed) or (None,)))
-        out.append(next(iter(tags)) if len(tags) == 1 else None)
+        tags = {decoded.get(ed) for ed in
+                _candidates(g, z, word[i], word[i + 1:i + a + 1])}
+        out.append(tags.pop() if len(tags) == 1 else None)
     return out

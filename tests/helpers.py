@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 
+import pytest
+
 from bimodal import (
     Edge,
     LabeledGraph,
+    UnknownTag,
     adjacency_pair,
     encode_stream,
     power,
@@ -186,14 +189,102 @@ def reference_block_table(e, p):
     return table
 
 
+def reference_encode(e, blocks, start, policy, p):
+    """encode_stream's documented rule over reference_block_table: the
+    policy sends the block itself (as-tagged), the block with its first
+    bit set to make it even (fixed-parity), or whichever of the two
+    first bits leaves the running digital sum nearer zero, 0 on a tie
+    (rds-min).  A label's channel bit keeps the level in class 0 and
+    flips it otherwise.  Returns (word, end_state, rds_trace)."""
+    table = reference_block_table(e, p)
+    class0 = e.graph.parity.class0
+    state, level, rds, word, trace = start, 1, 0, [], [0]
+    for b in blocks:
+        if len(b) != p or set(b) - {"0", "1"}:
+            raise UnknownTag("not a %d-bit block: %r" % (p, b))
+        rest = b[1:]
+        sent = {"as-tagged": [b],
+                "fixed-parity": [str(rest.count("1") % 2) + rest],
+                "rds-min": ["0" + rest, "1" + rest]}[policy]
+        best = None
+        for k in sent:
+            ed = table[state].get(k)
+            if ed is not None:
+                lv = level if ed.label in class0 else -level
+                if best is None or abs(rds + lv) < abs(rds + best[1]):
+                    best = (ed, lv)
+        if best is None:
+            raise UnknownTag("no edge for block %r at %r" % (b, state))
+        ed, level = best
+        rds += level
+        word.append(ed.label)
+        trace.append(rds)
+        state = ed.dst
+    return word, state, trace
+
+
 def check_block_table(e, p):
     """reference_block_table(e, p), after checking that encode_stream
-    agrees with it: every p-bit block at every state emits the label of
-    its table edge and ends at that edge's target."""
+    agrees with reference_encode: on every p-bit block at every state
+    under each policy, on a random block stream from every state, and in
+    refusing blocks that are not p-bit binary strings."""
     table = reference_block_table(e, p)
+    rng = np.random.default_rng(0)
+    blocks = [format(i, "0%db" % p) for i in range(2 ** p)]
+    stream = [blocks[i] for i in rng.integers(2 ** p, size=64)]
+    bad = ["2" + "0" * (p - 1), "x" * p, "0" * (p + 1), "0" * (p - 1),
+           " " + "1" * (p - 1)]
     for s in e.graph.states:
-        for i in range(2 ** p):
-            block = format(i, "0%db" % p)
+        for block in blocks:
             ed = table[s][block]
             assert encode_stream(e, [block], s)[:2] == ([ed.label], ed.dst)
+        for policy in ("as-tagged", "fixed-parity", "rds-min"):
+            for block in blocks:
+                assert (encode_stream(e, [block], s, policy=policy)
+                        == reference_encode(e, [block], s, policy, p))
+            assert (encode_stream(e, stream, s, policy=policy)
+                    == reference_encode(e, stream, s, policy, p))
+            for block in bad:
+                with pytest.raises(UnknownTag):
+                    encode_stream(e, [block], s, policy=policy, p=p)
     return table
+
+
+def reference_decode(e, word, start, a, p=None):
+    """decode_stream's documented rule by plain set stepping.
+
+    At each position the candidates are the edges leaving the current
+    state with the position's label whose targets can go on to read the
+    next a labels, a the encoder's anticipation (fewer at the end of the
+    word).  Several remain only in a truncated window: the one with the
+    least raw tag is taken (untagged last, then out-edge order) and
+    flagged provisional.  The decoded tag is the edge's least raw tag,
+    or its least block in reference_block_table.  Returns (the
+    (tag, provisional) pairs, the position where decoding stops or
+    None): it stops where no edge matches or the edge taken is
+    untagged.
+    """
+    g = e.graph
+    table = reference_block_table(e, p) if p is not None else None
+    state = start
+    out = []
+    for i, label in enumerate(word):
+        cands = []
+        for ed in g.out_edges(state):
+            reach = {ed.dst} if ed.label == label else set()
+            for b in word[i + 1:i + 1 + a]:
+                reach = {x.dst for z in reach for x in g.out_edges(z)
+                         if x.label == b}
+            if reach:
+                cands.append(ed)
+        if not cands:
+            return out, i
+        edge = min(cands, key=lambda ed: min(e.tags.get(ed) or [(2, 0)]))
+        tags = e.tags.get(edge)
+        if not tags:
+            return out, i
+        if table is not None:
+            tags = [b for b, ed in table[state].items() if ed == edge]
+        out.append((min(tags), len(cands) > 1))
+        state = edge.dst
+    return out, None

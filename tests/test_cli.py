@@ -445,6 +445,24 @@ def test_cli_decode_untagged_edge(capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_encode_malformed_block(tmp_path, capsys, monkeypatch):
+    # the parity policies set the first bit of a block, never of a
+    # string that is not one
+    enc = tmp_path / "enc.cg"
+    assert main(["synth", fixture("quad.cg"), "--method", "det",
+                 "--n0", "2", "--n1", "2", "-o", str(enc)]) == 0
+    start = parse_encoder_file(enc.read_text()).graph.states[0]
+    for policy in ("as-tagged", "fixed-parity", "rds-min"):
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", stdio.StringIO("00 x1"))
+        assert main(["encode", str(enc), "--start", start,
+                     "--policy", policy]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 @st.composite
 def cli_cases(draw):
     """(graph text, encoder text, argv, stdin) over every subcommand.

@@ -16,6 +16,7 @@ from bimodal import (
     UnknownTag,
     anticipation,
     check_encoder,
+    cover_consistent_partition,
     decode_sliding,
     decode_stream,
     definiteness,
@@ -508,6 +509,144 @@ def test_decode_sliding_matches_path_enumeration():
             for a in range(3):
                 want = oracle_sliding(e, word, m, a, blocks_of)
                 assert decode_sliding(e, word, m, a, p=2) == want
+
+
+def _decode_outcome(e, word, start, p=None):
+    """decode_stream as reference_decode reports it."""
+    try:
+        return [tuple(d) for d in decode_stream(e, word, start, p=p)], None
+    except NotDecodable as exc:
+        return None, exc.position
+
+
+def _check_against_reference(e, word, start, a, p=None):
+    want, stop = helpers.reference_decode(e, word, start, a, p)
+    got, got_stop = _decode_outcome(e, word, start, p)
+    assert got_stop == stop, (e.graph.edges, e.tags, word, start)
+    assert stop is not None or got == want, (e.graph.edges, e.tags, word)
+    return want, stop
+
+
+def test_decode_stream_matches_reference_decoder():
+    rng = np.random.default_rng(83)
+    seen = set()
+    cases = [(_random_tagged(rng, strict=bool(i % 2)), None)
+             for i in range(300)]
+    cases += [(_chain_encoder(), None)]
+    cube = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    cases += [(cube, None), (cube, 2)]
+    for e, p in cases:
+        a = anticipation(e)
+        if isinstance(a, Infinite):
+            continue
+        g = e.graph
+        n = 2 * a.value + 12
+        alphabet = sorted(g.parity.alphabet)
+        for start in g.states[:4]:
+            # an encoder walk, then one symbol replaced; each cut short
+            # too, inside the last lookahead window and before it
+            clean, state = [], start
+            for _ in range(n):
+                out = ([ed for ed in g.out_edges(state) if ed in e.tags]
+                       or g.out_edges(state))
+                ed = out[rng.integers(len(out))]
+                clean.append(ed.label)
+                state = ed.dst
+            dirty = list(clean)
+            dirty[rng.integers(n)] = alphabet[rng.integers(len(alphabet))]
+            cuts = {n, n - 1, n - a.value, n - a.value // 2,
+                    int(rng.integers(1, n + 1))}
+            for word in (clean, dirty):
+                for cut in sorted(cuts):
+                    want, stop = _check_against_reference(
+                        e, word[:cut], start, a.value, p)
+                    seen.add(("a=%d" % min(a.value, 2), "strict"
+                              if g.parity.class0.isdisjoint(g.parity.class1)
+                              else "overlapping"))
+                    seen.add("stop" if stop is not None else "decoded")
+                    if any(flag for _, flag in want):
+                        seen.add("provisional")
+    assert seen >= {(a, c) for a in ("a=0", "a=1", "a=2")
+                    for c in ("strict", "overlapping")}
+    assert {"stop", "decoded", "provisional"} <= seen
+
+
+def test_codec_tables_do_not_grow():
+    # everything a codec call keeps on the encoder is indexed by the
+    # graph, so a long stream leaves it the size a one-symbol call does
+    def held(e):
+        def size(v):
+            return (sum(1 + size(x) for x in v.values())
+                    if isinstance(v, dict) else 0)
+        return {k: size(v) for k, v in vars(e).items()}
+
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    assert set(vars(e)) == {"graph", "tags", "n0", "n1"}
+    start = e.graph.states[0]
+    rng = random.Random(5)
+    sizes = []
+    for n in (1, 4096):
+        blocks = ["".join(rng.choice("01") for _ in range(2))
+                  for _ in range(n)]
+        for policy in ("as-tagged", "fixed-parity", "rds-min"):
+            word, _, _ = encode_stream(e, blocks, start, policy=policy)
+            decode_stream(e, word, start, p=2)
+            decode_sliding(e, word, 0, 1, p=2)
+        decode_stream(e, word, start)
+        sizes.append(held(e))
+    assert sizes[0] == sizes[1]
+    assert len(sizes[0]) > 4
+
+
+def test_codec_tables_follow_the_tags_not_the_width():
+    # two tags at the last slots make 16-bit blocks; what the codec
+    # keeps is sized by the two tags, not by the 2^16 blocks
+    slot = 2 ** 15 - 1
+    g = validate_graph(["s"], [("s", "a", "s"), ("s", "b", "s")], "a", "b")
+    e = TaggedEncoder(g, {g.edges[0]: ((0, slot),),
+                          g.edges[1]: ((1, slot),)}, 2 ** 15, 2 ** 15)
+    blocks = [format(2 * slot + (15 + cls) % 2, "016b") for cls in (0, 1)]
+    for policy in ("as-tagged", "rds-min"):
+        word, _, _ = encode_stream(e, blocks, "s", policy=policy)
+        assert word == ["a", "b"]
+    with pytest.raises(UnknownTag):
+        encode_stream(e, blocks, "s", policy="fixed-parity")
+    decoded = decode_stream(e, ["a", "b", "a"], "s", p=16)
+    assert [d.tag for d in decoded] == blocks + blocks[:1]
+    assert decode_sliding(e, ["b", "a"], 0, 0, p=16) == blocks[::-1]
+    assert max(len(v) for v in vars(e).values() if isinstance(v, dict)) <= 4
+
+
+def test_every_policy_refuses_malformed_blocks():
+    e = extract_deterministic(helpers.quad(), (1, 1), 2, 2)
+    s = e.graph.states[0]
+    for policy in ("as-tagged", "fixed-parity", "rds-min"):
+        for bad in (["x1"], ["21"], ["00", "2"], ["00", "011"], ["00", ""],
+                    ["00", (0, 0)], ["10", " 1"]):
+            with pytest.raises(UnknownTag):
+                encode_stream(e, bad, s, policy=policy)
+        with pytest.raises(UnknownTag):
+            encode_stream(e, ["1"], s, policy=policy, p=2)
+
+
+def test_decode_sliding_reads_decode_stream_tags():
+    # an edge carrying a tag of each class decodes to its least block,
+    # as in decode_stream
+    g = helpers.load("overlap.cg")
+    e = stether(g, (1,), 2, 2, partitions=cover_consistent_partition(
+        g, (1,), 2, 2))
+    start = e.graph.states[0]
+    word, _, _ = encode_stream(e, ["00", "01", "11", "10"], start)
+    for p in (None, 2):
+        want = [d.tag for d in decode_stream(e, word, start, p=p)]
+        assert decode_sliding(e, word, 0, 0, p=p) == want
+    assert want == ["00", "00", "11", "10"]
+    # an untagged edge among the candidates leaves the position open
+    g = validate_graph("st", [("s", "x", "s"), ("s", "x", "t"),
+                              ("t", "y", "s")], "x", "y")
+    e = TaggedEncoder(g, {g.edges[0]: ((0, 0),)}, 1, 1)
+    for p in (None, 1):
+        assert decode_sliding(e, ["x", "x", "y"], 0, 0, p=p) == [None] * 3
 
 
 def test_sliding_block_decodable_matches_path_enumeration():
