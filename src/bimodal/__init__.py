@@ -38,18 +38,14 @@ from .spectra import (
 )
 from .synth import (
     InfeasibleVector,
-    InsufficientWeight,
     SplitInfeasible,
     TaggedEncoder,
     TooManyCopies,
-    build_delta,
-    cover_consistent_partition,
     extract_deterministic,
     merge_split_pair,
     split_one_round,
     split_state,
     stether,
-    stether_partition,
     stether_punctured,
 )
 from .verify import (

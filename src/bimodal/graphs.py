@@ -509,8 +509,7 @@ def irreducible_components(g):
 
 def period(g):
     """gcd of cycle lengths; the graph must be irreducible with edges."""
-    comps = irreducible_components(g)
-    if len(comps) != 1 or not g.edges:
+    if len(_scc(g.states, _successors(g))) != 1 or not g.edges:
         raise NotIrreducible("period is defined for irreducible graphs")
     # a single trivial component with no self-loop has no cycles at all
     level = {g.states[0]: 0}

@@ -2,9 +2,10 @@
 
 Four routes are provided: direct extraction from a 0-1 vector, one
 round of weight-consistent state splitting per parity class followed by
-a merge of the two split graphs, stethering (tag-slot offsets computed
-from running positions in the per-state candidate lists), and punctured
-stethering which builds one degree higher and deletes the top tag slot.
+a merge of the two split graphs, stethering (each state's candidate
+lists cut into one block per copy, the two classes agreeing on shared
+symbols), and punctured stethering which builds one degree higher and
+deletes the top tag slot.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class InfeasibleVector(BimodalError):
 
 
 class SplitInfeasible(BimodalError):
-    pass
-
-
-class InsufficientWeight(BimodalError):
     pass
 
 
@@ -231,7 +228,8 @@ def split_one_round(g_b, x, n_b):
     Each state u becomes x_u copies u@0..; its out-edges are divided
     into x_u groups whose target weights each sum to at least n_b, every
     edge into u is replicated to all copies, and each copy keeps exactly
-    n_b out-edges (surplus dropped in canonical order).  Raises
+    n_b out-edges: the first n_b by (label, target copy name), a string
+    order, not the declaration order of the targets.  Raises
     SplitInfeasible when some state admits no such division, after
     exhaustive search.
     """
@@ -277,8 +275,10 @@ def merge_split_pair(e0, e1, x, matching=None):
     weight vector; ``matching`` optionally renames the copies of the
     class-1 graph, as a dict parent -> permutation tuple (copy i of the
     class-1 graph becomes copy matching[parent][i]).  Edges of e0 are
-    tagged class 0, edges of e1 class 1, slots in canonical order per
-    state; identical triples arising on both sides carry both tags.
+    tagged class 0, edges of e1 class 1, slots in (label, target copy
+    name) order per state, a string order, not the declaration order of
+    the targets; identical triples arising on both sides carry both
+    tags.
     """
     matching = matching or {}
 
@@ -316,71 +316,60 @@ def merge_split_pair(e0, e1, x, matching=None):
     return _assemble(states, parity, tagged, n0, n1)
 
 
-def build_delta(g, x, u, b):
-    """Candidate list for state u and class b, as (u, b, elements) with
-    elements (symbol, target copy) pairs.
-
-    Symbols of class b leaving u in sorted order, each expanded to one
-    element per copy of its target; g must be deterministic so the
-    symbol determines the target.
-    """
-    if not g.deterministic:
-        raise NotDeterministic("candidate lists need a deterministic graph")
-    w = dict(zip(g.states, (int(v) for v in x)))
-    cls = g.parity.class0 if b == 0 else g.parity.class1
-    elements = []
-    for e in sorted(g.out_edges(u), key=lambda e: e.label):
-        if e.label in cls:
-            for j in range(w[e.dst]):
-                elements.append((e.label, j))
-    return u, b, tuple(elements)
+def _blocks(cands, x_u, n, home):
+    """x_u blocks of n candidates: an element ``home`` names goes to
+    that block, ahead of the rest, which fill the blocks in order;
+    surplus dropped."""
+    groups = [[] for _ in range(x_u)]
+    free = []
+    for el in cands:
+        i = home.get(el)
+        (free if i is None else groups[i]).append(el)
+    pos = 0
+    for grp in groups:
+        k = n - len(grp)
+        grp += free[pos:pos + k]
+        pos += k
+    return groups
 
 
-def stether_partition(delta, x_u, n_b):
-    """Divide a candidate list into x_u consecutive blocks of size n_b.
-
-    Copy i of the state receives elements [i*n_b, (i+1)*n_b); surplus
-    elements past x_u * n_b are discarded.  Returns the tuple of blocks.
-    """
-    u, b, elements = delta
-    if len(elements) < n_b * x_u:
-        raise InsufficientWeight(
-            "state %r class %d has %d candidates, needs %d" %
-            (u, b, len(elements), n_b * x_u))
-    return tuple(elements[i * n_b:(i + 1) * n_b] for i in range(x_u))
-
-
-def stether(g, x, n0, n1, partitions=None):
+def stether(g, x, n0, n1):
     """Encoder with x_u copies per state, driven by candidate blocks.
 
-    Copy i of u gets, for each class b, the i-th block of the class-b
-    candidate list; element (a, j) becomes an edge to copy j of the
-    symbol's target, tagged (b, position in block).  Custom
-    ``partitions`` (a dict (state, class) -> blocks) override the
-    consecutive-block default; with an overlapping cover they must agree
-    on shared symbols for the result to keep one edge per element.
+    The class-b candidates of u are its class-b symbols in sorted order,
+    each expanded to one element (a, j) per copy j of the symbol's
+    target.  The class with the smaller degree (class 0 on a tie) is cut
+    into consecutive blocks of n_b, and copy i of u takes block i; the
+    other class pins each shared element to the block the first gave
+    it, then fills its blocks from its remaining candidates in order.
+    Element (a, j) in block i becomes an edge from copy i to copy j of
+    the symbol's target, tagged (b, position in block), so a shared
+    symbol is one edge carrying a tag of each class.
     """
     if not g.deterministic:
         raise NotDeterministic("stethering needs a deterministic graph")
     xv = _check_ae(g, x, n0, n1)
     w = dict(zip(g.states, xv))
     g = _drop_zero_weight(g, xv)
-    xv = [w[u] for u in g.states]
-    states = ["%s%s%d" % (u, STATE_SEP, i)
-              for u in g.states for i in range(w[u])]
+    copies = {u: ["%s%s%d" % (u, STATE_SEP, i) for i in range(w[u])]
+              for u in g.states}
+    n = (n0, n1)
+    lo, hi = (0, 1) if n0 <= n1 else (1, 0)
+    classes = (g.parity.class0, g.parity.class1)
     tagged = []
     for u in g.states:
-        for b, n in ((0, n0), (1, n1)):
-            part = (partitions or {}).get((u, b))
-            if part is None:
-                part = stether_partition(build_delta(g, xv, u, b), w[u], n)
-            for i, grp in enumerate(part):
-                for slot, (a, j) in enumerate(grp):
-                    e = Edge("%s%s%d" % (u, STATE_SEP, i), a,
-                             "%s%s%d" % (g.by_label[u][a][0].dst,
-                                         STATE_SEP, j))
-                    tagged.append((e, (b, slot)))
-    return _assemble(states, g.parity, tagged, n0, n1)
+        out = sorted(g.out_edges(u), key=lambda e: e.label)
+        cands = [[(e, j) for e in out if e.label in cls
+                  for j in range(w[e.dst])] for cls in classes]
+        blocks = {lo: _blocks(cands[lo], w[u], n[lo], {})}
+        home = {el: i for i, grp in enumerate(blocks[lo]) for el in grp}
+        blocks[hi] = _blocks(cands[hi], w[u], n[hi], home)
+        for b in (0, 1):
+            for src, grp in zip(copies[u], blocks[b]):
+                tagged += [(Edge(src, e.label, copies[e.dst][j]), (b, slot))
+                           for slot, (e, j) in enumerate(grp)]
+    return _assemble([s for u in g.states for s in copies[u]], g.parity,
+                     tagged, n0, n1)
 
 
 def stether_punctured(g, x_plus, n0, n1):
@@ -388,51 +377,12 @@ def stether_punctured(g, x_plus, n0, n1):
 
     x_plus must be a joint approximate eigenvector at (n0+1, n1+1); the
     deleted slots remove one out-edge per class per state, leaving a
-    (n0, n1) encoder whose anticipation obeys the stethering bound at
-    the smaller degrees.
+    (n0, n1) encoder.  On a strict cover its anticipation obeys the
+    stethering bound at the smaller degrees; on an overlapping cover it
+    may be infinite.
     """
     wide = stether(g, x_plus, n0 + 1, n1 + 1)
     tagged = [(e, t) for e in wide.graph.edges for t in wide.tags[e]
               if t not in ((0, n0), (1, n1))]
     return _assemble(wide.graph.states, wide.graph.parity, tagged, n0, n1)
 
-
-def cover_consistent_partition(g, x, n0, n1):
-    """Block divisions agreeing on shared symbols, for overlapping covers.
-
-    The class with the smaller degree is divided into consecutive blocks
-    first; every shared element is then pinned to the same block index
-    on the other class, whose blocks are filled up to size from the
-    untaken elements in order.  Returns a dict (state, class) -> blocks.
-    """
-    if not g.deterministic:
-        raise NotDeterministic("partitioning needs a deterministic graph")
-    xv = _check_ae(g, x, n0, n1)
-    w = dict(zip(g.states, xv))
-    lo, hi = (0, 1) if n0 <= n1 else (1, 0)
-    n_lo, n_hi = (n0, n1) if n0 <= n1 else (n1, n0)
-    out = {}
-    for u in g.states:
-        if w[u] == 0:
-            continue
-        p_lo = out[(u, lo)] = stether_partition(
-            build_delta(g, xv, u, lo), w[u], n_lo)
-        _, _, d_hi = build_delta(g, xv, u, hi)
-        hi_set = set(d_hi)
-        groups = []
-        pinned = set()
-        for grp in p_lo:
-            forced = [el for el in grp if el in hi_set]
-            groups.append(list(forced))
-            pinned.update(forced)
-        free = [el for el in d_hi if el not in pinned]
-        pos = 0
-        for grp in groups:
-            while len(grp) < n_hi:
-                if pos >= len(free):
-                    raise InsufficientWeight(
-                        "state %r cannot fill class-%d blocks" % (u, hi))
-                grp.append(free[pos])
-                pos += 1
-        out[(u, hi)] = tuple(tuple(grp) for grp in groups)
-    return out

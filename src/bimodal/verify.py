@@ -391,6 +391,8 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
     tags = list(tags)
     g = e.graph
     _check_start(g, start)
+    if policy not in _SENDS:
+        raise ValueError("unknown policy %r" % policy)
     block_mode = not tags or isinstance(tags[0], str)
     if block_mode:
         if p is None and tags:
@@ -401,8 +403,6 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
         raise ValueError("raw (class, slot) tags require as-tagged policy")
     if not tags:
         return [], start, [0]
-    if policy not in _SENDS:
-        raise ValueError("unknown policy %r" % policy)
     sends = _sends(e, p if block_mode else None, policy)
     by_tag = e.by_tag
     class0 = g.parity.class0

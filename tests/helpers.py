@@ -10,6 +10,8 @@ import pytest
 from bimodal import (
     Edge,
     LabeledGraph,
+    NotDeterministic,
+    TaggedEncoder,
     UnknownTag,
     adjacency_pair,
     encode_stream,
@@ -18,6 +20,7 @@ from bimodal import (
 )
 from bimodal.construct import rll_graph
 from bimodal.io import parse_graph_file
+from bimodal.synth import _check_ae
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -169,6 +172,101 @@ def random_graph(rng, max_states=4, strict=True, max_out=3):
             edges.add((s, alphabet[rng.integers(len(alphabet))],
                        states[rng.integers(n)]))
     return validate_graph(states, sorted(edges), p0, p1)
+
+
+def random_det_graph(rng, max_states=3, strict=True):
+    """Small random deterministic graph: each state reads a random
+    nonempty set of distinct symbols; ``strict`` picks a strict cover,
+    else one symbol is shared by both classes."""
+    n = rng.integers(1, max_states + 1)
+    states = ["n%d" % i for i in range(n)]
+    syms = list("abcdef")
+    k0 = rng.integers(1, 4)
+    k1 = rng.integers(1, 3)
+    p0 = syms[:k0]
+    p1 = syms[k0:k0 + k1] if strict else syms[k0 - 1:k0 + k1]
+    alphabet = sorted(set(p0) | set(p1))
+    edges = []
+    for s in states:
+        for a in rng.permutation(alphabet)[:rng.integers(1, len(alphabet) + 1)]:
+            edges.append((s, str(a), states[rng.integers(n)]))
+    return validate_graph(states, edges, p0, p1)
+
+
+def _candidates(g, w, u, b):
+    """Class-b symbols leaving u in sorted order, each expanded to one
+    (symbol, target copy) element per copy of its target."""
+    cls = g.parity.class0 if b == 0 else g.parity.class1
+    return tuple((e.label, j)
+                 for e in sorted(g.out_edges(u), key=lambda e: e.label)
+                 if e.label in cls for j in range(w[e.dst]))
+
+
+def _consecutive(elements, x_u, n_b):
+    """x_u consecutive blocks of n_b elements, surplus dropped."""
+    return tuple(elements[i * n_b:(i + 1) * n_b] for i in range(x_u))
+
+
+def _cover_consistent(g, w, u, n0, n1):
+    """Both classes' blocks at u: the smaller-degree class cut into
+    consecutive blocks, then each shared element pinned to the same
+    block of the other class, whose blocks fill up from its untaken
+    elements in order."""
+    lo, hi = (0, 1) if n0 <= n1 else (1, 0)
+    n_hi = max(n0, n1)
+    p_lo = _consecutive(_candidates(g, w, u, lo), w[u], min(n0, n1))
+    d_hi = _candidates(g, w, u, hi)
+    groups = [[el for el in grp if el in d_hi] for grp in p_lo]
+    pinned = {el for grp in groups for el in grp}
+    free = iter([el for el in d_hi if el not in pinned])
+    for grp in groups:
+        while len(grp) < n_hi:
+            grp.append(next(free))
+    return {lo: p_lo, hi: tuple(tuple(grp) for grp in groups)}
+
+
+def reference_stether(g, x, n0, n1, consistent=True):
+    """Stethering by its two historical block rules: each class cut into
+    consecutive blocks on its own, or (``consistent``) the cover-
+    consistent division; copy i of u takes block i, element (a, j)
+    becomes an edge to copy j of a's target, tagged (class, position in
+    block), emitted class 0 then class 1 at each state.  Zero-weight
+    states are left out."""
+    if not g.deterministic:
+        raise NotDeterministic("stethering needs a deterministic graph")
+    w = dict(zip(g.states, _check_ae(g, x, n0, n1)))
+    states = [u for u in g.states if w[u]]
+    tags = {}
+    for u in states:
+        succ = {e.label: e.dst for e in g.out_edges(u)}
+        if consistent:
+            parts = _cover_consistent(g, w, u, n0, n1)
+        else:
+            parts = {b: _consecutive(_candidates(g, w, u, b), w[u], n)
+                     for b, n in ((0, n0), (1, n1))}
+        for b in (0, 1):
+            for i, grp in enumerate(parts[b]):
+                for slot, (a, j) in enumerate(grp):
+                    e = Edge("%s@%d" % (u, i), a, "%s@%d" % (succ[a], j))
+                    tags.setdefault(e, []).append((b, slot))
+    graph = LabeledGraph(["%s@%d" % (u, i) for u in states
+                          for i in range(w[u])], list(tags), g.parity)
+    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
+                         n0, n1)
+
+
+def reference_punctured(g, x_plus, n0, n1, consistent=True):
+    """reference_stether at (n0 + 1, n1 + 1) with the top slot of each
+    class deleted."""
+    wide = reference_stether(g, x_plus, n0 + 1, n1 + 1, consistent)
+    tags = {}
+    for e in wide.graph.edges:
+        for t in wide.tags[e]:
+            if t not in ((0, n0), (1, n1)):
+                tags.setdefault(e, []).append(t)
+    graph = LabeledGraph(wide.graph.states, list(tags), g.parity)
+    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
+                         n0, n1)
 
 
 def random_matrix(rng, max_n=4, max_entry=3):

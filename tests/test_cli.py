@@ -150,6 +150,22 @@ def test_cli_synth_methods_reverify(tmp_path, method, capsys):
         assert "lossless:    yes" in out
 
 
+def test_cli_punctured_overlapping_cover_lossless(tmp_path, capsys):
+    # symbol a is in both classes; both classes put each copy of a in the
+    # same block, so the punctured encoder stays lossless
+    (tmp_path / "ov.cg").write_text(
+        "states: s0 s1\nparity0: a b\nparity1: a c d\n"
+        "edge: s0 a s0\nedge: s0 c s1\nedge: s0 d s1\nedge: s1 a s0\n")
+    graph, enc = str(tmp_path / "ov.cg"), str(tmp_path / "e.cg")
+    degrees = ["-t", "2", "--n0", "1", "--n1", "3"]
+    assert main(["synth", graph, "--method", "punctured", "-o", enc]
+                + degrees) == 0
+    assert main(["verify", enc, "--against", graph] + degrees) == 0
+    out = capsys.readouterr().out
+    assert "lossless:    yes" in out
+    assert "anticipation: 1" in out
+
+
 def test_cli_synth_infeasible(capsys):
     assert main(["synth", fixture("twostate.cg"), "-t", "2",
                  "--method", "det", "--n0", "2", "--n1", "2"]) == 1

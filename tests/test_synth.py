@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,16 +7,15 @@ import pytest
 import helpers
 from bimodal import (
     ArityMismatch,
+    BimodalError,
     Edge,
     InfeasibleVector,
-    InsufficientWeight,
     LabeledGraph,
+    NotFoundWithin,
     SplitInfeasible,
     TooManyCopies,
     adjacency,
     adjacency_pair,
-    build_delta,
-    cover_consistent_partition,
     encode_stream,
     extract_deterministic,
     franaszek_joint,
@@ -28,7 +28,6 @@ from bimodal import (
     split_one_round,
     split_state,
     stether,
-    stether_partition,
     stether_punctured,
 )
 from bimodal.construct import rll_graph
@@ -197,30 +196,45 @@ def test_merged_rll_pipeline_structure():
     assert len(e.graph.states) == int(x.sum())
 
 
-def test_build_delta_ordering():
-    g = power(helpers.two_state(), 3)
-    u, b, elements = build_delta(g, (2, 1), "alpha", 1)
-    assert (u, b) == ("alpha", 1)
-    syms = [a for a, _ in elements]
-    assert syms == sorted(syms)
-    w = {"alpha": 2, "beta": 1}
+def _alpha_class1(g, w):
+    """alpha's class-1 candidates of power(two_state(), 3) under w: its
+    class-1 words in sorted order, one (word, copy) per target copy."""
     succ = {e.label: e.dst for e in g.out_edges("alpha")}
-    for a, j in elements:
-        assert j < w[succ[a]]
-    # one element per copy of the target
-    a0, a1, _ = adjacency_pair(g)
-    assert len(elements) == int(a1[0] @ np.array([2, 1]))
+    return [(a, j) for a in sorted(succ) if a in g.parity.class1
+            for j in range(w[succ[a]])]
 
 
-def test_stether_partition_blocks_and_surplus():
+def _blocks_read(e, u, b, x_u):
+    """(label, target copy) of the class-b edges of copies u@0.., copy by
+    copy in slot order."""
+    return [[(ed.label, split_state(ed.dst)[1])
+             for ed in e.class_edges("%s@%d" % (u, i), b)]
+            for i in range(x_u)]
+
+
+def test_stether_candidates_label_sorted():
     g = power(helpers.two_state(), 3)
-    d = build_delta(g, (2, 1), "alpha", 1)
-    elements = d[2]
-    p = stether_partition(d, 2, 3)
-    assert len(p) == 2 and all(len(grp) == 3 for grp in p)
-    assert p[0] + p[1] == elements[:6]
-    with pytest.raises(InsufficientWeight, match="'alpha' class 1"):
-        stether_partition(d, 2, len(elements))
+    e = stether(g, (2, 1), 3, 3)
+    w = {"alpha": 2, "beta": 1}
+    succ = {ed.label: ed.dst for ed in g.out_edges("alpha")}
+    read = [el for grp in _blocks_read(e, "alpha", 1, 2) for el in grp]
+    assert read == sorted(read)
+    for a, j in read:
+        assert j < w[succ[a]]
+    # one candidate per copy of the target
+    a0, a1, _ = adjacency_pair(g)
+    assert len(_alpha_class1(g, w)) == int(a1[0] @ np.array([2, 1]))
+
+
+def test_stether_blocks_consecutive_surplus_dropped():
+    g = power(helpers.two_state(), 3)
+    e = stether(g, (2, 1), 3, 3)
+    cands = _alpha_class1(g, {"alpha": 2, "beta": 1})
+    assert len(cands) > 6
+    assert _blocks_read(e, "alpha", 1, 2) == [cands[:3], cands[3:6]]
+    # too few candidates for the blocks: the vector check refuses first
+    with pytest.raises(InfeasibleVector, match="class-1"):
+        stether(g, (2, 1), 3, len(cands))
 
 
 def test_stether_structure():
@@ -257,17 +271,70 @@ def test_stether_punctured_degrees():
     assert len(e.graph.edges) < len(wide.graph.edges)
 
 
-def test_cover_consistent_partition_overlap():
+def test_stether_overlap_shared_edge_carries_both_tags():
     g = helpers.load("overlap.cg")
-    parts = cover_consistent_partition(g, (1,), 2, 2)
-    p0 = parts[("u", 0)]
-    p1 = parts[("u", 1)]
-    assert p0 == ((("p", 0), ("q", 0)),)
-    assert p1 == ((("p", 0), ("r", 0)),)
-    e = stether(g, (1,), 2, 2, partitions=parts)
+    e = stether(g, (1,), 2, 2)
+    assert _blocks_read(e, "u", 0, 1) == [[("p", 0), ("q", 0)]]
+    assert _blocks_read(e, "u", 1, 1) == [[("p", 0), ("r", 0)]]
     # the shared symbol yields a single edge carrying both tags
     assert len(e.graph.edges) == 3
     assert set(e.tags[Edge("u@0", "p", "u@0")]) == {(0, 0), (1, 0)}
+
+
+def test_stether_overlap_pins_shared_copies():
+    # class 0 (degree 1) gives p's copy j to u@j; class 1 keeps p there
+    # and fills with r, so no copy reads p twice
+    e = stether(helpers.load("overlap.cg"), (2,), 1, 2)
+    assert len(e.graph.edges) == 4
+    assert _blocks_read(e, "u", 1, 2) == [[("p", 0), ("r", 0)],
+                                          [("p", 1), ("r", 1)]]
+    assert e.out_degrees_ok()
+
+
+def _outcome(build, *args):
+    """What a construction gives: the encoder's graph, tags in order and
+    degrees, or its refusal's type and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            e = build(*args)
+        except BimodalError as exc:
+            return type(exc), str(exc)
+    return e.graph, list(e.tags.items()), e.n0, e.n1
+
+
+def test_stether_matches_reference():
+    # the cover-consistent division, rebuilt from its description, on
+    # strict covers (where it is each class's consecutive cut) and on
+    # overlapping ones, where the two rules can differ
+    rng = np.random.default_rng(14)
+    seen = set()
+    for i in range(600):
+        strict = bool(i % 2)
+        if i % 8 < 2:
+            g = helpers.random_graph(rng, max_states=3, strict=strict)
+        else:
+            g = helpers.random_det_graph(rng, strict=strict)
+        g = g if i % 3 else power(g, 2)
+        a0, a1, _ = adjacency_pair(g)
+        n0, n1 = (int(v) for v in rng.integers(1, 4, size=2))
+        for up, build, ref in ((0, stether, helpers.reference_stether),
+                               (1, stether_punctured,
+                                helpers.reference_punctured)):
+            try:
+                _, x = min_infnorm_ae(a0, a1, n0 + up, n1 + up, xi_cap=6)
+                x = x.entries
+            except NotFoundWithin:
+                x = rng.integers(0, 3, size=len(g.states))
+            got = _outcome(build, g, x, n0, n1)
+            assert got == _outcome(ref, g, x, n0, n1), (g.edges, x, n0, n1)
+            plain = _outcome(ref, g, x, n0, n1, False)
+            if strict:
+                assert got == plain
+            seen.add((strict, isinstance(got[0], type), got == plain))
+    assert seen == {(True, False, True), (True, True, True),
+                    (False, False, True), (False, False, False),
+                    (False, True, True)}
 
 
 def test_assign_block_tags():
@@ -318,9 +385,11 @@ def test_determinism_scanned_once_per_graph(monkeypatch):
         return out_edges(self, s)
 
     monkeypatch.setattr(LabeledGraph, "out_edges", counted)
-    for u in g.states:
-        for b in (0, 1):
-            build_delta(g, (1, 1), u, b)
-    # the determinism scan reads each state once for the graph, and
-    # each candidate list reads its own state
-    assert len(reads) == 3 * len(g.states)
+    counts = []
+    for _ in range(2):
+        reads.clear()
+        stether(g, (1, 1), 1, 1)
+        counts.append(len(reads))
+    # the determinism scan reads each state once for the graph, and the
+    # candidate lists read each state once per call
+    assert counts == [2 * len(g.states), len(g.states)]

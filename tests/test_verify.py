@@ -16,7 +16,6 @@ from bimodal import (
     UnknownTag,
     anticipation,
     check_encoder,
-    cover_consistent_partition,
     decode_sliding,
     decode_stream,
     definiteness,
@@ -366,6 +365,14 @@ def test_encode_stream_edge_cases():
         encode_stream(e, [(0, 0)], e.graph.states[0], policy="rds-min")
 
 
+def test_encode_stream_unknown_policy_refused_on_empty_input():
+    e, p = next(_round_trip_fixtures())
+    s = e.graph.states[0]
+    for tags in ([], ["0" * p], [(0, 0)]):
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            encode_stream(e, tags, s, policy="bogus")
+
+
 def test_decode_stream_errors_and_tail():
     e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
     start = e.graph.states[0]
@@ -633,8 +640,7 @@ def test_decode_sliding_reads_decode_stream_tags():
     # an edge carrying a tag of each class decodes to its least block,
     # as in decode_stream
     g = helpers.load("overlap.cg")
-    e = stether(g, (1,), 2, 2, partitions=cover_consistent_partition(
-        g, (1,), 2, 2))
+    e = stether(g, (1,), 2, 2)
     start = e.graph.states[0]
     word, _, _ = encode_stream(e, ["00", "01", "11", "10"], start)
     for p in (None, 2):
