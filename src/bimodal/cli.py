@@ -120,8 +120,8 @@ def cmd_synth(args):
 
 def cmd_verify(args):
     enc = _load_encoder(args.encoder)
-    g = _maybe_power(_load_graph(args.against), args.t)
-    report = verify.check_encoder(enc, g, args.n0, args.n1)
+    g = _load_graph(args.against)
+    report = verify.check_encoder(enc, g, args.n0, args.n1, args.t)
     print(report)
     if not report.ok:
         raise BimodalError("verification failed")

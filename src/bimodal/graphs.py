@@ -534,13 +534,30 @@ class PairGraph:
     where edges or labels matter, and ``parted`` the distinct ones
     leaving each diagonal pair.  ``ext`` gives, per pair, the longest
     synchronized walk length leaving it (see _longest).
+
+    The successors come from label masks, with no edge pair listed:
+    each label is a bit, ``to[p][x]`` ORs the bits of the labels on the
+    edges from p to x, and (x, y) follows (p, q) iff to[p][x] and
+    to[q][y] share a bit.  A target x of p whose labels miss every label
+    of q is skipped before any y is tried.
     """
 
     def __init__(self, g):
         self.g = g
         self.nodes = [(p, q) for p in g.states for q in g.states]
-        self.succ = {n: {(e1.dst, e2.dst) for (_, e1, e2) in self.steps(n)}
-                     for n in self.nodes}
+        bit = {a: 1 << i for i, a in
+               enumerate(dict.fromkeys(e.label for e in g.edges))}
+        to = {s: {} for s in g.states}
+        labels = dict.fromkeys(g.states, 0)
+        for e in g.edges:
+            b = bit[e.label]
+            row = to[e.src]
+            row[e.dst] = row.get(e.dst, 0) | b
+            labels[e.src] |= b
+        to = {s: list(row.items()) for s, row in to.items()}
+        self.succ = {(p, q): {(x, y) for x, mx in to[p] if mx & labels[q]
+                              for y, my in to[q] if mx & my}
+                     for (p, q) in self.nodes}
         self._ext = None
 
     def steps(self, node):

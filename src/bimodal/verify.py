@@ -10,6 +10,7 @@ equality for edge equality.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graphs import (
+    WORD_SEP,
     BimodalError,
     Finite,
     Infinite,
@@ -209,13 +211,41 @@ def sliding_block_decodable(e, m, a):
         for (_, e1, e2) in pg.steps(pair))
 
 
-def presents_subset(e, g):
-    """Every word generated by e is generated somewhere in g.
+def _symbols(label, t, k):
+    """The t symbols of k dotted parts each that ``label`` reads as a
+    word of power(g, t), for g whose symbols all have k parts; none when
+    it has other than t·k parts, as such a label is no word there.  At
+    t=1 the label is the symbol."""
+    if t == 1:
+        return (label,)
+    parts = label.split(WORD_SEP)
+    if len(parts) != t * k:
+        return ()
+    if k == 1:
+        return parts
+    return [WORD_SEP.join(parts[i:i + k]) for i in range(0, t * k, k)]
+
+
+def presents_subset(e, g, t=1):
+    """Every word generated by e is generated somewhere in power(g, t).
 
     Tracks, per encoder state reached, the set of g-states still able to
-    read the word, so g may be nondeterministic.
+    read the word, so g may be nondeterministic.  No word graph is
+    built: the edges of power(g, t) are the t-step paths of g, so an
+    encoder label is read as t symbols of g (see _symbols), stepped one
+    at a time through g.  g's symbols must all split into the same
+    number of dotted parts, as validate_graph and power make them.  Each
+    distinct (state set, label) and (state set, symbol) step is computed
+    once per call.
     """
+    if t < 1:
+        raise ValueError("power exponent must be >= 1")
     eg = _graph_of(e)
+    k = g.edges[0].label.count(WORD_SEP) + 1 if g.edges else 1
+    reads = {a: _symbols(a, t, k)
+             for a in dict.fromkeys(ed.label for ed in eg.edges)}
+    # (state set, label) -> state set, and symbol -> state set -> state set
+    words, steps = {}, collections.defaultdict(dict)
     full = frozenset(g.states)
     seen = set()
     queue = []
@@ -226,7 +256,20 @@ def presents_subset(e, g):
     while queue:
         v, u = queue.pop()
         for ed in eg.out_edges(v):
-            u2 = _step(g, u, ed.label)
+            key = (u, ed.label)
+            u2 = words.get(key)
+            if u2 is None:
+                symbols = reads[ed.label]
+                u2 = u if symbols else frozenset()
+                for a in symbols:
+                    row = steps[a]
+                    nxt = row.get(u2)
+                    if nxt is None:
+                        nxt = row[u2] = _step(g, u2, a)
+                    u2 = nxt
+                    if not u2:
+                        break
+                words[key] = u2
             if not u2:
                 return False
             node = (ed.dst, u2)
@@ -236,13 +279,14 @@ def presents_subset(e, g):
     return True
 
 
-def check_encoder(e, g, n0, n1):
-    """Aggregate structural report for a tagged encoder against g."""
+def check_encoder(e, g, n0, n1, t=1):
+    """Aggregate structural report for a tagged encoder against
+    power(g, t), which is never built (see presents_subset)."""
     bad = [(s, b, n) for s in e.graph.states for b, n in ((0, n0), (1, n1))
            if not e.slots_ok(s, b, n)]
     violations = ["state %r class-%d degree != %d" % v for v in bad]
     degrees = tuple(all(c != b for _, c, _ in bad) for b in (0, 1))
-    contain = presents_subset(e, g)
+    contain = presents_subset(e, g, t)
     if not contain:
         violations.append("encoder generates a word outside the constraint")
     pg = PairGraph(e.graph)

@@ -269,6 +269,16 @@ def reference_punctured(g, x_plus, n0, n1, consistent=True):
                          n0, n1)
 
 
+def reference_pair_succ(g):
+    """PairGraph.succ by listing every equally labelled edge pair: (p, q)
+    -> the target pairs of the pairs of edges from p and from q that
+    share a label."""
+    idx = g.by_label
+    return {(p, q): {(e1.dst, e2.dst) for a, es1 in idx[p].items()
+                     for e1 in es1 for e2 in idx[q].get(a, ())}
+            for p in g.states for q in g.states}
+
+
 def random_matrix(rng, max_n=4, max_entry=3):
     n = rng.integers(1, max_n + 1)
     return rng.integers(0, max_entry + 1, size=(n, n)).astype(np.int64)

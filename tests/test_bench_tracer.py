@@ -62,6 +62,13 @@ def test_traced_pipeline_matches_untraced():
     i = tracer.name.index("synth.stether")
     assert tracer.name[tracer.parent[i]] == "synth.stether_punctured"
     assert tracer.metrics(1.0)["synth.encoder_edges"] > 0
+    # each pair graph counts the n^2 pairs of the encoder's n states, so
+    # a PairGraph that stops exposing its nodes cannot report 0 pairs
+    n = len(plain[0].states)
+    built = [v for name, v in zip(tracer.name, tracer.value)
+             if name == "verify.PairGraph"]
+    assert built and built == [n * n] * len(built)
+    assert tracer.metrics(1.0)["verify.PairGraph.pairs"] == n * n * len(built)
     # uninstall puts every original back
     assert (bimodal.power, bimodal.adjacency_pair, bimodal.min_infnorm_ae,
             bimodal.check_encoder, bimodal.encode_stream,

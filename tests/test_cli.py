@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -410,15 +411,10 @@ def test_cli_main_calls_in_sequence(capsys):
     ["power", "two.cg", "-t", "40", "-o", "out.cg"],
     ["synth", "two.cg", "--method", "det", "--n0", "1", "--n1", "1",
      "-t", "40", "-o", "out.cg"],
-    ["verify", "enc.cg", "--against", "two.cg", "--n0", "1", "--n1", "1",
-     "-t", "40"],
-], ids=["power", "synth", "verify"])
+], ids=["power", "synth"])
 def test_cli_power_budget(argv, tmp_path, capsys):
     # 2^40 words: the power's row budget refuses them, none is enumerated
-    (tmp_path / "two.cg").write_text("states: s\nparity0: a\nparity1: b\n"
-                                     "edge: s a s\nedge: s b s\n")
-    (tmp_path / "enc.cg").write_text(serialize_encoder(
-        extract_deterministic(helpers.quad(), (1, 1), 2, 2)))
+    (tmp_path / "two.cg").write_text(TWO)
     argv = [str(tmp_path / a) if a.endswith(".cg") else a for a in argv]
     start = time.perf_counter()
     assert main(argv) == 1
@@ -426,7 +422,67 @@ def test_cli_power_budget(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "t=40" in err
-    assert sorted(os.listdir(tmp_path)) == ["enc.cg", "two.cg"]
+    assert sorted(os.listdir(tmp_path)) == ["two.cg"]
+
+
+def _forty(first):
+    return ".".join([first] + ["a"] * 39)
+
+
+# one state reading a^40 (class 0) and b a^39 (class 1)
+FORTY = ("states: s\nparity0: %s\nparity1: %s\nedge: s %s s\n"
+         "edge: s %s s\ntag: s 0 0 %s s\ntag: s 1 0 %s s\n"
+         % ((_forty("a"), _forty("b")) * 3))
+
+
+@pytest.mark.parametrize("encoder, code, containment", [
+    (FORTY, 0, "ok"),
+    (serialize_encoder(extract_deterministic(helpers.quad(), (1, 1), 2, 2)),
+     1, "BAD"),
+], ids=["words", "symbols"])
+def test_cli_verify_long_words(encoder, code, containment, tmp_path,
+                               capsys):
+    # verify -t reads each label through the base graph, so a 40-symbol
+    # word costs 40 steps and no power (2^40 words) is refused; labels
+    # of one symbol are no 40-symbol words
+    (tmp_path / "two.cg").write_text(TWO)
+    (tmp_path / "enc.cg").write_text(encoder)
+    start = time.perf_counter()
+    assert main(["verify", str(tmp_path / "enc.cg"), "--against",
+                 str(tmp_path / "two.cg"), "--n0", "1", "--n1", "1",
+                 "-t", "40"]) == code
+    assert time.perf_counter() - start < 10
+    out = capsys.readouterr()
+    assert "containment: %s" % containment in out.out
+    assert out.err == ("error: verification failed\n" if code else "")
+
+
+@pytest.mark.parametrize("graph, method, t, n", [
+    ("twostate.cg", "det", 2, 1), ("twostate.cg", "split", 3, 3),
+    ("twostate.cg", "stether", 3, 3), ("twostate.cg", "punctured", 3, 2),
+    ("quad.cg", "det", 2, 8), ("rll210.cg", "punctured", 10, 16),
+], ids=["twostate-det", "twostate-split", "twostate-stether",
+        "twostate-punctured", "quad-det", "rll210-10-punctured"])
+def test_cli_verify_builds_no_power(graph, method, t, n, tmp_path, capsys,
+                                    monkeypatch):
+    # verify -t reads the encoder's words through the base graph, and
+    # prints what the check against the built power prints
+    enc = tmp_path / "enc.cg"
+    degrees = ["-t", str(t), "--n0", str(n), "--n1", str(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["synth", fixture(graph), "--method", method, "-o",
+                     str(enc)] + degrees) == 0
+    want = bimodal.check_encoder(parse_encoder_file(enc.read_text()),
+                                 power(helpers.load(graph), t), n, n)
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(bimodal.graphs, "power",
+                        lambda *a: calls.append(a) or power(*a))
+    code = main(["verify", str(enc), "--against", fixture(graph)] + degrees)
+    assert calls == []
+    assert (code, capsys.readouterr().out) == (0 if want.ok else 1,
+                                               str(want) + "\n")
 
 
 def test_cli_synth_huge_cap(tmp_path, capsys):

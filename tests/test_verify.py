@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from bimodal import (
+    Edge,
     Finite,
     Infinite,
     NotDecodable,
@@ -22,6 +23,7 @@ from bimodal import (
     encode_stream,
     extract_deterministic,
     is_definite,
+    LabeledGraph,
     losslessness,
     memory,
     merge_split_pair,
@@ -229,6 +231,113 @@ def test_presents_subset():
     # quad generates every word over the alphabet
     assert presents_subset(helpers.two_state(), g)
     assert not presents_subset(e, helpers.two_state())
+
+
+def _labelled(rng, labels, parity, n=3):
+    """Random graph on n states whose labels are drawn from ``labels``,
+    which need not be symbols of one length or words at all."""
+    states = ["v%d" % i for i in range(n)]
+    edges = {(s, labels[rng.integers(len(labels))], states[rng.integers(n)])
+             for s in states for _ in range(rng.integers(1, 4))}
+    return LabeledGraph(states, [Edge(*ed) for ed in sorted(edges)], parity)
+
+
+def _words(g, j):
+    return sorted({ed.label for ed in power(g, j).edges})
+
+
+def test_presents_subset_reads_words_through_base_graph():
+    # reading a label as t symbols of g is containment in power(g, t):
+    # g's symbols are single letters or, in a power, dotted words; the
+    # encoders read g's words of t, t - 1 and t + 1 symbols, words of
+    # other graphs, and labels that are no words at all
+    rng = np.random.default_rng(79)
+    seen = set()
+    for i in range(36):
+        base = helpers.random_graph(rng, max_states=3, strict=bool(i % 2),
+                                    max_out=2)
+        g = base if i % 3 else power(base, 2)
+        other = power(helpers.random_graph(rng, max_states=2), 1 if i % 3
+                      else 2)
+        for t in (1, 2, 3):
+            pw = power(g, t)
+            words = _words(g, t)
+            w = words[0]
+            junk = ["zz", w + ".", "." + w, w + ".." + w,
+                    ".".join(["q"] * len(w.split(".")))]
+            keep = [ed for ed in g.edges if rng.random() < 0.7]
+            encoders = [
+                power(LabeledGraph(g.states, keep, g.parity), t),
+                _labelled(rng, words, g.parity),
+                _labelled(rng, words + _words(other, t), g.parity),
+                _labelled(rng, words + _words(g, t + 1), g.parity),
+                _labelled(rng, words + junk, g.parity),
+            ]
+            if t > 1:
+                encoders.append(_labelled(rng, _words(g, t - 1), g.parity))
+            for e in encoders:
+                got = presents_subset(e, g, t)
+                assert got == presents_subset(e, pw), (g.edges, t, e.edges)
+                seen.add(got)
+    assert seen == {True, False}
+    with pytest.raises(ValueError, match="exponent"):
+        presents_subset(g, g, 0)
+    # synthesized encoders, against the base graph of their power
+    import test_acceptance
+    bases = {"det quad": (helpers.quad(), 1),
+             "det square": (helpers.two_state(), 2)}
+    for name, _, e, _, _, _ in test_acceptance._fixture_encoders():
+        base, own = bases.get(name, (helpers.two_state(), 3))
+        for t in (1, 2, 3):
+            got = presents_subset(e, base, t)
+            assert got == presents_subset(e, power(base, t)), (name, t)
+            assert got == (t == own), (name, t)
+
+
+def _pair_checks(e):
+    """Every answer read off the pair graph, certificates by repr."""
+    windows = [(m, a) for m in range(3) for a in range(3)]
+    return (losslessness(e), repr(anticipation(e)), definiteness(e),
+            [is_definite(e, m, a) for m, a in windows],
+            repr(memory(e.graph)),
+            [sliding_block_decodable(e, m, a) for m, a in windows])
+
+
+def test_pair_graph_matches_reference(monkeypatch):
+    # the label-mask successors equal those of the edge-pair listing on
+    # nondeterministic graphs, edges of multiplicity 2 and the fixture
+    # encoders, and every pair check answers as it does from the listing
+    import test_acceptance
+    rng = np.random.default_rng(83)
+    encoders = [e for _, _, e, _, _, _ in test_acceptance._fixture_encoders()]
+    for i in range(150):
+        g = helpers.random_graph(rng, strict=bool(i % 2))
+        if i % 3 == 0:
+            g = validate_graph(g.states, [
+                (ed.src, ed.label, ed.dst, int(rng.integers(1, 3)))
+                for ed in g.edges], g.parity.class0, g.parity.class1)
+        encoders.append(TaggedEncoder(g, {
+            ed: ((int(rng.integers(2)), int(rng.integers(2))),)
+            for ed in g.edges}, 1, 1))
+    init = PairGraph.__init__
+
+    def reference(self, g):
+        init(self, g)
+        self.succ = helpers.reference_pair_succ(g)
+
+    kinds = set()
+    for e in encoders:
+        assert PairGraph(e.graph).succ == helpers.reference_pair_succ(e.graph)
+        got = _pair_checks(e)
+        with monkeypatch.context() as m:
+            m.setattr(PairGraph, "__init__", reference)
+            assert _pair_checks(e) == got, e.graph.edges
+        kinds.add((got[0], got[1].startswith("Infinite"),
+                   any(ed.mult > 1 for ed in e.graph.edges)))
+    # (lossless, infinite anticipation, multiplicity > 1); an edge of
+    # multiplicity 2 parts from itself and rejoins, so it is lossy
+    assert kinds == {(True, False, False), (True, True, False),
+                     (False, True, False), (False, True, True)}
 
 
 def test_check_encoder_report():
