@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import graphs, io, spectra, synth, verify
@@ -89,8 +90,7 @@ def cmd_region(args):
     _emit("\n".join(lines) + "\n", args.output)
 
 
-def _synthesize(g, method, n0, n1, cap):
-    a0, a1, _ = graphs.adjacency_pair(g)
+def _synthesize(g, a0, a1, method, n0, n1, cap):
     if method == "det":
         got = spectra.joint_ae_exists(a0, a1, n0, n1, xi_cap=1)
         if got is None:
@@ -113,8 +113,11 @@ def _synthesize(g, method, n0, n1, cap):
 
 
 def cmd_synth(args):
-    g = _maybe_power(_load_graph(args.file), args.t)
-    enc = _synthesize(g, args.method, args.n0, args.n1, args.cap)
+    base = _load_graph(args.file)
+    g = _maybe_power(base, args.t)
+    # the search matrices are counted from the base graph, not the words
+    a0, a1, _ = graphs.adjacency_pair(base, args.t)
+    enc = _synthesize(g, a0, a1, args.method, args.n0, args.n1, args.cap)
     _emit(io.serialize_encoder(enc), args.output)
 
 
@@ -130,6 +133,14 @@ def cmd_verify(args):
 def cmd_encode(args):
     enc = _load_encoder(args.encoder)
     tags = sys.stdin.read().split()
+    raw = [re.fullmatch(r"([0-9]+)/([0-9]+)", tag) for tag in tags]
+    if any(raw):
+        # c/s tokens, as decode prints them, are raw (class, slot) tags
+        if args.p is not None:
+            raise ValueError("-p reads p-bit blocks, not c/s tags")
+        if not all(raw):
+            raise ValueError("input mixes c/s tags with p-bit blocks")
+        tags = [(int(m[1]), int(m[2])) for m in raw]
     word, end, trace = verify.encode_stream(
         enc, tags, args.start, policy=args.policy, p=args.p)
     print(" ".join(word))
@@ -204,7 +215,8 @@ def build_parser():
     p.add_argument("--n1", type=count, required=True)
     p.add_argument("-t", type=positive, default=1)
 
-    p = add("encode", cmd_encode, help="encode tag blocks from stdin")
+    p = add("encode", cmd_encode,
+            help="encode p-bit blocks or c/s tags from stdin")
     p.add_argument("encoder")
     p.add_argument("--start", required=True)
     p.add_argument("--policy", default="as-tagged",

@@ -218,18 +218,6 @@ def parity_subgraph(g, b):
     )
 
 
-def _label_steps(g, reached):
-    """One step from ``reached`` (state -> path count), grouped by label:
-    label -> {target: path count}, labels in sorted order."""
-    steps = {}
-    for v, m in reached.items():
-        for a, es in g.by_label[v].items():
-            d = steps.setdefault(a, {})
-            for e in es:
-                d[e.dst] = d.get(e.dst, 0) + m * e.mult
-    return {a: steps[a] for a in sorted(steps)}
-
-
 # most word rows (or edges) one power may hold, and state copies one
 # encoder may name: the sixth power of the dense tests/fixtures/mixed.cg,
 # 2^19 edges, is still built, and the largest the bench builds,
@@ -280,6 +268,21 @@ def _join(first, second, scale, u):
                    {x: d[x] for x in sorted(d)})
 
 
+def _split_words(g, t, labels):
+    """label -> the t symbols of g that it reads as a word of power(g,
+    t), for each of ``labels``: its dotted parts cut into t runs of k,
+    the parts of each symbol of g (validate_graph makes k the same for
+    all), undoing _join; none when it has other than t·k parts, as
+    such a label is no word there."""
+    k = g.edges[0].label.count(WORD_SEP) + 1 if g.edges else 1
+    out = {}
+    for label in labels:
+        parts = label.split(WORD_SEP)
+        out[label] = (list(map(WORD_SEP.join, zip(*[iter(parts)] * k)))
+                      if len(parts) == t * k else ())
+    return out
+
+
 def _too_big(t):
     return BimodalError("power at t=%d holds more than %d word rows"
                         % (t, POWER_BUDGET))
@@ -299,6 +302,15 @@ def _doubling(t, one, join):
     return at(t)
 
 
+def _counts(index, edges):
+    """{target index: path count} over ``edges``, in state order."""
+    counts = {}
+    for e in edges:
+        x = index(e.dst)
+        counts[x] = counts.get(x, 0) + e.mult
+    return dict(sorted(counts.items()))
+
+
 def _power_rows(g, t):
     """(u, row) for the rows of the length-t words from each state index
     u in turn, in word order (see _join).  The last join is streamed;
@@ -307,9 +319,8 @@ def _power_rows(g, t):
     symbols = sorted({e.label for e in g.edges})
     rank = {a: i for i, a in enumerate(symbols)}
     c0, c1 = g.parity.class0, g.parity.class1
-    one = [[(rank[a], a, (a in c0) | (a in c1) << 1,
-             {index(v): r[v] for v in sorted(r, key=index)})
-            for a, r in _label_steps(g, {u: 1}).items()]
+    one = [[(rank[a], a, (a in c0) | (a in c1) << 1, _counts(index, es))
+            for a, es in sorted(g.by_label[u].items())]
            for u in g.states]
 
     def join(first, second, k):
@@ -526,38 +537,54 @@ def period(g):
     return p
 
 
+def _pair_succ(g1, g2):
+    """(succ, labels1, labels2) for the synchronized product of g1 and
+    g2: ``succ[(p, q)]``, p in g1 and q in g2 in state order, is the set
+    of pairs (x, y) reached by one pair of equally labeled edges, and
+    ``labels1[p]`` (``labels2[q]``) the mask of the labels leaving p (q).
+
+    No edge pair is listed: each label is a bit, to[p][x] ORs the bits
+    of the labels on the edges from p to x, and (x, y) follows (p, q)
+    iff to1[p][x] and to2[q][y] share a bit.  A target x of p whose
+    labels miss every label of q is skipped before any y is tried.
+    """
+    bit = {}
+
+    def masks(g):
+        to = {s: {} for s in g.states}
+        labels = dict.fromkeys(g.states, 0)
+        for e in g.edges:
+            b = bit.get(e.label)
+            if b is None:
+                b = bit[e.label] = 1 << len(bit)
+            row = to[e.src]
+            row[e.dst] = row.get(e.dst, 0) | b
+            labels[e.src] |= b
+        return {s: list(row.items()) for s, row in to.items()}, labels
+
+    to1, labels1 = masks(g1)
+    to2, labels2 = (to1, labels1) if g2 is g1 else masks(g2)
+    succ = {(p, q): {(x, y) for x, mx in to1[p] if mx & labels2[q]
+                     for y, my in to2[q] if mx & my}
+            for p in g1.states for q in g2.states}
+    return succ, labels1, labels2
+
+
 class PairGraph:
     """Synchronized product of a graph with itself, over ordered pairs.
 
     ``succ[(p, q)]`` is the set of pairs (p', q') reached from (p, q) by
-    one pair of equally labeled edges; ``steps`` lists those edge pairs
-    where edges or labels matter, and ``parted`` the distinct ones
-    leaving each diagonal pair.  ``ext`` gives, per pair, the longest
-    synchronized walk length leaving it (see _longest).
-
-    The successors come from label masks, with no edge pair listed:
-    each label is a bit, ``to[p][x]`` ORs the bits of the labels on the
-    edges from p to x, and (x, y) follows (p, q) iff to[p][x] and
-    to[q][y] share a bit.  A target x of p whose labels miss every label
-    of q is skipped before any y is tried.
+    one pair of equally labeled edges, read off label masks
+    (_pair_succ); ``steps`` lists those edge pairs where edges or labels
+    matter, and ``parted`` the distinct ones leaving each diagonal pair.
+    ``ext`` gives, per pair, the longest synchronized walk length
+    leaving it (see _longest).
     """
 
     def __init__(self, g):
         self.g = g
         self.nodes = [(p, q) for p in g.states for q in g.states]
-        bit = {a: 1 << i for i, a in
-               enumerate(dict.fromkeys(e.label for e in g.edges))}
-        to = {s: {} for s in g.states}
-        labels = dict.fromkeys(g.states, 0)
-        for e in g.edges:
-            b = bit[e.label]
-            row = to[e.src]
-            row[e.dst] = row.get(e.dst, 0) | b
-            labels[e.src] |= b
-        to = {s: list(row.items()) for s, row in to.items()}
-        self.succ = {(p, q): {(x, y) for x, mx in to[p] if mx & labels[q]
-                              for y, my in to[q] if mx & my}
-                     for (p, q) in self.nodes}
+        self.succ = _pair_succ(g, g)[0]
         self._ext = None
 
     def steps(self, node):
@@ -627,8 +654,8 @@ def determinize(g):
     edges = []
     # breadth first: the loop walks ``seen`` as it grows
     for z in seen:
-        for a, reached in _label_steps(g, dict.fromkeys(z, 1)).items():
-            z2 = frozenset(reached)
+        for a in sorted({a for v in z for a in g.by_label[v]}):
+            z2 = _step(g, z, a)
             if z2 not in index:
                 index.add(z2)
                 seen.append(z2)
@@ -647,27 +674,18 @@ def follower_le(g1, g2):
     """Pairs (u, v) with every word from u in g1 readable from v in g2.
 
     g2 must be deterministic, so that each g1 edge leaves a pair for one
-    successor pair.  A pair fails when it, or a pair it reaches, has a
-    g1 label that its g2 state lacks; components come sinks first, so
-    each is settled after every pair it reaches outside itself.
+    successor pair (_pair_succ).  A pair fails when it, or a pair it
+    reaches, has a g1 label that its g2 state lacks, a bit of its g1
+    label mask outside its g2 one; components come sinks first, so each
+    is settled after every pair it reaches outside itself.
     """
     if not g2.deterministic:
         raise NotDeterministic("containment target must be deterministic")
-    succ2 = {
-        s: {e.label: e.dst for e in g2.out_edges(s)} for s in g2.states
-    }
-    succ, lacks = {}, set()
-    for u in g1.states:
-        es = g1.out_edges(u)
-        for v, d in succ2.items():
-            if all(e.label in d for e in es):
-                succ[(u, v)] = {(e.dst, d[e.label]) for e in es}
-            else:
-                succ[(u, v)] = ()
-                lacks.add((u, v))
+    succ, labels1, labels2 = _pair_succ(g1, g2)
     failed = set()
     for comp in _scc(succ, succ):
-        if any(n in lacks or not failed.isdisjoint(succ[n]) for n in comp):
+        if any(labels1[u] & ~labels2[v] or not failed.isdisjoint(succ[(u, v)])
+               for (u, v) in comp):
             failed |= comp
     return set(succ) - failed
 

@@ -11,6 +11,7 @@ deletes the top tag slot.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .graphs import (
     LabeledGraph,
     NotDeterministic,
     POWER_BUDGET,
+    PairGraph,
     _drop_zero_weight,
     adjacency,
     adjacency_pair,
@@ -86,6 +88,11 @@ class TaggedEncoder:
         return "TaggedEncoder(%d states, n0=%d, n1=%d)" % (
             len(self.graph.states), self.n0, self.n1,
         )
+
+
+def _copy_name(parent, idx):
+    """The 'parent@index' name of copy ``idx`` of state ``parent``."""
+    return "%s%s%d" % (parent, STATE_SEP, idx)
 
 
 def split_state(name):
@@ -250,20 +257,14 @@ def split_one_round(g_b, x, n_b):
         for e, b in zip(out, assign):
             per[b].append(e)
         groups[u] = per
-    states = ["%s%s%d" % (u, STATE_SEP, i)
-              for u in g_b.states for i in range(w[u])]
+    states = [_copy_name(u, i) for u in g_b.states for i in range(w[u])]
     edges = []
     for u in g_b.states:
         for i, grp in enumerate(groups[u]):
-            expanded = []
-            for e in grp:
-                for j in range(w[e.dst]):
-                    expanded.append(Edge(
-                        "%s%s%d" % (u, STATE_SEP, i),
-                        e.label,
-                        "%s%s%d" % (e.dst, STATE_SEP, j),
-                    ))
-            expanded.sort(key=lambda e: (e.label, e.dst))
+            expanded = sorted(
+                (Edge(_copy_name(u, i), e.label, _copy_name(e.dst, j))
+                 for e in grp for j in range(w[e.dst])),
+                key=lambda e: (e.label, e.dst))
             edges.extend(expanded[:n_b])
     return LabeledGraph(states, edges, g_b.parity)
 
@@ -287,7 +288,7 @@ def merge_split_pair(e0, e1, x, matching=None):
         perm = matching.get(parent)
         if perm is not None:
             idx = perm[idx]
-        return "%s%s%d" % (parent, STATE_SEP, idx)
+        return _copy_name(parent, idx)
 
     states = list(e0.states)
     order = {s: i for i, s in enumerate(states)}
@@ -351,8 +352,7 @@ def stether(g, x, n0, n1):
     xv = _check_ae(g, x, n0, n1)
     w = dict(zip(g.states, xv))
     g = _drop_zero_weight(g, xv)
-    copies = {u: ["%s%s%d" % (u, STATE_SEP, i) for i in range(w[u])]
-              for u in g.states}
+    copies = {u: [_copy_name(u, i) for i in range(w[u])] for u in g.states}
     n = (n0, n1)
     lo, hi = (0, 1) if n0 <= n1 else (1, 0)
     classes = (g.parity.class0, g.parity.class1)
@@ -378,11 +378,23 @@ def stether_punctured(g, x_plus, n0, n1):
     x_plus must be a joint approximate eigenvector at (n0+1, n1+1); the
     deleted slots remove one out-edge per class per state, leaving a
     (n0, n1) encoder.  On a strict cover its anticipation obeys the
-    stethering bound at the smaller degrees; on an overlapping cover it
-    may be infinite.
+    stethering bound at the smaller degrees.  On an overlapping cover it
+    may be infinite, as read off the encoder's pair graph (a parted pair
+    with an unbounded walk); such an encoder, which no decoder can
+    read, is refused with a BimodalError naming the shared symbols.
     """
     wide = stether(g, x_plus, n0 + 1, n1 + 1)
     tagged = [(e, t) for e in wide.graph.edges for t in wide.tags[e]
               if t not in ((0, n0), (1, n1))]
-    return _assemble(wide.graph.states, wide.graph.parity, tagged, n0, n1)
+    enc = _assemble(wide.graph.states, wide.graph.parity, tagged, n0, n1)
+    shared = sorted(g.parity.class0 & g.parity.class1)
+    if shared:
+        pg = PairGraph(enc.graph)
+        ext = pg.ext()
+        if any(ext[kid] == math.inf for kids in pg.parted.values()
+               for kid in kids):
+            names = ", ".join(shared[:8]) + (", ..." if shared[8:] else "")
+            raise BimodalError("punctured encoder has infinite anticipation;"
+                               " the cover shares %s" % names)
+    return enc
 

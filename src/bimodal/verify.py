@@ -19,11 +19,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graphs import (
-    WORD_SEP,
     BimodalError,
     Finite,
     Infinite,
     PairGraph,
+    _split_words,
     _step,
     adjacency_pair,
     determinize,
@@ -211,29 +211,14 @@ def sliding_block_decodable(e, m, a):
         for (_, e1, e2) in pg.steps(pair))
 
 
-def _symbols(label, t, k):
-    """The t symbols of k dotted parts each that ``label`` reads as a
-    word of power(g, t), for g whose symbols all have k parts; none when
-    it has other than t·k parts, as such a label is no word there.  At
-    t=1 the label is the symbol."""
-    if t == 1:
-        return (label,)
-    parts = label.split(WORD_SEP)
-    if len(parts) != t * k:
-        return ()
-    if k == 1:
-        return parts
-    return [WORD_SEP.join(parts[i:i + k]) for i in range(0, t * k, k)]
-
-
 def presents_subset(e, g, t=1):
     """Every word generated by e is generated somewhere in power(g, t).
 
     Tracks, per encoder state reached, the set of g-states still able to
     read the word, so g may be nondeterministic.  No word graph is
     built: the edges of power(g, t) are the t-step paths of g, so an
-    encoder label is read as t symbols of g (see _symbols), stepped one
-    at a time through g.  g's symbols must all split into the same
+    encoder label is read as t symbols of g (see _split_words), stepped
+    one at a time through g.  g's symbols must all split into the same
     number of dotted parts, as validate_graph and power make them.  Each
     distinct (state set, label) and (state set, symbol) step is computed
     once per call.
@@ -241,9 +226,7 @@ def presents_subset(e, g, t=1):
     if t < 1:
         raise ValueError("power exponent must be >= 1")
     eg = _graph_of(e)
-    k = g.edges[0].label.count(WORD_SEP) + 1 if g.edges else 1
-    reads = {a: _symbols(a, t, k)
-             for a in dict.fromkeys(ed.label for ed in eg.edges)}
+    reads = _split_words(g, t, {ed.label for ed in eg.edges})
     # (state set, label) -> state set, and symbol -> state set -> state set
     words, steps = {}, collections.defaultdict(dict)
     full = frozenset(g.states)

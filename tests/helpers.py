@@ -11,6 +11,7 @@ from bimodal import (
     Edge,
     LabeledGraph,
     NotDeterministic,
+    ParityPartition,
     TaggedEncoder,
     UnknownTag,
     adjacency_pair,
@@ -18,6 +19,7 @@ from bimodal import (
     power,
     validate_graph,
 )
+from bimodal import graphs
 from bimodal.construct import rll_graph
 from bimodal.io import parse_graph_file
 from bimodal.synth import _check_ae
@@ -277,6 +279,114 @@ def reference_pair_succ(g):
     return {(p, q): {(e1.dst, e2.dst) for a, es1 in idx[p].items()
                      for e1 in es1 for e2 in idx[q].get(a, ())}
             for p in g.states for q in g.states}
+
+
+def with_multiplicities(rng, g, top=3):
+    """g with each edge given a random multiplicity from 1 to ``top``."""
+    return validate_graph(g.states, [ed[:3] + (int(rng.integers(1, top + 1)),)
+                                     for ed in g.edges],
+                          g.parity.class0, g.parity.class1)
+
+
+def label_steps(g, reached):
+    """One step from ``reached`` (state -> path count), grouped by label:
+    label -> {target: path count}, labels in sorted order."""
+    steps = {}
+    for v, m in reached.items():
+        for a, es in g.by_label[v].items():
+            d = steps.setdefault(a, {})
+            for e in es:
+                d[e.dst] = d.get(e.dst, 0) + m * e.mult
+    return {a: steps[a] for a in sorted(steps)}
+
+
+def reference_label_power(g, t):
+    """power(g, t) by label steps alone: from each state, depth first
+    over label_steps, so the words come in sorted-symbol order; a word's
+    parity set folds its symbols' classes by XOR."""
+    classes = (g.parity.class0, g.parity.class1)
+    class0, class1, edges = set(), set(), []
+
+    def walk(u, word, parities, reached):
+        if len(word) == t:
+            label = ".".join(word)
+            if 0 in parities:
+                class0.add(label)
+            if 1 in parities:
+                class1.add(label)
+            edges.extend(Edge(u, label, v, reached[v])
+                         for v in sorted(reached, key=g.state_index))
+            return
+        for a, nxt in label_steps(g, reached).items():
+            walk(u, word + (a,), {p ^ b for p in parities
+                                  for b, cls in enumerate(classes)
+                                  if a in cls}, nxt)
+
+    for u in g.states:
+        walk(u, (), {0}, {u: 1})
+    return LabeledGraph(g.states, edges,
+                        ParityPartition(frozenset(class0), frozenset(class1)))
+
+
+def reference_determinize(g):
+    """determinize by label steps: each subset steps once with all its
+    labels, in sorted order, breadth first from the singletons."""
+    seen = [frozenset([v]) for v in g.states]
+    index = set(seen)
+    edges = []
+    for z in seen:
+        for a, reached in label_steps(g, dict.fromkeys(z, 1)).items():
+            z2 = frozenset(reached)
+            if z2 not in index:
+                index.add(z2)
+                seen.append(z2)
+            edges.append((z, a, z2))
+    names = {z: "{%s}" % ",".join(sorted(z, key=g.state_index))
+             for z in seen}
+    return LabeledGraph([names[z] for z in seen],
+                        [Edge(names[a], lbl, names[b])
+                         for (a, lbl, b) in edges],
+                        g.parity, members={names[z]: z for z in seen})
+
+
+def reference_follower_le(g1, g2):
+    """follower_le by an edge loop: a pair whose g2 state lacks one of
+    its g1 labels fails with no successors, any other pair steps each g1
+    edge by the g2 edge with its label; a component fails when a member
+    lacks a label or reaches a failed pair.  Returns (the relation, the
+    pairs that lack a label)."""
+    if not g2.deterministic:
+        raise NotDeterministic("containment target must be deterministic")
+    succ2 = {s: {e.label: e.dst for e in g2.out_edges(s)}
+             for s in g2.states}
+    succ, lacks = {}, set()
+    for u in g1.states:
+        es = g1.out_edges(u)
+        for v, d in succ2.items():
+            if all(e.label in d for e in es):
+                succ[(u, v)] = {(e.dst, d[e.label]) for e in es}
+            else:
+                succ[(u, v)] = ()
+                lacks.add((u, v))
+    failed = set()
+    for comp in graphs._scc(succ, succ):
+        if any(n in lacks or not failed.isdisjoint(succ[n]) for n in comp):
+            failed |= comp
+    return set(succ) - failed, lacks
+
+
+def reference_symbols(label, t, k):
+    """The t symbols of k dotted parts each that ``label`` reads as a
+    word of power(g, t), for g whose symbols all have k parts; none when
+    it has other than t·k parts.  At t=1 the label is the symbol."""
+    if t == 1:
+        return (label,)
+    parts = label.split(".")
+    if len(parts) != t * k:
+        return ()
+    if k == 1:
+        return parts
+    return [".".join(parts[i:i + k]) for i in range(0, t * k, k)]
 
 
 def random_matrix(rng, max_n=4, max_entry=3):

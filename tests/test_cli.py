@@ -20,6 +20,7 @@ from bimodal import (
     Edge,
     ParseError,
     TaggedEncoder,
+    anticipation,
     export_dot,
     parse_encoder_file,
     parse_graph_file,
@@ -167,6 +168,22 @@ def test_cli_punctured_overlapping_cover_lossless(tmp_path, capsys):
     assert "anticipation: 1" in out
 
 
+def test_cli_punctured_refuses_infinite_anticipation(tmp_path, capsys):
+    # b is in both classes; the (1, 2) punctured encoder of the square
+    # would part two walks forever, so synth writes nothing
+    (tmp_path / "ov.cg").write_text(
+        "states: n0 n1\nparity0: a b\nparity1: b c\nedge: n0 a n1\n"
+        "edge: n0 b n0\nedge: n0 c n1\nedge: n1 c n0\n")
+    enc = tmp_path / "e.cg"
+    assert main(["synth", str(tmp_path / "ov.cg"), "--method", "punctured",
+                 "-t", "2", "--n0", "1", "--n1", "2", "-o", str(enc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not enc.exists()
+    assert captured.err == ("error: punctured encoder has infinite "
+                            "anticipation; the cover shares b.a, b.b, b.c, "
+                            "c.b\n")
+
+
 def test_cli_synth_infeasible(capsys):
     assert main(["synth", fixture("twostate.cg"), "-t", "2",
                  "--method", "det", "--n0", "2", "--n1", "2"]) == 1
@@ -185,6 +202,37 @@ def test_cli_encode_decode(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", stdio.StringIO(word))
     assert main(["decode", str(enc), "--start", start, "-p", "1"]) == 0
     assert capsys.readouterr().out.split() == ["0", "1", "1", "0"]
+
+
+def test_cli_encode_decode_tags(tmp_path, capsys, monkeypatch):
+    # degrees (3, 3) take no p-bit blocks: encode reads the c/s tags that
+    # decode prints, so the encoder still round trips through the CLI
+    enc = tmp_path / "enc.cg"
+    assert main(["synth", fixture("twostate.cg"), "-t", "3",
+                 "--method", "stether", "--n0", "3", "--n1", "3",
+                 "-o", str(enc)]) == 0
+    capsys.readouterr()
+    e = parse_encoder_file(enc.read_text())
+    start = e.graph.states[0]
+    rng = np.random.default_rng(11)
+    tags = ["%d/%d" % (c, s) for c, s in rng.integers(0, (2, 3), (40, 2))]
+    # pad past the anticipation, so no tag of the input is provisional
+    pad = ["0/0"] * anticipation(e).value
+    monkeypatch.setattr("sys.stdin", stdio.StringIO(" ".join(tags + pad)))
+    assert main(["encode", str(enc), "--start", start]) == 0
+    word = capsys.readouterr().out
+    assert len(word.split()) == len(tags + pad)
+    monkeypatch.setattr("sys.stdin", stdio.StringIO(word))
+    assert main(["decode", str(enc), "--start", start]) == 0
+    assert capsys.readouterr().out.split()[:len(tags)] == tags
+    # tags take neither -p nor p-bit blocks beside them
+    for text, p in (("0/0 1/2", ["-p", "2"]), ("0/0 01", [])):
+        monkeypatch.setattr("sys.stdin", stdio.StringIO(text))
+        assert main(["encode", str(enc), "--start", start] + p) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_decode_bad_word(tmp_path, capsys, monkeypatch):
@@ -485,6 +533,33 @@ def test_cli_verify_builds_no_power(graph, method, t, n, tmp_path, capsys,
                                                str(want) + "\n")
 
 
+@pytest.mark.parametrize("graph, method, t, n", [
+    ("twostate.cg", "det", 2, 1), ("twostate.cg", "split", 3, 3),
+    ("twostate.cg", "stether", 3, 3), ("twostate.cg", "punctured", 3, 2),
+    ("quad.cg", "det", 2, 8), ("rll210.cg", "punctured", 10, 16),
+], ids=["twostate-det", "twostate-split", "twostate-stether",
+        "twostate-punctured", "quad-det", "rll210-10-punctured"])
+@pytest.mark.filterwarnings("ignore:dropping zero-weight")
+def test_cli_synth_counts_matrices_from_base(graph, method, t, n, tmp_path,
+                                             monkeypatch):
+    # synth -t counts the search matrices from the base graph, once, and
+    # writes the encoder it writes from the matrices of the power's edges
+    calls = []
+    pair = bimodal.graphs.adjacency_pair
+    argv = ["synth", fixture(graph), "--method", method, "-t", str(t),
+            "--n0", str(n), "--n1", str(n), "-o"]
+    with monkeypatch.context() as m:
+        m.setattr(bimodal.graphs, "adjacency_pair",
+                  lambda g, k=1: calls.append((g, k)) or pair(g, k))
+        assert main(argv + [str(tmp_path / "base.cg")]) == 0
+    assert calls == [(helpers.load(graph), t)]
+    monkeypatch.setattr(bimodal.graphs, "adjacency_pair",
+                        lambda g, k=1: pair(power(g, k)))
+    assert main(argv + [str(tmp_path / "words.cg")]) == 0
+    assert ((tmp_path / "base.cg").read_bytes()
+            == (tmp_path / "words.cg").read_bytes())
+
+
 def test_cli_synth_huge_cap(tmp_path, capsys):
     # the norm is 1, far below the caps whose products leave int64
     out = tmp_path / "enc.cg"
@@ -582,7 +657,8 @@ def cli_cases(draw):
         "decode": ["decode", "E"] + start + p,
         "export-dot": ["export-dot", "G"],
     }[cmd]
-    words = st.sampled_from(labels + (["0", "1", "01", "10"]
+    words = st.sampled_from(labels + (["0", "1", "01", "10", "0/0", "0/1",
+                                       "1/0", "1/2"]
                                       if cmd == "encode" else []))
     stdin = " ".join(draw(st.lists(words, max_size=6)))
     return graph, encoder, argv, stdin

@@ -198,6 +198,23 @@ def test_power_matches_reference(seed, strict, t, mult):
         assert power(g2, t) == _reference_power(g2, t)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.integers(min_value=1, max_value=3), st.booleans())
+def test_label_index_steps_match_label_steps(seed, strict, t, mult):
+    # power's one-step rows and determinize's subset steps, read off the
+    # label index, equal the label-step reference on nondeterministic
+    # graphs, multiplicities up to 3, and squares, whose symbols are words
+    rng = np.random.default_rng(seed)
+    g = helpers.random_graph(rng, strict=strict)
+    if mult:
+        g = helpers.with_multiplicities(rng, g)
+    for h in (g, power(g, 2)):
+        assert power(h, t) == helpers.reference_label_power(h, t)
+        got, want = determinize(h), helpers.reference_determinize(h)
+        assert got == want and got.members == want.members
+
+
 def test_power_orders_words_by_symbol_rank():
     # a < a- < b, yet the label a.a-.a sorts before a.a.a as a string:
     # words follow the symbols' ranks, not their joined labels
@@ -498,6 +515,30 @@ def test_follower_le_matches_words(seed, same):
     want = {(u, v) for u in g1.states for v in g2.states
             if all(_reads(g2, v, w) for w in _walk_words(g1, u, bound))}
     assert follower_le(g1, g2) == want
+
+
+def test_follower_le_matches_edge_loop():
+    # the label-mask successors give the edge loop's relation on strict
+    # and overlapping covers, nondeterministic g1 with multiplicities up
+    # to 3, and squares; pairs that lack a label fail, and so do pairs
+    # that only reach one
+    rng = np.random.default_rng(97)
+    kinds = set()
+    for i in range(200):
+        strict = bool(i % 2)
+        g2 = helpers.random_det_graph(rng, strict=strict)
+        g1 = helpers.random_graph(rng, max_states=3, strict=strict)
+        if i % 3 == 0:
+            g1 = helpers.with_multiplicities(rng, g1)
+        for a, b in ((g1, g2), (g2, g2),
+                     (power(g1, 2), determinize(power(g2, 2)))):
+            want, lacks = helpers.reference_follower_le(a, b)
+            assert follower_le(a, b) == want, (a.edges, b.edges)
+            failed = {(u, v) for u in a.states for v in b.states} - want
+            kinds |= {k for k, hit in (("lacks", lacks),
+                                       ("reaches", failed - lacks),
+                                       ("holds", want)) if hit}
+    assert kinds == {"lacks", "reaches", "holds"}
 
 
 def test_follower_le_needs_deterministic_target():

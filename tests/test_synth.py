@@ -13,9 +13,11 @@ from bimodal import (
     LabeledGraph,
     NotFoundWithin,
     SplitInfeasible,
+    Infinite,
     TooManyCopies,
     adjacency,
     adjacency_pair,
+    anticipation,
     encode_stream,
     extract_deterministic,
     franaszek_joint,
@@ -29,7 +31,9 @@ from bimodal import (
     split_state,
     stether,
     stether_punctured,
+    validate_graph,
 )
+from bimodal import synth
 from bimodal.construct import rll_graph
 from bimodal.synth import _check_ae
 
@@ -269,6 +273,29 @@ def test_stether_punctured_degrees():
             assert slot < 2
     wide = stether(g, (2, 1), 3, 3)
     assert len(e.graph.edges) < len(wide.graph.edges)
+
+
+def _parted_forever():
+    """The square of a graph whose symbol b is in both classes, and a
+    vector at (2, 3) whose punctured (1, 2) encoder, by the reference
+    rule, has two walks that part and never tell apart."""
+    g = validate_graph(["n0", "n1"], [("n0", "a", "n1"), ("n0", "b", "n0"),
+                                      ("n0", "c", "n1"), ("n1", "c", "n0")],
+                       ["a", "b"], ["b", "c"])
+    return power(g, 2), (2, 1)
+
+
+def test_stether_punctured_refuses_infinite_anticipation(monkeypatch):
+    g, x = _parted_forever()
+    wide = helpers.reference_punctured(g, x, 1, 2)
+    assert isinstance(anticipation(wide), Infinite)
+    with pytest.raises(BimodalError, match="infinite anticipation; the "
+                       "cover shares b.a, b.b, b.c, c.b$"):
+        stether_punctured(g, x, 1, 2)
+    # a strict cover builds no pair graph
+    monkeypatch.setattr(synth, "PairGraph", None)
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    assert e.out_degrees_ok()
 
 
 def test_stether_overlap_shared_edge_carries_both_tags():

@@ -294,6 +294,51 @@ def test_presents_subset_reads_words_through_base_graph():
             assert got == (t == own), (name, t)
 
 
+def test_word_split_matches_branched_reference(monkeypatch):
+    # the one word split reads each word as the branched split did, and
+    # presents_subset gives the same verdicts through either, on bases
+    # whose symbols are letters or words, strict and overlapping, with
+    # multiplicities up to 3
+    from bimodal import verify
+    from bimodal.graphs import _split_words
+
+    def branched(g, t, labels):
+        k = g.edges[0].label.count(".") + 1
+        return {a: helpers.reference_symbols(a, t, k) for a in labels}
+
+    rng = np.random.default_rng(89)
+    verdicts = set()
+    for i in range(48):
+        base = helpers.random_graph(rng, max_states=3, strict=bool(i % 2),
+                                    max_out=2)
+        if i % 4 == 0:
+            base = helpers.with_multiplicities(rng, base)
+        g = base if i % 3 else power(base, 2)
+        k = g.edges[0].label.count(".") + 1
+        for t in (1, 2, 3):
+            words = _words(g, t)
+            w = words[0]
+            labels = (words + _words(g, t + 1)
+                      + ["zz", w + ".", w + ".." + w])
+            split = _split_words(g, t, labels)
+            for a in labels:
+                if len(a.split(".")) == t * k:
+                    assert split[a] == list(
+                        helpers.reference_symbols(a, t, k))
+                else:
+                    assert split[a] == ()
+            keep = [ed for ed in g.edges if rng.random() < 0.7]
+            for e in (power(LabeledGraph(g.states, keep, g.parity), t),
+                      _labelled(rng, words, g.parity),
+                      _labelled(rng, labels, g.parity)):
+                got = presents_subset(e, g, t)
+                with monkeypatch.context() as m:
+                    m.setattr(verify, "_split_words", branched)
+                    assert presents_subset(e, g, t) == got
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def _pair_checks(e):
     """Every answer read off the pair graph, certificates by repr."""
     windows = [(m, a) for m in range(3) for a in range(3)]
