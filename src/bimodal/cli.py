@@ -132,12 +132,11 @@ def cmd_verify(args):
 
 def cmd_encode(args):
     enc = _load_encoder(args.encoder)
-    tags = sys.stdin.read().split()
+    # decode marks a provisional tag with a trailing ?, read without it
+    tags = [tag.removesuffix("?") for tag in sys.stdin.read().split()]
     raw = [re.fullmatch(r"([0-9]+)/([0-9]+)", tag) for tag in tags]
     if any(raw):
         # c/s tokens, as decode prints them, are raw (class, slot) tags
-        if args.p is not None:
-            raise ValueError("-p reads p-bit blocks, not c/s tags")
         if not all(raw):
             raise ValueError("input mixes c/s tags with p-bit blocks")
         tags = [(int(m[1]), int(m[2])) for m in raw]

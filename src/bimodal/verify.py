@@ -392,22 +392,34 @@ def _sends(e, p, policy):
     return _kept(e, "_sends_%s_%s" % (p, policy), build)
 
 
-def _decoded_tags(e, p):
-    """Each tagged edge -> its least raw tag (p None) or least p-bit
-    block, kept on the encoder."""
+def _moves(e, p):
+    """state -> label -> its out-edges as moves (edge, decoded tag or
+    None, the target's row), kept on the encoder: one move per edge."""
+    if p is not None:
+        _check_block_width(e, p)
+
     def build():
-        blocks = {}  # one string per block, however many edges carry it
-        key = (lambda t: t) if p is None else (
-            lambda t: blocks.setdefault(t, _tag_block(t, p)))
-        return {ed: min(map(key, ts)) for ed, ts in e.tags.items() if ts}
-    return _kept(e, "_decoded_%s" % p, build)
+        # an edge decodes to its least raw tag (p None) or least p-bit
+        # block, one DecodedTag object per tag
+        shared = {}
+        key = (lambda t: t) if p is None else (lambda t: _tag_block(t, p))
+        decoded = {ed: shared.setdefault(tag, DecodedTag(tag, False))
+                   for ed, ts in e.tags.items() if ts
+                   for tag in (min(map(key, ts)),)}
+        rows = {s: {} for s in e.graph.states}
+        for s, by_label in e.graph.by_label.items():
+            rows[s].update({
+                lbl: tuple((ed, decoded.get(ed), rows[ed.dst]) for ed in es)
+                for lbl, es in by_label.items()})
+        return rows
+    return _kept(e, "_moves_%s" % p, build)
 
 
 def encode_stream(e, tags, start, policy="as-tagged", p=None):
     """Drive the encoder from ``start`` over a tag sequence.
 
     Tags are p-bit block strings (p inferred from the first tag when not
-    given) or raw (class, slot) pairs with the as-tagged policy.  The
+    given) or raw (class, slot) pairs with the as-tagged policy and no p.  The
     first bit of each block is the reserved parity bit: fixed-parity
     forces every block even, rds-min picks the parity whose codeword
     keeps the running digital sum closest to zero (ties go to a 0
@@ -426,6 +438,9 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
             p = len(tags[0])
         if p is not None:
             _check_block_width(e, p)
+    elif p is not None:
+        raise ArityMismatch("block width %d given with raw (class, slot) "
+                            "tags" % p)
     elif policy != "as-tagged":
         raise ValueError("raw (class, slot) tags require as-tagged policy")
     if not tags:
@@ -460,34 +475,14 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
     return word, state, trace
 
 
-def _candidates(g, states, label, ahead):
-    """Edges labelled ``label`` leaving ``states`` whose targets can go
-    on to read the labels ``ahead``."""
-    out = []
-    for s in states:
-        for ed in g.by_label[s].get(label, ()):
-            z = {ed.dst}
-            for b in ahead:
-                z = _step(g, z, b)
-            if z:
-                out.append(ed)
-    return out
-
-
-def _decode_step(e, decoded, state, window):
-    """(DecodedTag, next state) for the edge leaving ``state`` that reads
-    the window of upcoming labels, or the reason none decodes."""
-    cands = _candidates(e.graph, (state,), window[0], window[1:])
-    if not cands:
-        return "no edge matches the upcoming labels"
-    provisional = len(cands) > 1
-    if provisional:
-        # only possible when the lookahead window was truncated
-        cands.sort(key=lambda ed: min(e.tags.get(ed, ((2, 0),))))
-    edge = cands[0]
-    if edge not in decoded:
-        return "edge has no tag"
-    return DecodedTag(decoded[edge], provisional), edge.dst
+def _reads(g, move, ahead):
+    """A move's target reads ``ahead``: one label is a key of its row."""
+    if len(ahead) < 2:
+        return not ahead or ahead[0] in move[2]
+    z = (move[0].dst,)
+    for b in ahead:
+        z = _step(g, z, b)
+    return bool(z)
 
 
 def decode_stream(e, word, start, p=None):
@@ -497,7 +492,7 @@ def decode_stream(e, word, start, p=None):
     labels determine the edge taken.  Within the last a positions the
     lookahead may be truncated; if several edges remain possible there,
     the canonically first is chosen and the output flagged provisional.
-    Each (state, window) is resolved once per call.
+    Each symbol reads a row of _moves, kept with one move per edge.
     """
     word = list(word)
     g = e.graph
@@ -506,26 +501,34 @@ def decode_stream(e, word, start, p=None):
     if isinstance(ant, Infinite):
         raise PreconditionFailed("decoding needs finite anticipation")
     a = ant.value
-    if p is not None:
-        _check_block_width(e, p)
-    decoded = _decoded_tags(e, p)
-    # the upcoming a + 1 labels at each position, truncated at the end
-    n = len(word)
-    windows = itertools.chain(
-        zip(word, *(itertools.islice(word, j, None) for j in range(1, a + 1))),
-        (tuple(word[i:]) for i in range(max(n - a, 0), n)))
-    steps = {}
-    state = start
+    here = _moves(e, p)[start]
     out = []
-    for i, window in enumerate(windows):
-        key = (state, window)
-        step = steps.get(key)
-        if step is None:
-            step = steps[key] = _decode_step(e, decoded, *key)
-        if isinstance(step, str):
-            raise NotDecodable(i, step)
-        tag, state = step
+    # a full window of a + 1 labels leaves at most one edge, whose
+    # target reads the rest of the window: the first label ahead is a
+    # key of the target's row
+    full = zip(word, *(itertools.islice(word, j, None)
+                       for j in range(1, a + 1)))
+    for i, w in enumerate(full):
+        for mv in here.get(w[0], ()):
+            if a == 0 or w[1] in mv[2] and (a == 1 or _reads(g, mv, w[1:])):
+                break
+        else:
+            raise NotDecodable(i, "no edge matches the upcoming labels")
+        _, tag, here = mv
+        if tag is None:
+            raise NotDecodable(i, "edge has no tag")
         out.append(tag)
+    for i in range(max(len(word) - a, 0), len(word)):
+        cands = [mv for mv in here.get(word[i], ())
+                 if _reads(g, mv, word[i + 1:])]
+        if not cands:
+            raise NotDecodable(i, "no edge matches the upcoming labels")
+        # a truncated window: the edge with the least raw tag is taken
+        _, tag, here = min(
+            cands, key=lambda mv: min(e.tags.get(mv[0], ((2, 0),))))
+        if tag is None:
+            raise NotDecodable(i, "edge has no tag")
+        out.append(tag if len(cands) == 1 else DecodedTag(tag.tag, True))
     return out
 
 
@@ -541,19 +544,24 @@ def decode_sliding(e, word, m, a, p=None):
     _check_window(m, a)
     word = list(word)
     g = e.graph
-    if p is not None:
-        _check_block_width(e, p)
-    decoded = _decoded_tags(e, p)
+    moves = _moves(e, p)
+    # label -> the states it enters from every state, the first step of
+    # each window's m-label prefix; equal state sets share one frozenset
+    shared = {}
+    entered = _kept(e, "_entered", lambda: {
+        lbl: shared.setdefault(z, z) for lbl in {ed.label for ed in g.edges}
+        for z in (_step(g, g.states, lbl),)})
     n = len(word)
     out = []
     for i in range(n):
         if i < m or i + a >= n:
             out.append(None)
             continue
-        z = g.states
-        for lbl in word[i - m:i]:
+        z = entered.get(word[i - m], ()) if m else g.states
+        for lbl in word[i - m + 1:i]:
             z = _step(g, z, lbl)
-        tags = {decoded.get(ed) for ed in
-                _candidates(g, z, word[i], word[i + 1:i + a + 1])}
-        out.append(tags.pop() if len(tags) == 1 else None)
+        tags = {mv[1] for s in z for mv in moves[s].get(word[i], ())
+                if _reads(g, mv, word[i + 1:i + a + 1])}
+        out.append(tags.pop().tag if len(tags) == 1 and None not in tags
+                   else None)
     return out

@@ -10,11 +10,13 @@ import pytest
 from bimodal import (
     Edge,
     LabeledGraph,
+    NotDecodable,
     NotDeterministic,
     ParityPartition,
     TaggedEncoder,
     UnknownTag,
     adjacency_pair,
+    anticipation,
     encode_stream,
     power,
     validate_graph,
@@ -23,6 +25,7 @@ from bimodal import graphs
 from bimodal.construct import rll_graph
 from bimodal.io import parse_graph_file
 from bimodal.synth import _check_ae
+from bimodal.verify import DecodedTag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -506,3 +509,49 @@ def reference_decode(e, word, start, a, p=None):
         out.append((min(tags), len(cands) > 1))
         state = edge.dst
     return out, None
+
+
+def memo_decode(e, word, start, p=None):
+    """decode_stream by set stepping, each (state, window) resolved once
+    per call in a memo: the window is the next a + 1 labels (fewer at
+    the end), a the encoder's anticipation.  The candidates are the
+    out-edges with the window's first label whose targets can read the
+    rest; with several, the one with the least raw tag is taken and
+    flagged provisional.  Returns DecodedTag values, or raises
+    NotDecodable with decode_stream's position and message."""
+    g = e.graph
+    a = anticipation(e).value
+
+    def block(tag):
+        cls, slot = tag
+        return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
+
+    decoded = {ed: min(ts) if p is None else min(map(block, ts))
+               for ed, ts in e.tags.items() if ts}
+    memo = {}
+    state, out = start, []
+    for i in range(len(word)):
+        key = (state, tuple(word[i:i + a + 1]))
+        if key not in memo:
+            label, ahead = key[1][0], key[1][1:]
+            cands = []
+            for ed in g.out_edges(state):
+                z = {ed.dst} if ed.label == label else set()
+                for b in ahead:
+                    z = {x.dst for u in z for x in g.out_edges(u)
+                         if x.label == b}
+                if z:
+                    cands.append(ed)
+            cands.sort(key=lambda ed: min(e.tags.get(ed, ((2, 0),))))
+            if not cands:
+                memo[key] = "no edge matches the upcoming labels"
+            elif cands[0] not in decoded:
+                memo[key] = "edge has no tag"
+            else:
+                memo[key] = (DecodedTag(decoded[cands[0]], len(cands) > 1),
+                             cands[0].dst)
+        if isinstance(memo[key], str):
+            raise NotDecodable(i, memo[key])
+        tag, state = memo[key]
+        out.append(tag)
+    return out

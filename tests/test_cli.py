@@ -235,6 +235,48 @@ def test_cli_encode_decode_tags(tmp_path, capsys, monkeypatch):
         assert captured.err.count("\n") == 1
 
 
+def test_cli_encode_reads_decoded_output(tmp_path, capsys, monkeypatch):
+    # decode marks the last tag provisional (0/0?); encode reads it as
+    # 0/0, and the provisional edge reads the same label, so the word
+    # comes back
+    enc = tmp_path / "enc.cg"
+    assert main(["synth", fixture("twostate.cg"), "-t", "3",
+                 "--method", "stether", "--n0", "3", "--n1", "3",
+                 "-o", str(enc)]) == 0
+    capsys.readouterr()
+    args = [str(enc), "--start", "alpha@0"]
+    monkeypatch.setattr("sys.stdin", stdio.StringIO("0/0 1/2 0/1"))
+    assert main(["encode"] + args) == 0
+    word = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", stdio.StringIO(word))
+    assert main(["decode"] + args) == 0
+    decoded = capsys.readouterr().out
+    assert decoded.split() == ["0/0", "1/2", "0/0?"]
+    monkeypatch.setattr("sys.stdin", stdio.StringIO(decoded))
+    assert main(["encode"] + args) == 0
+    assert capsys.readouterr().out == word
+    # the library refuses -p beside c/s tags, marked or not
+    monkeypatch.setattr("sys.stdin", stdio.StringIO("0/0? 1/2"))
+    assert main(["encode"] + args + ["-p", "2"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_cli_block_input_reads_provisional_marks(tmp_path, capsys,
+                                                 monkeypatch):
+    # a p-bit block marked provisional encodes as the block
+    enc = tmp_path / "enc.cg"
+    assert main(["synth", fixture("quad.cg"), "--method", "det",
+                 "--n0", "2", "--n1", "2", "-o", str(enc)]) == 0
+    capsys.readouterr()
+    start = parse_encoder_file(enc.read_text()).graph.states[0]
+    words = []
+    for blocks in ("00 11 01 10", "00 11 01 10?"):
+        monkeypatch.setattr("sys.stdin", stdio.StringIO(blocks))
+        assert main(["encode", str(enc), "--start", start]) == 0
+        words.append(capsys.readouterr().out)
+    assert words[0] == words[1]
+
+
 def test_cli_decode_bad_word(tmp_path, capsys, monkeypatch):
     enc = tmp_path / "enc.cg"
     main(["synth", fixture("twostate.cg"), "-t", "2", "--method", "det",
@@ -658,7 +700,8 @@ def cli_cases(draw):
         "export-dot": ["export-dot", "G"],
     }[cmd]
     words = st.sampled_from(labels + (["0", "1", "01", "10", "0/0", "0/1",
-                                       "1/0", "1/2"]
+                                       "1/0", "1/2", "0/0?", "1/2?", "01?",
+                                       "?", "0/1??"]
                                       if cmd == "encode" else []))
     stdin = " ".join(draw(st.lists(words, max_size=6)))
     return graph, encoder, argv, stdin

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import helpers
+from bimodal import graphs, verify
 from bimodal import (
+    ArityMismatch,
     Edge,
     Finite,
     Infinite,
@@ -24,9 +26,11 @@ from bimodal import (
     extract_deterministic,
     is_definite,
     LabeledGraph,
+    adjacency_pair,
     losslessness,
     memory,
     merge_split_pair,
+    min_infnorm_ae,
     parity_subgraph,
     power,
     presents_subset,
@@ -519,6 +523,29 @@ def test_encode_stream_edge_cases():
         encode_stream(e, [(0, 0)], e.graph.states[0], policy="rds-min")
 
 
+def _twostate_cube_encoder():
+    """The (3, 3) stether encoder of the two-state graph at t=3, whose
+    degrees take no p-bit blocks, as ``bimodal synth`` builds it."""
+    g = helpers.two_state()
+    a0, a1, _ = adjacency_pair(g, 3)
+    _, x = min_infnorm_ae(a0, a1, 3, 3)
+    return stether(power(g, 3), x.entries, 3, 3)
+
+
+def test_encode_stream_refuses_width_with_raw_tags():
+    # a block width says the input is p-bit blocks, so raw tags beside
+    # it are refused, whatever the encoder's degrees
+    e = _twostate_cube_encoder()
+    assert encode_stream(e, [(0, 0), (1, 2)], "alpha@0")[0] == [
+        "a.a.a", "a.b.d"]
+    for p in (1, 2, 7):
+        with pytest.raises(ArityMismatch, match="raw"):
+            encode_stream(e, [(0, 0), (1, 2)], "alpha@0", p=p)
+    q, _ = next(_round_trip_fixtures())
+    with pytest.raises(ArityMismatch):
+        encode_stream(q, [(0, 0)], q.graph.states[0], p=2)
+
+
 def test_encode_stream_unknown_policy_refused_on_empty_input():
     e, p = next(_round_trip_fixtures())
     s = e.graph.states[0]
@@ -730,6 +757,141 @@ def test_decode_stream_matches_reference_decoder():
     assert seen >= {(a, c) for a in ("a=0", "a=1", "a=2")
                     for c in ("strict", "overlapping")}
     assert {"stop", "decoded", "provisional"} <= seen
+
+
+def _random_block_encoder(rng, strict):
+    """Random graph at (2, 2) whose edges carry none, one or two (class,
+    slot) tags, slots 0 and 1 and distinct at each state, so raw tags
+    and 2-bit blocks both decode."""
+    g = helpers.random_graph(rng, strict=strict)
+    tags = {}
+    for s in g.states:
+        pool = [(c, k) for c in (0, 1) for k in (0, 1)]
+        pool = [pool[j] for j in rng.permutation(4)]
+        for ed in g.out_edges(s):
+            n = min(len(pool), int(rng.choice(3, p=(0.15, 0.7, 0.15))))
+            if n:
+                tags[ed] = tuple(pool[:n])
+                del pool[:n]
+    return TaggedEncoder(g, tags, 2, 2)
+
+
+def _outcome(decode, *args):
+    """A decoder's tags and flags, or where and why it stops."""
+    try:
+        return [tuple(d) for d in decode(*args)]
+    except NotDecodable as exc:
+        return exc.position, str(exc)
+
+
+def test_decoders_match_their_references():
+    # decode_stream against the plain set-stepping rule and the memo
+    # decoder, decode_sliding against path enumeration, on words that
+    # leave the encoder (foreign and off-path labels), run through an
+    # untagged edge or stop short; raw-tag and block calls interleave
+    # on each encoder
+    rng = np.random.default_rng(89)
+    seen = set()
+    for i in range(160):
+        e = _random_block_encoder(rng, strict=bool(i % 2))
+        g = e.graph
+        table = helpers.reference_block_table(e, 2)
+        tag_of = {
+            None: lambda ed: [min(e.tags[ed]) if ed in e.tags else None],
+            2: lambda ed: [min((b for b, x in table[ed.src].items()
+                                if x == ed), default=None)]}
+        ant = anticipation(e)
+        a = ant.value if isinstance(ant, Finite) else None
+        alphabet = sorted(g.parity.alphabet)
+        for start in g.states[:3]:
+            word, state = [], start
+            for _ in range(2 * (a or 0) + 10):
+                ed = g.out_edges(state)[rng.integers(len(g.out_edges(state)))]
+                word.append(ed.label)
+                state = ed.dst
+                seen.add("untagged" if ed not in e.tags else "tagged")
+            words = [word]
+            for bad in (alphabet[rng.integers(len(alphabet))], "zz"):
+                words.append(list(word))
+                words[-1][rng.integers(len(word))] = bad
+            words += [w[:int(rng.integers(1, len(w) + 1))] for w in words]
+            for w in words:
+                for p in (None, 2, None):
+                    for m, b in ((0, 0), (1, 0), (1, 1), (2, 1)):
+                        want = oracle_sliding(e, w, m, b, tag_of[p])
+                        assert decode_sliding(e, w, m, b, p) == want
+                    if a is None:
+                        with pytest.raises(PreconditionFailed):
+                            decode_stream(e, w, start, p)
+                        continue
+                    got = _outcome(decode_stream, e, w, start, p)
+                    assert got == _outcome(helpers.memo_decode,
+                                           e, w, start, p), (g.edges, w)
+                    want, stop = helpers.reference_decode(e, w, start, a, p)
+                    if stop is None:
+                        assert got == want
+                        seen.add("provisional" if want and want[-1][1]
+                                 else "decoded")
+                    else:
+                        assert got[0] == stop
+                        seen.add(got[1].split(": ", 1)[1])
+                    seen.add("a=0" if a == 0 else "a>=1")
+    assert seen >= {"a=0", "a>=1", "untagged", "decoded", "provisional",
+                    "edge has no tag", "no edge matches the upcoming labels"}
+
+
+def test_decoders_step_no_state_set_with_no_lookahead(monkeypatch):
+    # anticipation 0: each symbol reads one kept row, and a (1, 0)
+    # sliding window reads its first step from a kept map
+    e = extract_deterministic(helpers.quad(), (1, 1), 2, 2)
+    assert anticipation(e) == Finite(0)
+    start = e.graph.states[0]
+    rng = random.Random(3)
+    blocks = ["".join(rng.choice("01") for _ in range(2))
+              for _ in range(1024)]
+    word, _, _ = encode_stream(e, blocks, start)
+    decode_sliding(e, word[:4], 1, 0, p=2)  # builds the kept maps
+    calls = []
+    real = graphs._step
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "_step", counted)
+    monkeypatch.setattr(verify, "_step", counted)
+    assert [d.tag for d in decode_stream(e, word, start, p=2)] == blocks
+    assert decode_sliding(e, word, 1, 0, p=2)[1:] == blocks[1:]
+    assert decode_stream(e, word, start)
+    assert not calls
+
+
+def test_decoders_keep_no_more_than_an_entry_per_edge():
+    # whatever the words, what the decoders keep is indexed by the
+    # encoder: a move per edge, a first step per label
+    def entries(v):
+        return sum(entries(x) if isinstance(x, dict) else
+                   len(x) if isinstance(x, tuple) else 1
+                   for x in v.values())
+
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    assert anticipation(e).value >= 1
+    g = e.graph
+    labels = sorted(g.parity.alphabet) + ["zz", "a", "zz.zz.zz"]
+    rng = random.Random(13)
+    for k in range(100):
+        word = [rng.choice(labels) for _ in range(rng.randrange(1, 40))]
+        p = (None, 2)[k % 2]
+        try:
+            decode_stream(e, word, rng.choice(g.states), p=p)
+        except NotDecodable:
+            pass
+        decode_sliding(e, word, rng.randrange(3), rng.randrange(3), p=p)
+    kept = {k: v for k, v in vars(e).items() if k.startswith("_")}
+    assert {"_moves_None", "_moves_2", "_entered"} <= set(kept)
+    for name, v in kept.items():
+        if isinstance(v, dict):
+            assert entries(v) <= len(g.edges), name
 
 
 def test_codec_tables_do_not_grow():
