@@ -324,7 +324,7 @@ class DecodedTag(NamedTuple):
 
 
 def _check_start(g, start):
-    if start not in set(g.states):
+    if start not in g._index:
         raise ValueError("unknown start state %r" % start)
 
 
@@ -363,33 +363,42 @@ def _kept(e, name, build):
         return value
 
 
-# the blocks each policy may send for an input block: the reserved
-# first bit is the policy's
-_SENDS = {
-    "as-tagged": lambda t: (t,),
-    "fixed-parity": lambda t: (str(t[1:].count("1") % 2) + t[1:],),
-    "rds-min": lambda t: ("0" + t[1:], "1" + t[1:]),
-}
+# the slot of an input's move tuple each policy takes; rds-min takes
+# slot 2 or 3
+_SLOT = {"as-tagged": 0, "fixed-parity": 1, "rds-min": 2}
 
 
-def _sends(e, p, policy):
-    """input -> the tags the policy may send for it, in the order _SENDS
-    lists their blocks, kept on the encoder.  The inputs are the
-    encoder's raw tags (p None, as-tagged) or the p-bit blocks that can
-    send one of its tags, a block sending its _block_tag: the blocks of
-    the tags and their reserved-bit twins, so at most twice as many as
-    tags, whatever p.  A state's move is the first edge carrying a sent
-    tag there (by_tag); with two, the policy picks."""
+def _encodes(e, p):
+    """state -> input -> the moves the policies may take for it, kept on
+    the encoder.  A move is (label, sign, dst, the dst's row), sign +1
+    when the label is in class 0 and -1 otherwise, one move per edge; a
+    tag's move is that of the first edge by_tag lists for it.  A raw tag
+    (p None) holds its own move; a p-bit block holds four, None where the
+    state has no edge for the tag: its own (as-tagged), its even twin's
+    (fixed-parity) and its two reserved-bit twins' (rds-min).  A state's
+    inputs are the blocks of its tags and their twins, so at most twice
+    as many as its tags, whatever p."""
     def build():
-        tags = {t for row in e.by_tag.values() for t in row}
-        if p is None:
-            return {t: (t,) for t in tags}
-        blocks = [_tag_block(t, p) for t in tags]
-        inputs = {r + b[1:] for b, t in zip(blocks, tags)
-                  if _block_tag(b, p) == t for r in "01"}
-        return {k: tuple(_block_tag(b, p) for b in _SENDS[policy](k))
-                for k in inputs}
-    return _kept(e, "_sends_%s_%s" % (p, policy), build)
+        class0 = e.graph.parity.class0
+        rows = {s: {} for s in e.graph.states}
+        move = {ed: (ed.label, 1 if ed.label in class0 else -1, ed.dst,
+                     rows[ed.dst]) for ed in e.graph.edges}
+        blocks = {}  # one key string per block, shared by the states
+        for s, by_tag in e.by_tag.items():
+            if p is None:
+                rows[s].update((t, (move[es[0]],)) for t, es in by_tag.items())
+                continue
+            sent = {b: move[es[0]] for t, es in by_tag.items()
+                    for b in (_tag_block(t, p),) if _block_tag(b, p) == t}
+            for b in sent:
+                rest = b[1:]
+                ks = [blocks.setdefault(r + rest, r + rest) for r in "01"]
+                twins = tuple(map(sent.get, ks))
+                even = twins[rest.count("1") % 2]
+                for k, own in zip(ks, twins):
+                    rows[s][k] = (own, even) + twins
+        return rows
+    return _kept(e, "_encode_%s" % p, build)
 
 
 def _moves(e, p):
@@ -425,12 +434,12 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
     keeps the running digital sum closest to zero (ties go to a 0
     reserved bit).  Every policy refuses a block that is not a p-bit
     binary string.  Returns (word, end_state, rds_trace); the trace
-    starts at 0 and appends one value per emitted label.
+    starts at 0 and appends one value per emitted label.  Each block
+    reads one entry of a row of _encodes, which the policies share.
     """
     tags = list(tags)
-    g = e.graph
-    _check_start(g, start)
-    if policy not in _SENDS:
+    _check_start(e.graph, start)
+    if policy not in _SLOT:
         raise ValueError("unknown policy %r" % policy)
     block_mode = not tags or isinstance(tags[0], str)
     if block_mode:
@@ -445,33 +454,32 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
         raise ValueError("raw (class, slot) tags require as-tagged policy")
     if not tags:
         return [], start, [0]
-    sends = _sends(e, p if block_mode else None, policy)
-    by_tag = e.by_tag
-    class0 = g.parity.class0
+    row = _encodes(e, p)[start]
+    slot = _SLOT[policy]
+    rds_min = policy == "rds-min"
+    unsent = (None,) * 4
     state = start
     level = 1
     rds = 0
     trace = [0]
     word = []
     for t in tags:
-        row = by_tag[state]
-        move = None
-        for tag in sends.get(t, ()):
-            edges = row.get(tag)
-            if edges:
-                # each emitted label carries one channel bit, its class
-                lv = level if edges[0].label in class0 else -level
-                s = rds + lv
-                # strict: a 0 reserved bit wins ties
-                if move is None or abs(s) < abs(move[2]):
-                    move = (edges[0], lv, s)
-        if move is None:
+        sent = row.get(t, unsent)
+        mv = sent[slot]
+        # strict: a 0 reserved bit wins ties
+        if rds_min and sent[3] is not None and (
+                mv is None
+                or abs(rds + level * sent[3][1]) < abs(rds + level * mv[1])):
+            mv = sent[3]
+        if mv is None:
             raise UnknownTag("no edge for %s %r at %r"
                              % ("block" if block_mode else "tag", t, state))
-        edge, level, rds = move
-        word.append(edge.label)
+        label, sign, state, row = mv
+        # each emitted label carries one channel bit, its class
+        level *= sign
+        rds += level
+        word.append(label)
         trace.append(rds)
-        state = edge.dst
     return word, state, trace
 
 

@@ -397,16 +397,26 @@ def random_matrix(rng, max_n=4, max_entry=3):
     return rng.integers(0, max_entry + 1, size=(n, n)).astype(np.int64)
 
 
+def block_of(tag, p):
+    """The p-bit block of a (class, slot) tag: the slot's bits, then the
+    bit that makes the block's parity the class."""
+    cls, slot = tag
+    return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
+
+
 def reference_block_table(e, p):
     """The even/odd construction: at each state the even-parity blocks in
-    ascending binary order take the class-0 slots, the odd ones class 1."""
+    ascending binary order take the class-0 slots, the odd ones class 1.
+    A tag on two edges of a state binds the first; a slot past the
+    class's blocks binds none."""
     blocks = [format(i, "0%db" % p) for i in range(2 ** p)]
     lists = ([b for b in blocks if b.count("1") % 2 == 0],
              [b for b in blocks if b.count("1") % 2 == 1])
     table = {s: {} for s in e.graph.states}
     for ed in e.graph.edges:
         for cls, slot in e.tags.get(ed, ()):
-            table[ed.src][lists[cls][slot]] = ed
+            if slot < len(lists[cls]):
+                table[ed.src].setdefault(lists[cls][slot], ed)
     return table
 
 
@@ -441,6 +451,61 @@ def reference_encode(e, blocks, start, policy, p):
         word.append(ed.label)
         trace.append(rds)
         state = ed.dst
+    return word, state, trace
+
+
+def table_encode(e, tags, start, policy="as-tagged", p=None):
+    """encode_stream over a send table and the by_tag rows.  The table
+    maps each input to the tags the policy may send for it: a raw tag
+    itself, or the block (as-tagged), its even twin (fixed-parity) or
+    both reserved-bit twins (rds-min), the inputs being the blocks of the
+    encoder's tags and their twins.  At each block the move is the first
+    edge by_tag lists for a sent tag, and rds-min takes the 1 twin only
+    when it leaves the running digital sum strictly nearer zero.  Skips
+    encode_stream's argument checks.  Returns (word, end_state,
+    rds_trace), or raises UnknownTag with encode_stream's message."""
+    tags = list(tags)
+    if not tags:
+        return [], start, [0]
+    block_mode = isinstance(tags[0], str)
+    if block_mode and p is None:
+        p = len(tags[0])
+
+    def tag_of(block):
+        if len(block) != p or block.strip("01"):
+            return None
+        v = int(block, 2)
+        return v.bit_count() % 2, v >> 1
+
+    known = {t for row in e.by_tag.values() for t in row}
+    if block_mode:
+        policies = {
+            "as-tagged": lambda k: (k,),
+            "fixed-parity": lambda k: (str(k[1:].count("1") % 2) + k[1:],),
+            "rds-min": lambda k: ("0" + k[1:], "1" + k[1:])}
+        inputs = {r + b[1:] for t in known for b in (block_of(t, p),)
+                  if tag_of(b) == t for r in "01"}
+        sends = {k: tuple(map(tag_of, policies[policy](k))) for k in inputs}
+    else:
+        sends = {t: (t,) for t in known}
+    class0 = e.graph.parity.class0
+    state, level, rds, word, trace = start, 1, 0, [], [0]
+    for t in tags:
+        row = e.by_tag[state]
+        move = None
+        for tag in sends.get(t, ()):
+            edges = row.get(tag)
+            if edges:
+                lv = level if edges[0].label in class0 else -level
+                if move is None or abs(rds + lv) < abs(move[2]):
+                    move = (edges[0], lv, rds + lv)
+        if move is None:
+            raise UnknownTag("no edge for %s %r at %r"
+                             % ("block" if block_mode else "tag", t, state))
+        edge, level, rds = move
+        word.append(edge.label)
+        trace.append(rds)
+        state = edge.dst
     return word, state, trace
 
 
@@ -521,12 +586,8 @@ def memo_decode(e, word, start, p=None):
     NotDecodable with decode_stream's position and message."""
     g = e.graph
     a = anticipation(e).value
-
-    def block(tag):
-        cls, slot = tag
-        return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
-
-    decoded = {ed: min(ts) if p is None else min(map(block, ts))
+    decoded = {ed: min(ts) if p is None
+               else min(block_of(t, p) for t in ts)
                for ed, ts in e.tags.items() if ts}
     memo = {}
     state, out = start, []

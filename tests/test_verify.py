@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from bimodal import graphs, verify
@@ -938,6 +940,149 @@ def test_codec_tables_follow_the_tags_not_the_width():
     assert [d.tag for d in decoded] == blocks + blocks[:1]
     assert decode_sliding(e, ["b", "a"], 0, 0, p=16) == blocks[::-1]
     assert max(len(v) for v in vars(e).values() if isinstance(v, dict)) <= 4
+
+
+POLICIES = ("as-tagged", "fixed-parity", "rds-min")
+
+
+def _random_encode_case(rng, strict):
+    """Random graph at (2, 2) whose edges carry up to two distinct tags,
+    slots 0 to 2 and drawn per edge, so a state may lack a tag, give one
+    tag to two edges, or hold a slot no 2-bit block names."""
+    g = helpers.random_graph(rng, strict=strict, max_out=4)
+    pool = [(c, k) for k in (0, 1, 2) for c in (0, 1)]
+    tags = {}
+    for ed in g.edges:
+        n = int(rng.choice(3, p=(0.2, 0.5, 0.3)))
+        if n:
+            picks = rng.choice(6, size=n, replace=False,
+                               p=(0.22, 0.22, 0.22, 0.22, 0.06, 0.06))
+            tags[ed] = tuple(pool[j] for j in picks)
+    return TaggedEncoder(g, tags, 2, 2)
+
+
+def _encode_features(e):
+    """Which of the cases the encode references must agree on e has."""
+    c0, c1 = e.graph.parity.class0, e.graph.parity.class1
+    found = set()
+    for row in e.by_tag.values():
+        if len(row) < 6:
+            found.add("a state lacks a tag")
+        if any(len(es) > 1 for es in row.values()):
+            found.add("a tag on two edges")
+    for ed, ts in e.tags.items():
+        if {c for c, _ in ts} == {0, 1}:
+            found.add("a tag of each class")
+        if ed.label in c0 and ed.label in c1:
+            found.add("a shared symbol")
+        if any(k > 1 for _, k in ts):
+            found.add("a slot past the blocks")
+    return found
+
+
+def _encode_outcome(encode, e, tags, *args):
+    """An encoder's (word, end, trace), or the block where it refuses the
+    input and its UnknownTag message."""
+    try:
+        return encode(e, tags, *args)
+    except UnknownTag as exc:
+        for i in range(len(tags)):
+            try:
+                encode(e, tags[:i + 1], *args)
+            except UnknownTag:
+                return i, str(exc)
+        raise
+
+
+def test_random_encode_cases_cover_the_encode_rules():
+    rng = np.random.default_rng(0)
+    found = set()
+    for i in range(100):
+        found |= _encode_features(_random_encode_case(rng, bool(i % 2)))
+    assert found == {"a state lacks a tag", "a tag on two edges",
+                     "a tag of each class", "a shared symbol",
+                     "a slot past the blocks"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_encode_stream_matches_table_and_reference(seed, strict):
+    # the kept encode map against the send-table loop it replaced and
+    # the block-table rule, raw-tag and 2-bit calls interleaved on one
+    # encoder, refusals compared by block and message
+    rng = np.random.default_rng(seed)
+    e = _random_encode_case(rng, strict)
+    g = e.graph
+    raw = [(c, k) for c in (0, 1) for k in range(4)]
+    blocks = ["00", "01", "10", "11", "0", "x1", "100", (0, 0)]
+    for _ in range(6):
+        start = g.states[int(rng.integers(len(g.states)))]
+        n = int(rng.integers(0, 12))
+        if rng.random() < 0.4:
+            tags = [raw[j] for j in rng.integers(len(raw), size=n)]
+            got = _encode_outcome(encode_stream, e, tags, start)
+            assert got == _encode_outcome(helpers.table_encode,
+                                          e, tags, start), (e.tags, tags)
+            continue
+        tags = [blocks[j] for j in rng.choice(
+            len(blocks), size=n, p=(0.23,) * 4 + (0.02,) * 4)]
+        if tags and not isinstance(tags[0], str):
+            tags[0] = "11"  # a leading raw tag would make the call raw
+        for policy in POLICIES:
+            args = (start, policy, 2)
+            got = _encode_outcome(encode_stream, e, tags, *args)
+            assert got == _encode_outcome(helpers.table_encode,
+                                          e, tags, *args), (e.tags, tags)
+            want = _encode_outcome(helpers.reference_encode, e, tags, *args)
+            if isinstance(want[0], int):
+                assert got[0] == want[0], (e.tags, tags, policy)
+            else:
+                assert got == want, (e.tags, tags, policy)
+
+
+def test_encode_keeps_one_move_per_edge_and_no_per_block_work(monkeypatch):
+    # one warm-up call builds the map all three policies read; a long
+    # stream then converts no block to a tag and reads no by_tag
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    g = e.graph
+    start = g.states[0]
+    rng = random.Random(23)
+    blocks = ["".join(rng.choice("01") for _ in range(2))
+              for _ in range(4096)]
+    want = {policy: helpers.table_encode(e, blocks, start, policy)
+            for policy in POLICIES}
+    encode_stream(e, blocks[:1], start)
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("_block_tag", "_tag_block"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    monkeypatch.setattr(TaggedEncoder, "by_tag", property(counted(
+        "by_tag", TaggedEncoder.__dict__["by_tag"].func)))
+    for policy in POLICIES:
+        assert encode_stream(e, blocks, start, policy=policy) == want[policy]
+    assert not calls
+    monkeypatch.undo()
+    # one entry per (state, sendable input): the blocks of the state's
+    # tags and their reserved-bit twins, four slots each
+    rows = vars(e)["_encode_2"]
+    sendable = {(ed.src, r + helpers.block_of(t, 2)[1:])
+                for ed, ts in e.tags.items() for t in ts for r in "01"}
+    assert {(s, k) for s, row in rows.items() for k in row} == sendable
+    assert set(rows) == set(g.states)
+    moves = [mv for row in rows.values() for sent in row.values()
+             for mv in sent if mv is not None]
+    assert {len(sent) for row in rows.values() for sent in row.values()} == {4}
+    assert len({id(mv) for mv in moves}) <= len(g.edges)
+    edges = {(ed.label, ed.dst) for ed in g.edges}
+    for label, sign, dst, row in moves:
+        assert (label, dst) in edges and row is rows[dst]
+        assert sign == (1 if label in g.parity.class0 else -1)
 
 
 def test_every_policy_refuses_malformed_blocks():
