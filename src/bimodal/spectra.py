@@ -51,15 +51,17 @@ def _as_int_matrix(a):
 
 
 def _check_pair(a0, a1):
-    """The checked pair with its bounds, (a0, a1, r0, r1): r_b is the
-    largest row sum of A_b, which bounds any feasible n_b (n_b x_u <=
-    (A_b x)_u <= rowsum_u x_u at x's top entry u)."""
+    """The checked pair stacked, with its bounds, (rows, k, r0, r1):
+    rows is the 2k x k matrix of A0 over A1, so one product gives both
+    images, and r_b is the largest row sum of A_b, which bounds any
+    feasible n_b (n_b x_u <= (A_b x)_u <= rowsum_u x_u at x's top entry
+    u)."""
     a0 = _as_int_matrix(a0)
     a1 = _as_int_matrix(a1)
     if a0.shape != a1.shape:
         raise DimensionMismatch("matrix pair shapes differ")
     r0, r1 = (max(map(sum, a.tolist()), default=0) for a in (a0, a1))
-    return a0, a1, r0, r1
+    return np.concatenate((a0, a1)), len(a0), r0, r1
 
 
 def perron(a):
@@ -125,39 +127,59 @@ def _largest(test, lo, hi):
 def franaszek_joint(a0, a1, n0, n1, xi):
     """Largest x <= xi with A0 x >= n0 x and A1 x >= n1 x, elementwise.
 
-    The iteration starts from the ceiling vector xi and repeatedly
-    clamps with the floor-divided images until it stabilizes; the all
-    zero vector means no nonzero solution fits under xi.  A zero n_b
-    drops that side's constraint, and an n_b above the largest row sum
-    of A_b gives the zero vector at once.  Exact: int64 when the largest
-    row sum times the largest ceiling entry fits, Python ints otherwise.
+    Franaszek's iteration starts from the ceiling vector xi and clamps
+    it with the floor-divided images min(x, A0 x // n0, A1 x // n1),
+    both images from one product of the stacked pair, until no entry
+    falls; the all zero vector means no nonzero solution fits under xi.
+    A zero n_b drops that side's constraint, and an n_b above the
+    largest row sum of A_b gives the zero vector at once.  Exact: int64
+    when the largest row sum times the largest ceiling entry fits,
+    Python ints otherwise.  Raises ValueError for a degree or ceiling
+    entry that is negative or not an integer.
     """
     pair = _check_pair(a0, a1)
     xi = np.asarray(xi)
-    if xi.shape != (len(pair[0]),):
+    if xi.shape != (pair[1],):
         raise DimensionMismatch("ceiling vector length mismatch")
+    if not _nonnegative_ints(xi.tolist()):
+        raise ValueError("ceiling entries must be nonnegative integers")
     return _sweep(pair, n0, n1, xi)
 
 
 def _sweep(pair, n0, n1, xi):
     """franaszek_joint on a checked pair; a search checks its pair once.
-    The iterate never rises, so it is the fixpoint once no entry falls."""
-    a0, a1, r0, r1 = pair
-    if n0 < 0 or n1 < 0:
-        raise ValueError("out-degree targets must be nonnegative")
+
+    Each round is one product of the stacked rows (only the halves whose
+    n_b is nonzero), floor-divided in place by n0 on the first k entries
+    and n1 on the last k.  The iterate never rises, so it is the
+    fixpoint once no entry falls.
+    """
+    rows, k, r0, r1 = pair
+    if not _nonnegative_ints((n0, n1)):
+        raise ValueError("out-degree targets must be nonnegative integers")
     # A_b x <= rowsum * cap bounds every product the sweep forms
     bound = max(r0, r1) * int(np.max(xi, initial=0))
-    a0, a1, x = (_ints(v, bound) for v in (a0, a1, xi))
+    x = _ints(xi, bound)
     if n0 > r0 or n1 > r1:
         return np.zeros_like(x)
+    xl = x.tolist()
+    # with no constraint, or from the zero vector, x is the fixpoint
+    if not (n0 or n1) or not any(xl):
+        return x
+    lo, hi = (0 if n0 else k), (2 * k if n1 else k)
+    rows = _ints(rows[lo:hi], bound)
+    div = _ints(([n0] * k + [n1] * k)[lo:hi], bound)
+    both = hi - lo > k
     while True:
-        y = x
-        for a, n in ((a0, n0), (a1, n1)):
-            if n > 0:
-                y = np.minimum(y, (a @ x) // n)
-        if not (y < x).any():
+        z = rows @ x
+        z //= div
+        y = np.minimum(x, z[:k])
+        if both:
+            np.minimum(y, z[k:], out=y)
+        yl = y.tolist()
+        if yl == xl:
             return x
-        x = y
+        x, xl = y, yl
 
 
 def joint_ae_exists(a0, a1, n0, n1, xi_cap=64):
@@ -166,12 +188,25 @@ def joint_ae_exists(a0, a1, n0, n1, xi_cap=64):
     None only means no solution with entries <= xi_cap exists; larger
     solutions may still exist, so absence is not a disproof.
     """
+    _check_cap(xi_cap)
     return _exists(_check_pair(a0, a1), n0, n1, xi_cap)
+
+
+def _nonnegative_ints(values):
+    return all(isinstance(v, (int, np.integer)) and v >= 0 for v in values)
+
+
+def _check_cap(xi_cap):
+    """Refuse a cap that is negative or not an integer; cap 0 admits
+    only the zero vector."""
+    if not _nonnegative_ints((xi_cap,)):
+        raise ValueError("entry cap must be a nonnegative integer, got %r"
+                         % xi_cap)
 
 
 def _exists(pair, n0, n1, xi_cap):
     """joint_ae_exists on a checked pair."""
-    x = _sweep(pair, n0, n1, [xi_cap] * len(pair[0]))
+    x = _sweep(pair, n0, n1, [xi_cap] * pair[1])
     if not x.any():
         return None
     return ApproxEigenvector(tuple(int(v) for v in x), n0, n1)
@@ -183,6 +218,7 @@ def min_infnorm_ae(a0, a1, n0, n1, xi_cap=64):
     Returns (norm, vector); raises NotFoundWithin when even xi_cap
     admits nothing.
     """
+    _check_cap(xi_cap)
     pair = _check_pair(a0, a1)
     # a solution under one cap is one under any larger cap, so index i
     # standing for cap xi_cap - i makes the feasible indices a prefix
@@ -217,6 +253,7 @@ def rate_region(g, t, xi_cap=64):
     A table of more than POWER_BUDGET rows (one per n0 up to the largest
     class-0 row sum) raises BimodalError naming t before the walk.
     """
+    _check_cap(xi_cap)
     a0, a1, _ = adjacency_pair(g, t)
     pair = _, _, r0, hi = _check_pair(a0, a1)
     if r0 + 1 > POWER_BUDGET:
@@ -244,6 +281,7 @@ def coding_ratio(g, t, xi_cap=64):
     (n, n) within the cap; the ratio is log2(2 n_max) / t, or -inf when
     even n = 1 is out of reach.
     """
+    _check_cap(xi_cap)
     a0, a1, _ = adjacency_pair(g, t)
     pair = _, _, r0, r1 = _check_pair(a0, a1)
     best = _largest(lambda n: _exists(pair, n, n, xi_cap), 1, min(r0, r1))

@@ -392,6 +392,56 @@ def reference_symbols(label, t, k):
     return [".".join(parts[i:i + k]) for i in range(0, t * k, k)]
 
 
+def reference_sweep(a0, a1, n0, n1, xi):
+    """Franaszek's iteration as two per-class products a round, in
+    Python ints: the largest x <= xi with A0 x >= n0 x and A1 x >= n1 x
+    (a zero n_b drops its side, an n_b above A_b's largest row sum gives
+    zero at once).  The array is int64 when the largest row sum times
+    the largest ceiling entry fits graphs.INT64_MAX, object otherwise."""
+    rows0, rows1 = ([[int(v) for v in row] for row in np.asarray(a).tolist()]
+                    for a in (a0, a1))
+    r0, r1 = (max(map(sum, rows), default=0) for rows in (rows0, rows1))
+    x = [int(v) for v in xi]
+    bound = max(r0, r1) * max(x, default=0)
+    dtype = np.int64 if bound <= graphs.INT64_MAX else object
+    if n0 > r0 or n1 > r1:
+        return np.array([0] * len(x), dtype=dtype)
+    while True:
+        y = x
+        for rows, n in ((rows0, n0), (rows1, n1)):
+            if n > 0:
+                y = [min(yu, sum(r * v for r, v in zip(row, x)) // n)
+                     for yu, row in zip(y, rows)]
+        if y == x:
+            return np.array(x, dtype=dtype)
+        x = y
+
+
+def reference_tables(g, t, xi_cap=64):
+    """(points, n_max) of rate_region and coding_ratio from
+    reference_sweep alone: each n0's n1 walks down from the last one
+    (first the largest class-1 row sum) to the first with a nonzero
+    greatest solution under the cap, which is the point's witness; n
+    walks up while (n, n) has one."""
+    a0, a1, _ = adjacency_pair(g, t)
+    cap = [xi_cap] * len(a0)
+    r0, n1 = (max(map(sum, a.tolist()), default=0) for a in (a0, a1))
+    points = []
+    for n0 in range(r0 + 1):
+        while n1 >= 0:
+            x = reference_sweep(a0, a1, n0, n1, cap)
+            if x.any():
+                break
+            n1 -= 1
+        else:
+            break
+        points.append((n0, n1, tuple(int(v) for v in x)))
+    n = 0
+    while reference_sweep(a0, a1, n + 1, n + 1, cap).any():
+        n += 1
+    return points, n
+
+
 def random_matrix(rng, max_n=4, max_entry=3):
     n = rng.integers(1, max_n + 1)
     return rng.integers(0, max_entry + 1, size=(n, n)).astype(np.int64)

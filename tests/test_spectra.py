@@ -507,3 +507,101 @@ def test_franaszek_monotone_in_degrees(seed):
         cur = franaszek_joint(a0, a1, n, n, xi)
         assert (cur <= prev).all()
         prev = cur
+
+
+def test_negative_or_fractional_inputs_refused(monkeypatch):
+    # a negative cap once wrapped int64 entries into garbage witnesses
+    a = [[1, 1], [1, 0]]
+    g = rll_graph(1, 3)
+    for call in (lambda: joint_ae_exists(a, a, 1, 1, xi_cap=-1),
+                 lambda: min_infnorm_ae(a, a, 1, 1, xi_cap=-1),
+                 lambda: anticipation_lower_bound(a, a, 1, 1, xi_cap=-1),
+                 lambda: rate_region(g, 2, xi_cap=-2),
+                 lambda: coding_ratio(g, 2, xi_cap=-2)):
+        with pytest.raises(ValueError, match="cap must be a nonnegative"):
+            call()
+    with pytest.raises(ValueError, match="cap must be a nonnegative"):
+        joint_ae_exists(a, a, 1, 1, xi_cap=2.5)
+    for xi in ([-3, 2], [1.5, 2], np.ones(2)):
+        with pytest.raises(ValueError, match="ceiling entries"):
+            franaszek_joint(a, a, 1, 1, xi)
+    # an integer divisor vector would truncate a fractional degree
+    for n0, n1 in ((2.5, 1), (1, -1), (2.0, 2)):
+        with pytest.raises(ValueError, match="degree targets"):
+            franaszek_joint(a, a, n0, n1, [4, 4])
+        with pytest.raises(ValueError, match="degree targets"):
+            joint_ae_exists(a, a, n0, n1)
+    # cap 0 admits only the zero vector
+    assert joint_ae_exists(a, a, 1, 1, xi_cap=0) is None
+    with pytest.raises(NotFoundWithin):
+        min_infnorm_ae(a, a, 1, 1, xi_cap=0)
+    assert rate_region(g, 2, xi_cap=0) == []
+    assert coding_ratio(g, 2, xi_cap=0) == (0, float("-inf"))
+    assert franaszek_joint(a, a, 1, 1, [0, 0]).tolist() == [0, 0]
+    # even when the matrix is past int64, which cap 0 once overflowed
+    big = [[2 ** 70, 1], [1, 1]]
+    assert joint_ae_exists(big, big, 1, 1, xi_cap=0) is None
+    # checked once per call, not once per sweep
+    real = spectra._check_cap
+    calls = []
+
+    def counted(cap):
+        calls.append(cap)
+        return real(cap)
+
+    monkeypatch.setattr("bimodal.spectra._check_cap", counted)
+    for search in (lambda: rate_region(g, 4), lambda: coding_ratio(g, 4),
+                   lambda: min_infnorm_ae(a, a, 1, 1)):
+        calls.clear()
+        search()
+        assert calls == [64]
+
+
+@st.composite
+def _sweep_inputs(draw):
+    k = draw(st.integers(min_value=0, max_value=4))
+    entries = st.integers(min_value=0, max_value=4)
+    a0, a1 = (draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                            min_size=k, max_size=k)) for _ in range(2))
+    r = max((sum(row) for row in a0 + a1), default=0)
+    n0, n1 = (draw(st.integers(min_value=0, max_value=r + 2))
+              for _ in range(2))
+    # uneven ceilings with zeros, as a warm start passes them
+    xi = draw(st.lists(st.integers(min_value=0, max_value=9),
+                       min_size=k, max_size=k))
+    scale = draw(st.sampled_from([1, 10 ** 18]))
+    return a0, a1, n0, n1, [v * scale for v in xi]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_inputs(), st.sampled_from([None, -1, 0]))
+def test_sweep_matches_reference(case, shift):
+    # shift puts INT64_MAX just below or at the sweep's bound, so both
+    # sides of the int64 switch are taken at every size
+    a0, a1, n0, n1, xi = case
+    a0 = np.array(a0, dtype=np.int64).reshape(len(xi), len(xi))
+    a1 = np.array(a1, dtype=np.int64).reshape(len(xi), len(xi))
+    with pytest.MonkeyPatch.context() as mp:
+        if shift is not None:
+            bound = max((sum(row) for row in a0.tolist() + a1.tolist()),
+                        default=0) * max(xi, default=0)
+            mp.setattr(graphs, "INT64_MAX",
+                       min(bound + shift, graphs.INT64_MAX))
+        want = helpers.reference_sweep(a0, a1, n0, n1, xi)
+        got = franaszek_joint(a0, a1, n0, n1, xi)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("name,t", [
+    ("twostate", 8), ("mixed", 2), ("mixed", 3), ("altsplit", 7),
+    ("overlap", 5), ("rll210", 16)])
+def test_explore_tables_match_reference_sweep(name, t):
+    # the explore benchmark's fixture tables, searched with no _sweep
+    g = (helpers.two_state_alt() if name == "altsplit"
+         else helpers.load(name + ".cg"))
+    points, n_max = helpers.reference_tables(g, t)
+    assert [(p.n0, p.n1, p.witness) for p in rate_region(g, t)] == points
+    assert coding_ratio(g, t) == (
+        (n_max, math.log2(2 * n_max) / t) if n_max
+        else (0, float("-inf")))
