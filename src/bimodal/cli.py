@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain failure (infeasible, verification red,
-undecodable), 2 usage or parse errors.
+undecodable), 2 usage or parse errors.  Errors and library warnings
+reach stderr as one line each.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import functools
 import re
 import sys
+import warnings
 
 from . import graphs, io, spectra, synth, verify
 from .graphs import BimodalError, Finite
@@ -238,8 +240,14 @@ def build_parser():
 _parser = functools.cache(build_parser)
 
 
+def _one_line(message, category, filename, lineno, line=None):
+    """A library warning as one line, like the ``error:`` lines."""
+    return "warning: %s\n" % message
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
+    shown, warnings.formatwarning = warnings.formatwarning, _one_line
     try:
         args.fn(args)
     except (io.ParseError, graphs.ValidationError, OSError,
@@ -249,6 +257,8 @@ def main(argv=None):
     except (BimodalError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
     return 0
 
 

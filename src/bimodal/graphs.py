@@ -6,7 +6,9 @@ matrices split by class, and the structural procedures (determinization,
 irreducibility, period, memory, state merging) used by the encoder
 construction and verification layers.  The shared primitives live here
 once: strongly connected components, the per-state label index and
-subset step, the synchronized pair graph, and induced subgraphs.
+subset step, the synchronized pair graph, and induced subgraphs.  The
+tagged encoder type lives here too, so that verification and the file
+format read encoders without importing their construction.
 """
 
 from __future__ import annotations
@@ -148,6 +150,53 @@ class LabeledGraph:
         return "LabeledGraph(%d states, %d edges)" % (
             len(self.states),
             len(self.edges),
+        )
+
+
+class TaggedEncoder:
+    """Labeled graph plus input tags: (class, slot) per edge.
+
+    Every state carries exactly n_b out-edges tagged with class b; with
+    an overlapping symbol cover a single edge may hold one tag of each
+    class.  The tags are fixed once the encoder is built.
+    """
+
+    def __init__(self, graph, tags, n0, n1):
+        self.graph = graph
+        self.tags = dict(tags)
+        self.n0 = n0
+        self.n1 = n1
+
+    @functools.cached_property
+    def by_tag(self):
+        """Tag index: state -> (class, slot) -> the out-edges carrying
+        that tag, in out-edge order."""
+        idx = {}
+        for s in self.graph.states:
+            d = idx[s] = {}
+            for e in self.graph.out_edges(s):
+                for t in self.tags.get(e, ()):
+                    d.setdefault(t, []).append(e)
+        return idx
+
+    def class_edges(self, state, b):
+        """Edges tagged with class b at state, in slot order."""
+        return [e for (cls, _), es in sorted(self.by_tag[state].items())
+                if cls == b for e in es]
+
+    def slots_ok(self, state, b, n):
+        """``state`` holds slots 0..n-1 of class b, one edge each."""
+        return sorted(slot for (cls, slot), es in self.by_tag[state].items()
+                      if cls == b for _ in es) == list(range(n))
+
+    def out_degrees_ok(self):
+        """Each state holds slots 0..n_b-1 of class b, one edge each."""
+        return all(self.slots_ok(s, b, n) for s in self.graph.states
+                   for b, n in ((0, self.n0), (1, self.n1)))
+
+    def __repr__(self):
+        return "TaggedEncoder(%d states, n0=%d, n1=%d)" % (
+            len(self.graph.states), self.n0, self.n1,
         )
 
 
@@ -728,11 +777,13 @@ def merge_states(g, weights=None):
 
     Always merges states whose follower sets are equal.  When a weight
     vector (aligned with g.states) is supplied, zero-weight states are
-    removed first with a warning, and within each group of equal-weight
-    states a state whose follower set strictly contains another's is
-    absorbed into the follower-minimal member of the group: its outgoing
-    edges are dropped and its incoming edges are retargeted.  Dead-end
-    states are pruned afterwards.
+    removed first with a warning, equal followers merge only at equal
+    weight, and a state whose follower set strictly contains that of
+    another state of its weight is absorbed as well.  A state goes to
+    the first state, in state order, of those it may merge into that
+    absorb no other state: its outgoing edges are dropped and its
+    incoming edges are retargeted.  Dead-end states are pruned
+    afterwards.
     """
     if not g.deterministic:
         raise NotDeterministic("merge_states needs a deterministic graph")
@@ -747,50 +798,25 @@ def merge_states(g, weights=None):
         return g
     rel = follower_le(g, g)
 
+    def below(v, u):
+        # v's followers lie within u's, at u's weight, or, unweighted,
+        # v's followers equal u's
+        return (v, u) in rel and (wmap[v] == wmap[u] if wmap is not None
+                                  else (u, v) in rel)
+
+    # the states with none strictly below them; the first of these below
+    # a state is its target, and such a target goes to itself, so no
+    # chain of merges is left to follow
+    bottoms = [v for v in g.states
+               if all(below(v, s) for s in g.states if below(s, v))]
     target = {}
-
-    def resolve(s):
-        while s in target:
-            s = target[s]
-        return s
-
-    # follower-set equality: representative is the earliest state
     for u in g.states:
-        for v in g.states:
-            if v == u:
-                break
-            if (u, v) in rel and (v, u) in rel:
-                if wmap is None or wmap[u] == wmap[v]:
-                    target[u] = v
-                    break
-    if wmap is not None:
-        groups = {}
-        for s in g.states:
-            if s not in target:
-                groups.setdefault(wmap[s], []).append(s)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            strictly_below = {
-                u: [v for v in members if v != u
-                    and (v, u) in rel and (u, v) not in rel]
-                for u in members
-            }
-            minimal = [u for u in members if not strictly_below[u]]
-            for u in members:
-                if u in minimal:
-                    continue
-                for v in minimal:
-                    if v in strictly_below[u]:
-                        target[u] = v
-                        break
+        v = next(v for v in bottoms if below(v, u))
+        if v != u:
+            target[u] = v
     if not target:
         return g
     survivors = [s for s in g.states if s not in target]
-    edges = []
-    for e in g.edges:
-        if e.src in target:
-            continue
-        edges.append(Edge(e.src, e.label, resolve(e.dst), e.mult))
-    merged = LabeledGraph(survivors, edges, g.parity)
-    return _essential(merged)
+    edges = [Edge(e.src, e.label, target.get(e.dst, e.dst), e.mult)
+             for e in g.edges if e.src not in target]
+    return _essential(LabeledGraph(survivors, edges, g.parity))

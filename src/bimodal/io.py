@@ -15,9 +15,8 @@ source, label, target.
 
 from __future__ import annotations
 
-from .graphs import (BimodalError, ValidationError, _empty_classes,
-                     validate_graph)
-from .synth import TaggedEncoder
+from .graphs import (BimodalError, TaggedEncoder, ValidationError,
+                     _empty_classes, validate_graph)
 
 
 class ParseError(Exception):

@@ -251,14 +251,15 @@ def rate_region(g, t, xi_cap=64):
     gives the zero vector does it bisect the smaller n1 from the cap.
     Every witness is the greatest solution under the cap at its point.
     A table of more than POWER_BUDGET rows (one per n0 up to the largest
-    class-0 row sum) raises BimodalError naming t before the walk.
+    class-0 row sum) raises BimodalError naming t and the budget before
+    the walk.
     """
     _check_cap(xi_cap)
     a0, a1, _ = adjacency_pair(g, t)
     pair = _, _, r0, hi = _check_pair(a0, a1)
     if r0 + 1 > POWER_BUDGET:
-        raise BimodalError("rate table at t=%d could hold %d rows, more "
-                           "than %d" % (t, r0 + 1, POWER_BUDGET))
+        raise BimodalError("rate table at t=%d would hold more than %d "
+                           "rows" % (t, POWER_BUDGET))
     points = []
     x = [xi_cap] * len(a0)
     for n0 in range(r0 + 1):

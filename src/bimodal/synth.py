@@ -10,23 +10,22 @@ deletes the top tag slot.
 
 from __future__ import annotations
 
-import functools
-import math
-
 import numpy as np
 
 from .graphs import (
     BimodalError,
     Edge,
+    Infinite,
     LabeledGraph,
     NotDeterministic,
     POWER_BUDGET,
-    PairGraph,
+    TaggedEncoder,
     _drop_zero_weight,
     adjacency,
     adjacency_pair,
 )
 from .spectra import _ae_holds
+from .verify import anticipation
 
 STATE_SEP = "@"
 
@@ -41,53 +40,6 @@ class SplitInfeasible(BimodalError):
 
 class TooManyCopies(BimodalError):
     pass
-
-
-class TaggedEncoder:
-    """Labeled graph plus input tags: (class, slot) per edge.
-
-    Every state carries exactly n_b out-edges tagged with class b; with
-    an overlapping symbol cover a single edge may hold one tag of each
-    class.  The tags are fixed once the encoder is built.
-    """
-
-    def __init__(self, graph, tags, n0, n1):
-        self.graph = graph
-        self.tags = dict(tags)
-        self.n0 = n0
-        self.n1 = n1
-
-    @functools.cached_property
-    def by_tag(self):
-        """Tag index: state -> (class, slot) -> the out-edges carrying
-        that tag, in out-edge order."""
-        idx = {}
-        for s in self.graph.states:
-            d = idx[s] = {}
-            for e in self.graph.out_edges(s):
-                for t in self.tags.get(e, ()):
-                    d.setdefault(t, []).append(e)
-        return idx
-
-    def class_edges(self, state, b):
-        """Edges tagged with class b at state, in slot order."""
-        return [e for (cls, _), es in sorted(self.by_tag[state].items())
-                if cls == b for e in es]
-
-    def slots_ok(self, state, b, n):
-        """``state`` holds slots 0..n-1 of class b, one edge each."""
-        return sorted(slot for (cls, slot), es in self.by_tag[state].items()
-                      if cls == b for _ in es) == list(range(n))
-
-    def out_degrees_ok(self):
-        """Each state holds slots 0..n_b-1 of class b, one edge each."""
-        return all(self.slots_ok(s, b, n) for s in self.graph.states
-                   for b, n in ((0, self.n0), (1, self.n1)))
-
-    def __repr__(self):
-        return "TaggedEncoder(%d states, n0=%d, n1=%d)" % (
-            len(self.graph.states), self.n0, self.n1,
-        )
 
 
 def _copy_name(parent, idx):
@@ -116,7 +68,7 @@ def _check_vector(g, x, bounds, positive=False):
     entries (``positive``) or nonnegative ones not all zero, and A x >=
     n x for each (A, n, failure) in ``bounds``; else InfeasibleVector.
     A sum past POWER_BUDGET, the state copies an encoder would name,
-    raises TooManyCopies."""
+    raises TooManyCopies, naming the budget."""
     xv = np.asarray(x)
     if xv.shape != (len(g.states),):
         raise InfeasibleVector("vector length does not match state count")
@@ -128,9 +80,13 @@ def _check_vector(g, x, bounds, positive=False):
     for a, n, failure in bounds:
         if not _ae_holds(a, xv, n):
             raise InfeasibleVector(failure)
-    if sum(xv) > POWER_BUDGET:
-        raise TooManyCopies("vector sum %d passes the budget of %d state "
-                            "copies" % (sum(xv), POWER_BUDGET))
+    total = sum(xv)
+    if total > POWER_BUDGET:
+        # a sum too long to print is named by its size
+        size = total if total.bit_length() <= 128 else (
+            "of %d bits" % total.bit_length())
+        raise TooManyCopies("vector sum %s passes the budget of %d state "
+                            "copies" % (size, POWER_BUDGET))
     return xv
 
 
@@ -183,7 +139,6 @@ def _cover_bins(weights, k, target):
     assign = [0] * len(weights)
     b, acc = 0, 0
     remaining = total
-    ok = True
     for i, w in enumerate(weights):
         assign[i] = b
         acc += w
@@ -244,29 +199,22 @@ def split_one_round(g_b, x, n_b):
                                  "inequality fails for the split class"),),
                        positive=True)
     w = dict(zip(g_b.states, xv))
-    groups = {}
+    edges = []
     for u in g_b.states:
         out = g_b.sorted_out_edges(u)
-        weights = [w[e.dst] for e in out]
-        assign = _cover_bins(weights, w[u], n_b)
+        assign = _cover_bins([w[e.dst] for e in out], w[u], n_b)
         if assign is None:
             raise SplitInfeasible(
                 "no weight-consistent division of the out-edges of %r "
                 "into %d groups of weight >= %d" % (u, w[u], n_b))
-        per = [[] for _ in range(w[u])]
-        for e, b in zip(out, assign):
-            per[b].append(e)
-        groups[u] = per
-    states = [_copy_name(u, i) for u in g_b.states for i in range(w[u])]
-    edges = []
-    for u in g_b.states:
-        for i, grp in enumerate(groups[u]):
-            expanded = sorted(
-                (Edge(_copy_name(u, i), e.label, _copy_name(e.dst, j))
-                 for e in grp for j in range(w[e.dst])),
-                key=lambda e: (e.label, e.dst))
-            edges.extend(expanded[:n_b])
-    return LabeledGraph(states, edges, g_b.parity)
+        copies = [[] for _ in range(w[u])]
+        for e, i in zip(out, assign):
+            copies[i] += (Edge(_copy_name(u, i), e.label, _copy_name(e.dst, j))
+                          for j in range(w[e.dst]))
+        for cp in copies:
+            edges += sorted(cp, key=lambda e: (e.label, e.dst))[:n_b]
+    return LabeledGraph([_copy_name(u, i) for u in g_b.states
+                         for i in range(w[u])], edges, g_b.parity)
 
 
 def merge_split_pair(e0, e1, x, matching=None):
@@ -290,31 +238,23 @@ def merge_split_pair(e0, e1, x, matching=None):
             idx = perm[idx]
         return _copy_name(parent, idx)
 
-    states = list(e0.states)
-    order = {s: i for i, s in enumerate(states)}
-    e1_states = sorted((rename(s) for s in e1.states),
-                       key=lambda s: order.get(s, len(order)))
-    if set(e1_states) != set(states):
+    if {rename(s) for s in e1.states} != set(e0.states):
         raise InfeasibleVector("split graphs disagree on state copies")
-    n0 = max((len(e0.out_edges(s)) for s in e0.states), default=0)
-    n1 = max((len(e1.out_edges(s)) for s in e1.states), default=0)
-    tagged = []
-    for s in e0.states:
-        for slot, e in enumerate(
-                sorted(e0.out_edges(s), key=lambda e: (e.label, e.dst))):
-            tagged.append((Edge(e.src, e.label, e.dst), (0, slot)))
-    for s in e1.states:
-        renamed = [Edge(rename(e.src), e.label, rename(e.dst))
-                   for e in e1.out_edges(s)]
-        renamed.sort(key=lambda e: (e.label, e.dst))
-        tagged += [(e, (1, slot)) for slot, e in enumerate(renamed)]
+    n, tagged = [0, 0], []
+    for b, e_b, name in ((0, e0, lambda s: s), (1, e1, rename)):
+        for s in e_b.states:
+            out = sorted((Edge(name(e.src), e.label, name(e.dst))
+                          for e in e_b.out_edges(s)),
+                         key=lambda e: (e.label, e.dst))
+            n[b] = max(n[b], len(out))
+            tagged += [(e, (b, slot)) for slot, e in enumerate(out)]
     parity = e0.parity
     if e1.parity is not parity:
         parity = type(parity)(
             parity.class0 | e1.parity.class0,
             parity.class1 | e1.parity.class1,
         )
-    return _assemble(states, parity, tagged, n0, n1)
+    return _assemble(e0.states, parity, tagged, *n)
 
 
 def _blocks(cands, x_u, n, home):
@@ -379,22 +319,18 @@ def stether_punctured(g, x_plus, n0, n1):
     deleted slots remove one out-edge per class per state, leaving a
     (n0, n1) encoder.  On a strict cover its anticipation obeys the
     stethering bound at the smaller degrees.  On an overlapping cover it
-    may be infinite, as read off the encoder's pair graph (a parted pair
-    with an unbounded walk); such an encoder, which no decoder can
-    read, is refused with a BimodalError naming the shared symbols.
+    may be infinite, as verify.anticipation finds it; such an encoder,
+    which no decoder can read, is refused with a BimodalError naming the
+    shared symbols.
     """
     wide = stether(g, x_plus, n0 + 1, n1 + 1)
     tagged = [(e, t) for e in wide.graph.edges for t in wide.tags[e]
               if t not in ((0, n0), (1, n1))]
     enc = _assemble(wide.graph.states, wide.graph.parity, tagged, n0, n1)
     shared = sorted(g.parity.class0 & g.parity.class1)
-    if shared:
-        pg = PairGraph(enc.graph)
-        ext = pg.ext()
-        if any(ext[kid] == math.inf for kids in pg.parted.values()
-               for kid in kids):
-            names = ", ".join(shared[:8]) + (", ..." if shared[8:] else "")
-            raise BimodalError("punctured encoder has infinite anticipation;"
-                               " the cover shares %s" % names)
+    if shared and isinstance(anticipation(enc), Infinite):
+        names = ", ".join(shared[:8]) + (", ..." if shared[8:] else "")
+        raise BimodalError("punctured encoder has infinite anticipation;"
+                           " the cover shares %s" % names)
     return enc
 

@@ -23,6 +23,7 @@ from .graphs import (
     Finite,
     Infinite,
     PairGraph,
+    TaggedEncoder,
     _split_words,
     _step,
     adjacency_pair,
@@ -31,7 +32,6 @@ from .graphs import (
     irreducible_components,
 )
 from .spectra import ApproxEigenvector, _ae_holds
-from .synth import TaggedEncoder
 
 
 class PreconditionFailed(BimodalError):
@@ -329,12 +329,14 @@ def _check_start(g, start):
 
 
 def _check_block_width(e, p):
-    """p-bit blocks need out-degrees n0 = n1 = 2^(p-1)."""
-    n = 2 ** (p - 1)
-    if e.n0 != n or e.n1 != n:
+    """p-bit blocks need out-degrees n0 = n1 = 2^(p-1), a power of two
+    of bit length p, so no power of two is built past the degrees."""
+    n = int(e.n0)
+    if n != e.n1 or n & (n - 1) or n.bit_length() != p:
+        need = 2 ** (p - 1) if p <= 64 else "2^%d" % (p - 1)
         raise ArityMismatch(
-            "block width %d needs out-degrees %d, encoder has (%d, %d)" %
-            (p, n, e.n0, e.n1))
+            "block width %d needs out-degrees %s, encoder has (%d, %d)" %
+            (p, need, e.n0, e.n1))
 
 
 def _block_tag(block, p):

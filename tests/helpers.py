@@ -9,22 +9,26 @@ import pytest
 
 from bimodal import (
     Edge,
+    InfeasibleVector,
     LabeledGraph,
     NotDecodable,
     NotDeterministic,
     ParityPartition,
+    SplitInfeasible,
     TaggedEncoder,
     UnknownTag,
+    adjacency,
     adjacency_pair,
     anticipation,
     encode_stream,
     power,
+    split_state,
     validate_graph,
 )
 from bimodal import graphs
 from bimodal.construct import rll_graph
 from bimodal.io import parse_graph_file
-from bimodal.synth import _check_ae
+from bimodal.synth import _check_ae, _check_vector, _cover_bins
 from bimodal.verify import DecodedTag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -272,6 +276,141 @@ def reference_punctured(g, x_plus, n0, n1, consistent=True):
     graph = LabeledGraph(wide.graph.states, list(tags), g.parity)
     return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
                          n0, n1)
+
+
+def reference_merge_states(g, weights=None):
+    """merge_states as it stood before its one-pass rules: follower-set
+    equality (at equal weight when weighted) to the earliest such state,
+    then, per weight group of the states left, each non-minimal state to
+    the first follower-minimal state strictly below it, targets resolved
+    through chains of merges."""
+    if not g.deterministic:
+        raise NotDeterministic("merge_states needs a deterministic graph")
+    wmap = None
+    if weights is not None:
+        if len(weights) != len(g.states):
+            raise ValueError("weight vector length mismatch")
+        wmap = dict(zip(g.states, (int(w) for w in weights)))
+        g = graphs._drop_zero_weight(g, [wmap[s] for s in g.states])
+    g = graphs._essential(g)
+    if not g.states:
+        return g
+    rel = graphs.follower_le(g, g)
+    target = {}
+
+    def resolve(s):
+        while s in target:
+            s = target[s]
+        return s
+
+    for u in g.states:
+        for v in g.states:
+            if v == u:
+                break
+            if (u, v) in rel and (v, u) in rel:
+                if wmap is None or wmap[u] == wmap[v]:
+                    target[u] = v
+                    break
+    if wmap is not None:
+        groups = {}
+        for s in g.states:
+            if s not in target:
+                groups.setdefault(wmap[s], []).append(s)
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            strictly_below = {
+                u: [v for v in members if v != u
+                    and (v, u) in rel and (u, v) not in rel]
+                for u in members
+            }
+            minimal = [u for u in members if not strictly_below[u]]
+            for u in members:
+                if u in minimal:
+                    continue
+                for v in minimal:
+                    if v in strictly_below[u]:
+                        target[u] = v
+                        break
+    if not target:
+        return g
+    survivors = [s for s in g.states if s not in target]
+    edges = [Edge(e.src, e.label, resolve(e.dst), e.mult) for e in g.edges
+             if e.src not in target]
+    return graphs._essential(LabeledGraph(survivors, edges, g.parity))
+
+
+def reference_split_one_round(g_b, x, n_b):
+    """split_one_round as it stood before its one loop per state: every
+    state's division first, then each copy's first n_b edges by (label,
+    target copy name)."""
+    xv = _check_vector(g_b, x, ((adjacency(g_b), n_b,
+                                 "inequality fails for the split class"),),
+                       positive=True)
+    w = dict(zip(g_b.states, xv))
+    groups = {}
+    for u in g_b.states:
+        out = g_b.sorted_out_edges(u)
+        assign = _cover_bins([w[e.dst] for e in out], w[u], n_b)
+        if assign is None:
+            raise SplitInfeasible(
+                "no weight-consistent division of the out-edges of %r "
+                "into %d groups of weight >= %d" % (u, w[u], n_b))
+        per = [[] for _ in range(w[u])]
+        for e, b in zip(out, assign):
+            per[b].append(e)
+        groups[u] = per
+    states = ["%s@%d" % (u, i) for u in g_b.states for i in range(w[u])]
+    edges = []
+    for u in g_b.states:
+        for i, grp in enumerate(groups[u]):
+            expanded = sorted(
+                (Edge("%s@%d" % (u, i), e.label, "%s@%d" % (e.dst, j))
+                 for e in grp for j in range(w[e.dst])),
+                key=lambda e: (e.label, e.dst))
+            edges.extend(expanded[:n_b])
+    return LabeledGraph(states, edges, g_b.parity)
+
+
+def reference_merge_split_pair(e0, e1, x, matching=None):
+    """merge_split_pair as it stood before its one loop over both
+    classes: class-1 copies renamed by ``matching`` and sorted into
+    class-0 state order for the copy check, then each class tagged in
+    its own loop, slots in (label, target copy name) order."""
+    matching = matching or {}
+
+    def rename(name):
+        parent, idx = split_state(name)
+        perm = matching.get(parent)
+        if perm is not None:
+            idx = perm[idx]
+        return "%s@%d" % (parent, idx)
+
+    states = list(e0.states)
+    order = {s: i for i, s in enumerate(states)}
+    e1_states = sorted((rename(s) for s in e1.states),
+                       key=lambda s: order.get(s, len(order)))
+    if set(e1_states) != set(states):
+        raise InfeasibleVector("split graphs disagree on state copies")
+    n0 = max((len(e0.out_edges(s)) for s in e0.states), default=0)
+    n1 = max((len(e1.out_edges(s)) for s in e1.states), default=0)
+    tags = {}
+    for s in e0.states:
+        for slot, e in enumerate(
+                sorted(e0.out_edges(s), key=lambda e: (e.label, e.dst))):
+            tags.setdefault(Edge(e.src, e.label, e.dst), []).append((0, slot))
+    for s in e1.states:
+        renamed = sorted((Edge(rename(e.src), e.label, rename(e.dst))
+                          for e in e1.out_edges(s)),
+                         key=lambda e: (e.label, e.dst))
+        for slot, e in enumerate(renamed):
+            tags.setdefault(e, []).append((1, slot))
+    parity = e0.parity
+    if e1.parity is not parity:
+        parity = ParityPartition(parity.class0 | e1.parity.class0,
+                                 parity.class1 | e1.parity.class1)
+    return TaggedEncoder(LabeledGraph(states, list(tags), parity),
+                         {e: tuple(t) for e, t in tags.items()}, n0, n1)
 
 
 def reference_pair_succ(g):

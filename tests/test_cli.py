@@ -31,6 +31,8 @@ from bimodal import (
     validate_graph,
 )
 from bimodal.cli import main
+from bimodal.construct import rll_graph
+from bimodal.graphs import POWER_BUDGET
 
 
 def fixture(name):
@@ -768,3 +770,56 @@ def test_power_file_reads_back(seed, strict, t):
         assert "parity class" in str(exc) and "is empty" in str(exc)
         return
     assert serialize_graph(parse_graph_file(text)) == text
+
+
+@pytest.mark.parametrize("t", ["20000", "30000"])
+def test_cli_region_refusal_names_the_budget(t, tmp_path, capsys):
+    # 3300 and 4900 digits of rows: the refusal names the budget, not the
+    # count, which past 4300 digits Python will not print
+    path = tmp_path / "rll.cg"
+    path.write_text(serialize_graph(rll_graph(2, 10)))
+    assert main(["region", str(path), "-t", t]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: rate table at t=%s would hold more than %d rows\n" \
+        % (t, POWER_BUDGET)
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+@pytest.mark.parametrize("p", ["20000", "1000000000000"])
+def test_cli_huge_block_width_refused(command, p, tmp_path, capsys,
+                                      monkeypatch):
+    # the width is compared with the degrees (1, 1) without building
+    # 2^(p-1)
+    enc = tmp_path / "enc.cg"
+    main(["synth", fixture("twostate.cg"), "-t", "2", "--method", "det",
+          "--n0", "1", "--n1", "1", "-o", str(enc)])
+    capsys.readouterr()
+    first = parse_encoder_file(enc.read_text()).graph.states[0]
+    monkeypatch.setattr("sys.stdin", stdio.StringIO(""))
+    start = time.perf_counter()
+    assert main([command, str(enc), "--start", first, "-p", p]) == 1
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().err == (
+        "error: block width %s needs out-degrees 2^%d, encoder has (1, 1)\n"
+        % (p, int(p) - 1))
+
+
+def test_cli_warning_on_one_line(tmp_path, capsys):
+    # the golden stether point drops the zero-weight state s10; the
+    # library's warning reaches stderr as one line, in a process of its
+    # own, as pytest records warnings raised in its own process
+    path = tmp_path / "rll.cg"
+    path.write_text(serialize_graph(rll_graph(2, 10)))
+    argv = ["synth", str(path), "--method", "stether", "-t", "16",
+            "--n0", "173", "--n1", "178", "-o", str(tmp_path / "enc.cg")]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(bimodal.__file__)))
+    run = subprocess.run([sys.executable, "-m", "bimodal.cli"] + argv,
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (0, "")
+    assert run.stderr == "warning: dropping zero-weight states: s10\n"
+    # in process, main leaves the warning format as it found it
+    shown = warnings.formatwarning
+    with pytest.warns(UserWarning, match="s10"):
+        assert main(argv) == 0
+    assert warnings.formatwarning is shown

@@ -31,3 +31,34 @@ def test_package_imports_only_stdlib_and_numpy():
     assert not outside
     # scipy is a common neighbour of numpy, and not a dependency
     assert "scipy" not in ALLOWED
+
+
+def _siblings(path):
+    """The bimodal modules a module imports, relative or absolute."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("bimodal."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                yield node.module.split(".")[0]
+            elif node.level:
+                yield from (a.name for a in node.names)
+            elif node.module.startswith("bimodal."):
+                yield node.module.split(".")[1]
+            elif node.module == "bimodal":
+                yield from (a.name for a in node.names)
+
+
+def test_layers_import_downwards():
+    # graphs is the bottom layer; synth builds encoders, which verify,
+    # io and spectra read or precede without importing it
+    root = os.path.dirname(bimodal.__file__)
+    imports = {name: set(_siblings(os.path.join(root, name + ".py")))
+               for name in ("graphs", "spectra", "verify", "io", "synth")}
+    assert imports["graphs"] == set()
+    assert not {name for name, got in imports.items() if "synth" in got}
+    # the guard reads every import form
+    assert imports["synth"] >= {"graphs", "spectra", "verify"}

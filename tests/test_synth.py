@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from bimodal import (
@@ -33,6 +35,7 @@ from bimodal import (
     stether_punctured,
     validate_graph,
 )
+from bimodal.graphs import POWER_BUDGET
 from bimodal import synth
 from bimodal.construct import rll_graph
 from bimodal.synth import _check_ae
@@ -293,7 +296,7 @@ def test_stether_punctured_refuses_infinite_anticipation(monkeypatch):
                        "cover shares b.a, b.b, b.c, c.b$"):
         stether_punctured(g, x, 1, 2)
     # a strict cover builds no pair graph
-    monkeypatch.setattr(synth, "PairGraph", None)
+    monkeypatch.setattr(synth, "anticipation", None)
     e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
     assert e.out_degrees_ok()
 
@@ -420,3 +423,98 @@ def test_determinism_scanned_once_per_graph(monkeypatch):
     # the determinism scan reads each state once for the graph, and the
     # candidate lists read each state once per call
     assert counts == [2 * len(g.states), len(g.states)]
+
+
+def _either(build, *args):
+    """build's result, or its refusal's type and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return build(*args)
+        except (BimodalError, ValueError) as exc:
+            return type(exc), str(exc)
+
+
+def _split_degree(rng, g_b, x):
+    """A degree up to one past the largest n_b with A_b x >= n_b x, so
+    that some draws fail the inequality."""
+    ax = adjacency(g_b).dot(x)
+    top = min(int(a) // int(v) for a, v in zip(ax, x))
+    return int(rng.integers(0, top + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.sampled_from([None, 0, 1]), st.sampled_from([None, "perm", "x"]))
+def test_split_route_matches_reference(seed, strict, low, other):
+    # the split route, state merge to merged encoder, against the
+    # rules as they stood before each step became one pass: no weights,
+    # or weights from ``low`` (zeros included) up to 2
+    rng = np.random.default_rng(seed)
+    g = helpers.random_det_graph(rng, max_states=5, strict=strict)
+    w = None if low is None else [
+        int(v) for v in rng.integers(low, 3, size=len(g.states))]
+    m = _either(merge_states, g, w)
+    assert m == _either(helpers.reference_merge_states, g, w), (g.edges, w)
+    if not isinstance(m, LabeledGraph) or not m.states:
+        return
+    x = [int(v) for v in rng.integers(1, 4, size=len(m.states))]
+    split = []
+    for b in (0, 1):
+        g_b = parity_subgraph(m, b)
+        n_b = _split_degree(rng, g_b, x)
+        got = _either(split_one_round, g_b, x, n_b)
+        assert got == _either(helpers.reference_split_one_round, g_b, x, n_b)
+        split.append(got)
+    if not all(isinstance(s, LabeledGraph) for s in split):
+        return
+    e0, e1 = split
+    matching = None
+    if other == "perm":
+        # each parent's copies of the class-1 graph renamed at random
+        matching = {u: tuple(int(i) for i in rng.permutation(v))
+                    for u, v in zip(m.states, x)}
+    elif other == "x":
+        # class 1 split at another vector: the copies may disagree
+        y = [v + int(rng.integers(0, 2)) for v in x]
+        e1 = _either(split_one_round, parity_subgraph(m, 1), y, 0)
+    assert _outcome(merge_split_pair, e0, e1, x, matching) == \
+        _outcome(helpers.reference_merge_split_pair, e0, e1, x, matching)
+
+
+def test_hex_matchings_merge_as_reference():
+    e0, e1 = helpers.hex_split_0(), helpers.hex_split_1()
+    for p0 in itertools.permutations(range(3)):
+        for p1 in itertools.permutations(range(3)):
+            matching = {"qc": p0, "qd": p1}
+            assert _outcome(merge_split_pair, e0, e1, helpers.HEX_X,
+                            matching) == _outcome(
+                helpers.reference_merge_split_pair, e0, e1, helpers.HEX_X,
+                matching)
+
+
+def test_merge_states_through_both_rules():
+    # v2 has v's followers and weight, so it goes to v; w reads a
+    # subset of v's words at v's weight, so v goes to w, and u's edge
+    # into v2 lands on w
+    g = validate_graph(
+        ["v", "v2", "w", "u"],
+        [("v", "a", "v"), ("v", "b", "v"), ("v2", "a", "v2"),
+         ("v2", "b", "v2"), ("w", "a", "w"), ("u", "a", "v2"),
+         ("u", "b", "u")],
+        ["a"], ["b"])
+    w = (1, 1, 1, 2)
+    m = merge_states(g, weights=w)
+    assert m == helpers.reference_merge_states(g, w)
+    assert m.states == ("w", "u")
+    assert set(m.edges) == {Edge("w", "a", "w"), Edge("u", "a", "w"),
+                            Edge("u", "b", "u")}
+
+
+def test_huge_vector_sum_refused_by_budget():
+    # a 5001-digit entry: the refusal names the budget, not the sum,
+    # whose decimal form Python will not print
+    with pytest.raises(TooManyCopies) as info:
+        _check_ae(helpers.quad(), [10 ** 5000] * 2, 2, 2)
+    msg = str(info.value)
+    assert str(POWER_BUDGET) in msg and len(msg) < 100
