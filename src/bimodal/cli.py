@@ -254,7 +254,8 @@ def main(argv=None):
             UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (BimodalError, ValueError) as exc:
+    # Warning: a library warning raised as an error under python -W error
+    except (BimodalError, ValueError, Warning) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     finally:

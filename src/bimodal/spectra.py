@@ -103,24 +103,36 @@ def capacity(g):
     return math.log2(lam)
 
 
-def _ae_holds(a, x, n):
-    """A x >= n x entrywise, in exact integer arithmetic."""
+def _reach(a, x):
+    """The largest n with A x >= n x, x a nonnegative integer vector:
+    the least (A x)_u // x_u over the support of x, in exact ints, and
+    infinity for the zero vector, which satisfies every n.  So x
+    satisfies degree n exactly when _reach(a, x) >= n."""
     x = [int(v) for v in x]
-    return all(sum(r * v for r, v in zip(row, x)) >= n * xu
-               for row, xu in zip(np.asarray(a).tolist(), x))
+    return min((sum(r * v for r, v in zip(row, x)) // xu
+                for row, xu in zip(np.asarray(a).tolist(), x) if xu),
+               default=math.inf)
 
 
-def _largest(test, lo, hi):
-    """(n, test(n)) for the largest n in lo..hi with test(n) not None,
-    or None; test must hold on a prefix of the range."""
-    best = None
+def _largest(test, lo, hi, reach):
+    """(n, w): the largest n in lo..hi with a witness, and w, the
+    witness there; None when no n in the range has one.
+
+    test(n) is the witness at n or None, and must hold on a prefix of
+    the range.  A witness w found at n is also the witness at every n'
+    from n to reach(w), at most hi.  So lo is probed first, and a
+    failure there ends the search; each probe that holds moves lo past
+    its reach, and the rest of the range is bisected.
+    """
+    best, mid = None, lo
     while lo <= hi:
-        mid = (lo + hi) // 2
         got = test(mid)
         if got is None:
             hi = mid - 1
         else:
-            best, lo = (mid, got), mid + 1
+            best = reach(got), got
+            lo = best[0] + 1
+        mid = (lo + hi) // 2
     return best
 
 
@@ -216,14 +228,19 @@ def min_infnorm_ae(a0, a1, n0, n1, xi_cap=64):
     """Smallest ceiling value admitting a solution, with a witness.
 
     Returns (norm, vector); raises NotFoundWithin when even xi_cap
-    admits nothing.
+    admits nothing.  The first probe is the cap itself, so that case
+    costs one sweep.  The greatest solution w under a cap c is also the
+    greatest under every cap from max(w) to c (it fits under them, and
+    the greatest solution only falls with the cap), so each probe that
+    finds w moves the search down to max(w) at once; the caps below it
+    are bisected, and the answer is the last witness's max.
     """
     _check_cap(xi_cap)
     pair = _check_pair(a0, a1)
     # a solution under one cap is one under any larger cap, so index i
     # standing for cap xi_cap - i makes the feasible indices a prefix
     best = _largest(lambda i: _exists(pair, n0, n1, xi_cap - i),
-                    0, xi_cap - 1)
+                    0, xi_cap - 1, lambda w: xi_cap - max(w.entries))
     if best is None:
         raise NotFoundWithin(xi_cap)
     return xi_cap - best[0], best[1]
@@ -245,33 +262,42 @@ def rate_region(g, t, xi_cap=64):
 
     Feasibility is monotone decreasing in both degrees, so n0 walks up
     until no n1 is feasible, each point's n1 at most the last one found
-    (first the largest class-1 row sum).  The greatest solution under
-    the cap at (n0 - 1, n1) bounds the one at (n0, n1), so each n0 first
-    sweeps down from the last witness at the last n1; only when that
-    gives the zero vector does it bisect the smaller n1 from the cap.
-    Every witness is the greatest solution under the cap at its point.
+    (first the largest class-1 row sum).  Every witness is the greatest
+    solution under the cap at its point.  The greatest solution w at
+    (n0, n1) is also the greatest at every (n0', n1') with
+    n0 <= n0' <= rho0(w) and n1 <= n1' <= rho1(w), rho_b = _reach(A_b, w):
+    it only falls as the degrees rise, and w meets the larger ones.  So
+    one witness emits the rows n0..rho0(w), and the next n0 first
+    sweeps down from it at the last n1, since it bounds the greatest
+    solution there.  Only when that gives the zero vector is the smaller
+    n1 searched from the cap by _largest, each witness answering up to
+    its rho1, n1 = 0 first: if that fails, the table ends.
+
     A table of more than POWER_BUDGET rows (one per n0 up to the largest
     class-0 row sum) raises BimodalError naming t and the budget before
     the walk.
     """
     _check_cap(xi_cap)
     a0, a1, _ = adjacency_pair(g, t)
-    pair = _, _, r0, hi = _check_pair(a0, a1)
+    pair = rows, k, r0, hi = _check_pair(a0, a1)
     if r0 + 1 > POWER_BUDGET:
         raise BimodalError("rate table at t=%d would hold more than %d "
                            "rows" % (t, POWER_BUDGET))
     points = []
-    x = [xi_cap] * len(a0)
-    for n0 in range(r0 + 1):
+    x = [xi_cap] * k
+    n0 = 0
+    while n0 <= r0:
         x = _sweep(pair, n0, hi, x)
         if not x.any():
             best = _largest(lambda n1: _exists(pair, n0, n1, xi_cap),
-                            0, hi - 1)
+                            0, hi - 1, lambda w: _reach(rows[k:], w.entries))
             if best is None:
                 break
-            hi, got = best
-            x = got.entries
-        points.append(RatePoint(n0, hi, tuple(int(v) for v in x)))
+            hi, x = best[0], best[1].entries
+        x = tuple(int(v) for v in x)
+        top = _reach(rows[:k], x)
+        points += [RatePoint(n, hi, x) for n in range(n0, top + 1)]
+        n0 = top + 1
     return points
 
 
@@ -280,12 +306,16 @@ def coding_ratio(g, t, xi_cap=64):
 
     n_max is the largest n with a joint approximate eigenvector at
     (n, n) within the cap; the ratio is log2(2 n_max) / t, or -inf when
-    even n = 1 is out of reach.
+    even n = 1 is out of reach.  n = 1 is probed first, and a witness w
+    at n holds at every n' up to min(rho0(w), rho1(w)) (see
+    rate_region), so each probe that holds moves the search past that.
     """
     _check_cap(xi_cap)
     a0, a1, _ = adjacency_pair(g, t)
-    pair = _, _, r0, r1 = _check_pair(a0, a1)
-    best = _largest(lambda n: _exists(pair, n, n, xi_cap), 1, min(r0, r1))
+    pair = rows, k, r0, r1 = _check_pair(a0, a1)
+    best = _largest(lambda n: _exists(pair, n, n, xi_cap), 1, min(r0, r1),
+                    lambda w: min(_reach(rows[:k], w.entries),
+                                  _reach(rows[k:], w.entries)))
     if best is None:
         return 0, float("-inf")
     return best[0], math.log2(2 * best[0]) / t

@@ -24,7 +24,7 @@ from .graphs import (
     adjacency,
     adjacency_pair,
 )
-from .spectra import _ae_holds
+from .spectra import _reach
 from .verify import anticipation
 
 STATE_SEP = "@"
@@ -78,7 +78,7 @@ def _check_vector(g, x, bounds, positive=False):
     if not positive and (min(xv, default=0) < 0 or not any(xv)):
         raise InfeasibleVector("vector must be nonnegative and nonzero")
     for a, n, failure in bounds:
-        if not _ae_holds(a, xv, n):
+        if _reach(a, xv) < n:
             raise InfeasibleVector(failure)
     total = sum(xv)
     if total > POWER_BUDGET:

@@ -31,7 +31,7 @@ from .graphs import (
     follower_le,
     irreducible_components,
 )
-from .spectra import ApproxEigenvector, _ae_holds
+from .spectra import ApproxEigenvector, _reach
 
 
 class PreconditionFailed(BimodalError):
@@ -313,7 +313,7 @@ def witness_ae(e, g, n0, n1):
     if not any(x):
         raise PreconditionFailed("lifted vector is zero")
     ag0, ag1, _ = adjacency_pair(g)
-    if not (_ae_holds(ag0, x, n0) and _ae_holds(ag1, x, n1)):
+    if _reach(ag0, x) < n0 or _reach(ag1, x) < n1:
         raise PreconditionFailed("lifted vector fails the inequalities")
     return ApproxEigenvector(tuple(x), n0, n1)
 

@@ -823,3 +823,17 @@ def test_cli_warning_on_one_line(tmp_path, capsys):
     with pytest.warns(UserWarning, match="s10"):
         assert main(argv) == 0
     assert warnings.formatwarning is shown
+
+
+def test_cli_warning_as_error_is_one_line(tmp_path, capsys):
+    # under python -W error the zero-weight warning is raised; main
+    # reports it as one error line and exits 1, writing nothing
+    out = tmp_path / "enc.cg"
+    argv = ["synth", fixture("trisplit.cg"), "--method", "stether", "-t",
+            "2", "--n0", "6", "--n1", "6", "-o", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: dropping zero-weight states: x\n")
+    assert not out.exists()

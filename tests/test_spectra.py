@@ -605,3 +605,59 @@ def test_explore_tables_match_reference_sweep(name, t):
     assert coding_ratio(g, t) == (
         (n_max, math.log2(2 * n_max) / t) if n_max
         else (0, float("-inf")))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.integers(min_value=1, max_value=3), st.sampled_from([1, 2, 64]),
+       st.integers(min_value=0, max_value=9),
+       st.integers(min_value=0, max_value=9))
+def test_searches_match_reference_on_random_graphs(seed, strict, t, cap,
+                                                    n0, n1):
+    # coding_ratio against a plain bisection with float Perron bounds,
+    # min_infnorm_ae against a linear scan of the caps
+    g = helpers.random_graph(np.random.default_rng(seed), strict=strict)
+    _, n_max = _reference_tables(g, t, cap)
+    assert coding_ratio(g, t, xi_cap=cap)[0] == n_max
+    a0, a1, _ = adjacency_pair(power(g, t))
+    ref = _reference_min_infnorm(a0, a1, n0, n1, cap)
+    if ref is None:
+        with pytest.raises(NotFoundWithin) as exc:
+            min_infnorm_ae(a0, a1, n0, n1, xi_cap=cap)
+        assert exc.value.cap == cap
+    else:
+        assert min_infnorm_ae(a0, a1, n0, n1, xi_cap=cap) == ref
+
+
+def _count_calls(monkeypatch, name):
+    real = getattr(spectra, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("graph,t,most", [
+    (helpers.two_state, 8, 12), (lambda: rll_graph(2, 10), 16, 25)])
+def test_rate_region_witness_answers_for_its_rows(monkeypatch, graph, t,
+                                                  most):
+    # one witness emits every row its class-0 reach covers, and the
+    # table's end costs one failed probe; a search per row made 143
+    # (twostate t=8) and 225 (RLL(2,10) t=16) sweeps
+    g = graph()
+    calls = _count_calls(monkeypatch, "_sweep")
+    rate_region(g, t)
+    assert len(calls) <= most
+
+
+def test_min_infnorm_ae_refuses_after_one_probe(monkeypatch):
+    # no solution under the cap itself means none under any smaller cap
+    calls = _count_calls(monkeypatch, "_exists")
+    a0, a1, _ = adjacency_pair(power(helpers.two_state(), 3))
+    with pytest.raises(NotFoundWithin):
+        min_infnorm_ae(a0, a1, 4, 4, xi_cap=10 ** 6)
+    assert [c[-1] for c in calls] == [10 ** 6]
