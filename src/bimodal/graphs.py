@@ -5,8 +5,9 @@ restriction by parity class, graph powers with word labels, adjacency
 matrices split by class, and the structural procedures (determinization,
 irreducibility, period, memory, state merging) used by the encoder
 construction and verification layers.  The shared primitives live here
-once: strongly connected components, the per-state label index and
-subset step, the synchronized pair graph, and induced subgraphs.  The
+once: strongly connected components, longest walks, the per-state
+label index and subset step, the edge id arrays and the synchronized
+pair graph built from them, and induced subgraphs.  The
 tagged encoder type lives here too, so that verification and the file
 format read encoders without importing their construction.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -126,6 +128,28 @@ class LabeledGraph:
             for e in es:
                 d.setdefault(e.label, []).append(e)
         return idx
+
+    @functools.cached_property
+    def edge_ids(self):
+        """(src, dst, label, multi, labels): per edge, in edge order, its
+        source and target state indices and its label id as int64
+        arrays, and whether its multiplicity is other than 1 as a bool
+        array; ``labels`` names the label ids, in first-seen order."""
+        src, label, dst, mult = map(operator.itemgetter, range(4))
+        edges = self.edges
+        labels = tuple(dict.fromkeys(map(label, edges)))
+        ids = {a: i for i, a in enumerate(labels)}
+        m = len(edges)
+
+        def ints(values):
+            return np.fromiter(values, np.int64, m)
+
+        index = self._index.__getitem__
+        return (ints(map(index, map(src, edges))),
+                ints(map(index, map(dst, edges))),
+                ints(map(ids.__getitem__, map(label, edges))),
+                np.fromiter(map((1).__ne__, map(mult, edges)), bool, m),
+                labels)
 
     @functools.cached_property
     def deterministic(self):
@@ -428,8 +452,11 @@ def _ints(values, bound=None):
     """``values`` as exact ints: an int64 array when ``bound`` fits
     int64, else an object array of Python ints.  ``bound`` must bound
     every entry and every sum of products the caller forms from them;
-    by default it is the largest entry, enough for a matrix."""
+    by default it is the largest entry, enough for a matrix, and an
+    int64 array is returned as it is."""
     if bound is None:
+        if getattr(values, "dtype", None) == np.int64:
+            return values
         values = np.asarray(values, dtype=object)
         bound = max(values.flat, default=0)
     return np.asarray(values, dtype=np.int64 if bound <= INT64_MAX
@@ -469,6 +496,10 @@ def adjacency_pair(g, t=1):
     from E, O, B = S0, S1, S2 and double on power's schedule
     (_join_counts); A0 = E + B and A1 = O + B, in exact ints (int64
     arrays when every entry fits, Python ints past it).
+
+    The doubling runs in int64 when r^t fits, r the largest row sum of
+    S0 + S1 + S2: each count at a level k <= t, and each partial sum
+    forming it, is at most an entry of (S0 + S1 + S2)^k, so at most r^t.
     """
     if t < 1:
         raise ValueError("power exponent must be >= 1")
@@ -479,7 +510,10 @@ def adjacency_pair(g, t=1):
         if in0 or in1:
             s[2 if in0 and in1 else int(in1), g.state_index(e.src),
               g.state_index(e.dst)] += e.mult
-    ev, od, both = _doubling(t, tuple(s), _join_counts)
+    rowsum = max(s.sum(axis=(0, 2)), default=0)
+    # r^t fits int64 iff r^min(t, 64) does, as r >= 2 gives r^64 > 2^63
+    bound = rowsum ** min(t, 64)
+    ev, od, both = _doubling(t, tuple(_ints(s, bound)), _join_counts)
     return _ints(ev + both), _ints(od + both), g.states
 
 
@@ -536,20 +570,83 @@ def _successors(g):
     return {s: {e.dst for e in g.out_edges(s)} for s in g.states}
 
 
-def _longest(nodes, succ):
-    """Node -> length of the longest walk leaving it along ``succ``,
-    math.inf when a cycle is reachable."""
-    longest = {}
-    # sinks come first, so every child is settled before its parent;
-    # a component with a cycle is unbounded
-    for comp in _scc(nodes, succ):
-        n = next(iter(comp))
-        if len(comp) > 1 or n in succ[n]:
-            v = math.inf
-        else:
-            v = 1 + max((longest[k] for k in succ[n]), default=-1)
-        longest.update(dict.fromkeys(comp, v))
-    return longest
+def _runs(a):
+    """(values, counts): the distinct values of the int array ``a``,
+    sorted, and how often each occurs; ``a`` is sorted in place."""
+    a.sort()
+    first = np.flatnonzero(np.concatenate(([a.size > 0], a[1:] != a[:-1])))
+    return a[first], np.diff(first, append=len(a))
+
+
+def _grouped(keys, n):
+    """(order, start): the positions of ``keys`` (ints below n) sorted
+    stably by key, key v's positions at order[start[v]:start[v + 1]];
+    the order comes from one sort of key·m + position over the m keys."""
+    m = len(keys)
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=n), out=start[1:])
+    order = keys * m + np.arange(m)
+    order.sort()
+    order %= max(m, 1)
+    return order, start
+
+
+def _ranges(lo, cnt):
+    """lo[i], lo[i] + 1, ..., lo[i] + cnt[i] - 1 for each i in turn, as
+    one index array: ones, each run's first entry set to its step from
+    the run before, summed in place."""
+    runs = cnt > 0
+    lo, cnt = lo[runs], cnt[runs]
+    total = int(cnt.sum())
+    out = np.ones(total, dtype=np.int64)
+    if total:
+        out[0] = lo[0]
+        out[cnt[:-1].cumsum()] = lo[1:] - lo[:-1] - cnt[:-1] + 1
+        out.cumsum(out=out)
+    return out
+
+
+def _gather(start, nodes):
+    """The positions start[v] .. start[v + 1] - 1 of each of ``nodes``."""
+    lo = start[nodes]
+    return _ranges(lo, start[nodes + 1] - lo)
+
+
+def _frontiers(start, targets, seeds):
+    """Breadth-first frontiers from ``seeds`` over the edges v ->
+    targets[k] for k in _gather(start, [v]): each frontier as a sorted
+    array of the nodes first reached there."""
+    seen = np.zeros(len(start) - 1, dtype=bool)
+    front = _runs(np.array(seeds))[0]
+    while front.size:
+        seen[front] = True
+        yield front
+        nxt = targets[_gather(start, front)]
+        front = _runs(nxt[~seen[nxt]])[0]
+
+
+def _walk_lengths(n, src, dst):
+    """Length of the longest walk leaving each of n nodes along the
+    edges src[k] -> dst[k], as floats, inf where a cycle is reachable.
+
+    Peeled by levels: level 0 holds the nodes with no edge out, and a
+    node joins level k + 1 once its last unsettled successor settles at
+    level k.  A node's longest walk is its level; a node never settled
+    reaches a cycle.
+    """
+    length = np.full(n, np.inf)
+    left = np.bincount(src, minlength=n)
+    order, start = _grouped(dst, n)
+    into = src[order]
+    level = np.flatnonzero(left == 0)
+    k = 0
+    while level.size:
+        length[level] = k
+        k += 1
+        preds, hits = _runs(into[_gather(start, level)])
+        left[preds] -= hits
+        level = preds[left[preds] == 0]
+    return length
 
 
 def irreducible_components(g):
@@ -586,55 +683,100 @@ def period(g):
     return p
 
 
-def _pair_succ(g1, g2):
-    """(succ, labels1, labels2) for the synchronized product of g1 and
-    g2: ``succ[(p, q)]``, p in g1 and q in g2 in state order, is the set
-    of pairs (x, y) reached by one pair of equally labeled edges, and
-    ``labels1[p]`` (``labels2[q]``) the mask of the labels leaving p (q).
+def _shared_labels(g1, g2):
+    """The label ids of the edges of g1 and of g2, both in g1's
+    numbering of its L labels; a label of g2 that g1 lacks gets L."""
+    l1, labels1 = g1.edge_ids[2], g1.edge_ids[4]
+    if g2 is g1:
+        return l1, l1
+    ids = {a: i for i, a in enumerate(labels1)}
+    relabel = np.array([ids.get(a, len(ids)) for a in g2.edge_ids[4]],
+                       dtype=np.int64)
+    return l1, relabel[g2.edge_ids[2]]
 
-    No edge pair is listed: each label is a bit, to[p][x] ORs the bits
-    of the labels on the edges from p to x, and (x, y) follows (p, q)
-    iff to1[p][x] and to2[q][y] share a bit.  A target x of p whose
-    labels miss every label of q is skipped before any y is tried.
+
+# edge pairs listed at once: each block's index arrays stay small, so a
+# long listing never holds full-length temporaries
+LISTING_BLOCK = 2 ** 14
+
+
+def _matches(k1, k2, n, *values):
+    """Every pair (i, j) of positions with k1[i] == k2[j], keys being
+    ints below n, in blocks of about LISTING_BLOCK pairs: per block, the
+    positions i as a slice, cnt[i] the number of partners j of each, and
+    per array of ``values`` (aligned with k2) its entries at those
+    partners, the partners of i listed together, i by i."""
+    order, start = _grouped(k2, n)
+    values = [v[order] for v in values]
+    lo = start[k1]
+    cnt = start[k1 + 1] - lo
+    block = cnt.cumsum() // LISTING_BLOCK
+    cuts = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1), len(k1)]
+    for a, b in zip(cuts, cuts[1:]):
+        at = _ranges(lo[a:b], cnt[a:b])
+        yield slice(a, b), cnt[a:b], [v[at] for v in values]
+
+
+def _pair_arrays(g1, g2):
+    """(src, dst): the synchronized product of g1 and g2 over pair ids,
+    the pair of state indices p in g1 and q in g2 being p·n2 + q; pair
+    dst[k] follows src[k] by one pair of equally labeled edges, each
+    (src, dst) once, sorted by src and then dst.
+
+    Within each label's group every g1 edge meets every g2 edge, so
+    Σ_a c1_a·c2_a edge pairs are listed, c_a the edges with label a,
+    block by block (_matches); each is one key src·N + dst over the N
+    pairs, and the keys are de-duplicated per block and once more at the
+    end.
     """
-    bit = {}
-
-    def masks(g):
-        to = {s: {} for s in g.states}
-        labels = dict.fromkeys(g.states, 0)
-        for e in g.edges:
-            b = bit.get(e.label)
-            if b is None:
-                b = bit[e.label] = 1 << len(bit)
-            row = to[e.src]
-            row[e.dst] = row.get(e.dst, 0) | b
-            labels[e.src] |= b
-        return {s: list(row.items()) for s, row in to.items()}, labels
-
-    to1, labels1 = masks(g1)
-    to2, labels2 = (to1, labels1) if g2 is g1 else masks(g2)
-    succ = {(p, q): {(x, y) for x, mx in to1[p] if mx & labels2[q]
-                     for y, my in to2[q] if mx & my}
-            for p in g1.states for q in g2.states}
-    return succ, labels1, labels2
+    s1, d1 = g1.edge_ids[:2]
+    s2, d2 = g2.edge_ids[:2]
+    n2 = len(g2.states)
+    size = len(g1.states) * n2
+    head = s1 * n2 * size + d1 * n2
+    keys = []
+    for rows, cnt, (key,) in _matches(*_shared_labels(g1, g2),
+                                      len(g1.edge_ids[4]) + 1,
+                                      s2 * size + d2):
+        key += head[rows].repeat(cnt)
+        keys.append(_runs(key)[0])
+    return np.divmod(_runs(np.concatenate(keys))[0], size)
 
 
 class PairGraph:
     """Synchronized product of a graph with itself, over ordered pairs.
 
-    ``succ[(p, q)]`` is the set of pairs (p', q') reached from (p, q) by
-    one pair of equally labeled edges, read off label masks
-    (_pair_succ); ``steps`` lists those edge pairs where edges or labels
-    matter, and ``parted`` the distinct ones leaving each diagonal pair.
-    ``ext`` gives, per pair, the longest synchronized walk length
-    leaving it (see _longest).
+    ``nodes`` lists the pairs (p, q) in id order, id p·n + q for state
+    indices p and q, and pair dst[k] follows src[k] by one pair of
+    equally labeled edges (_pair_arrays).  ``steps`` lists those edge
+    pairs where edges or labels matter, and ``parted`` the ones leaving
+    each diagonal pair.  ``ext`` gives, per pair id, the longest
+    synchronized walk length leaving it (see _walk_lengths), and
+    ``reach_sets`` the pairs reachable by walks of each length.
     """
 
     def __init__(self, g):
         self.g = g
         self.nodes = [(p, q) for p in g.states for q in g.states]
-        self.succ = _pair_succ(g, g)[0]
+        self.src, self.dst = _pair_arrays(g, g)
         self._ext = None
+
+    def index(self, node):
+        """The id of the pair ``node``."""
+        p, q = node
+        index = self.g.state_index
+        return index(p) * len(self.g.states) + index(q)
+
+    @functools.cached_property
+    def out(self):
+        """The successors of pair v are dst[out[v]:out[v + 1]]."""
+        return _grouped(self.src, len(self.nodes))[1]
+
+    @functools.cached_property
+    def diagonal(self):
+        """Mask of the pairs (s, s)."""
+        n = len(self.g.states)
+        return np.arange(n * n) % (n + 1) == 0
 
     def steps(self, node):
         """Equally labeled edge pairs (label, e1, e2) leaving ``node``."""
@@ -645,29 +787,39 @@ class PairGraph:
 
     @functools.cached_property
     def parted(self):
-        """State -> targets of the distinct edge pairs leaving (s, s),
-        where two paths part; an edge of multiplicity > 1 counts as its
-        own partner.  Listed once for all the pair checks."""
-        return {s: [(e1.dst, e2.dst) for (_, e1, e2) in self.steps((s, s))
-                    if e1 != e2 or e1.mult != 1]
-                for s in self.g.states}
+        """(states, kids): the pair ids kids[k] reached from (s, s), s =
+        states[k], by a distinct edge pair, where two paths part; an
+        edge of multiplicity other than 1 counts as its own partner.
+        Listed once for all the pair checks, from the label groups of
+        each state."""
+        src, dst, label, multi, labels = self.g.edge_ids
+        n = len(self.g.states)
+        group = src * len(labels) + label
+        states, kids = [], []
+        for rows, cnt, (y, other) in _matches(group, group, n * len(labels),
+                                              dst, multi):
+            x = dst[rows].repeat(cnt)
+            keep = (x != y) | multi[rows].repeat(cnt) | other
+            states.append(src[rows].repeat(cnt)[keep])
+            kids.append(x[keep] * n + y[keep])
+        return np.concatenate(states), np.concatenate(kids)
 
     def ext(self):
         if self._ext is None:
-            self._ext = _longest(self.nodes, self.succ)
+            self._ext = _walk_lengths(len(self.nodes), self.src, self.dst)
         return self._ext
 
     def reach_sets(self):
         """Decreasing chain R(0) ⊇ R(1) ⊇ ... of pairs reachable by
-        synchronized walks of each length, listed up to its fixpoint."""
-        sets = [frozenset(self.nodes)]
+        synchronized walks of each length, as masks over the pair ids,
+        listed up to its fixpoint."""
+        sets = [np.ones(len(self.nodes), dtype=bool)]
         while True:
-            cur = sets[-1]
-            nxt = frozenset().union(*(self.succ[n] for n in cur))
-            if nxt == cur:
-                break
+            nxt = np.zeros_like(sets[-1])
+            nxt[self.dst[sets[-1][self.src]]] = True
+            if np.array_equal(nxt, sets[-1]):
+                return sets
             sets.append(nxt)
-        return sets
 
 
 def memory(g):
@@ -678,11 +830,12 @@ def memory(g):
     k at which no distinct pair remains.  A surviving distinct pair at
     the fixpoint means the memory is infinite.
     """
-    sets = PairGraph(g).reach_sets()
+    pg = PairGraph(g)
+    sets = pg.reach_sets()
     for k, pairs in enumerate(sets):
-        if all(p == q for (p, q) in pairs):
+        if not (pairs & ~pg.diagonal).any():
             return Finite(k)
-    bad = sorted((p, q) for (p, q) in sets[-1] if p != q)
+    bad = sorted(pg.nodes[i] for i in np.flatnonzero(sets[-1] & ~pg.diagonal))
     return Infinite(tuple(bad[:4]))
 
 
@@ -723,20 +876,30 @@ def follower_le(g1, g2):
     """Pairs (u, v) with every word from u in g1 readable from v in g2.
 
     g2 must be deterministic, so that each g1 edge leaves a pair for one
-    successor pair (_pair_succ).  A pair fails when it, or a pair it
-    reaches, has a g1 label that its g2 state lacks, a bit of its g1
-    label mask outside its g2 one; components come sinks first, so each
-    is settled after every pair it reaches outside itself.
+    successor pair (_pair_arrays).  A pair fails when it has a g1 label
+    that its g2 state lacks, read off the two graphs' label incidence,
+    or when it reaches such a pair: the failures close backwards over
+    the pair arrays.
     """
     if not g2.deterministic:
         raise NotDeterministic("containment target must be deterministic")
-    succ, labels1, labels2 = _pair_succ(g1, g2)
-    failed = set()
-    for comp in _scc(succ, succ):
-        if any(labels1[u] & ~labels2[v] or not failed.isdisjoint(succ[(u, v)])
-               for (u, v) in comp):
-            failed |= comp
-    return set(succ) - failed
+    src, dst = _pair_arrays(g1, g2)
+    n1, n2 = len(g1.states), len(g2.states)
+    l1, l2 = _shared_labels(g1, g2)
+    width = len(g1.edge_ids[4])
+    has1 = np.zeros((n1, width), dtype=bool)
+    has1[g1.edge_ids[0], l1] = True
+    lacks2 = np.ones((n2, width + 1), dtype=bool)
+    lacks2[g2.edge_ids[0], l2] = False
+    lacks2 = lacks2[:, :width]
+    order, start = _grouped(dst, n1 * n2)
+    failed = np.zeros(n1 * n2, dtype=bool)
+    for front in _frontiers(start, src[order],
+                            np.flatnonzero(has1 @ lacks2.T)):
+        failed[front] = True
+    u, v = np.divmod(np.flatnonzero(~failed), max(n2, 1))
+    return set(zip(map(g1.states.__getitem__, u.tolist()),
+                   map(g2.states.__getitem__, v.tolist())))
 
 
 def _induced(g, keep):
@@ -753,8 +916,8 @@ def _induced(g, keep):
 def _essential(g):
     """Induced subgraph on the states with an infinite walk, dropping
     the dead ends and the states that lead only to them."""
-    longest = _longest(g.states, _successors(g))
-    keep = [s for s in g.states if longest[s] == math.inf]
+    longest = _walk_lengths(len(g.states), *g.edge_ids[:2])
+    keep = [s for s, x in zip(g.states, longest) if x == math.inf]
     if len(keep) == len(g.states):
         return g
     return _induced(g, keep)

@@ -24,6 +24,7 @@ from .graphs import (
     Infinite,
     PairGraph,
     TaggedEncoder,
+    _frontiers,
     _split_words,
     _step,
     adjacency_pair,
@@ -91,24 +92,28 @@ def _pair_graph_of(e):
     return e if isinstance(e, PairGraph) else PairGraph(_graph_of(e))
 
 
-def _parting(pg, states):
-    """(d, kid): d is 1 + the longest synchronized walk after a distinct
-    edge pair leaving some (s, s), s in ``states`` (math.inf when a cycle
-    is reachable), kid the first parted pair attaining it; (0, None)
-    when none leaves."""
-    ext, parted = pg.ext(), pg.parted
-    return max(((ext[kid] + 1, kid) for s in states for kid in parted[s]),
-               key=lambda dk: dk[0], default=(0, None))
+def _number(x):
+    """A walk length read off the pair arrays as an int, or math.inf."""
+    return math.inf if x == math.inf else int(x)
+
+
+def _parting(walks):
+    """Delay of the edges parting into pairs whose longest synchronized
+    walks are ``walks``: 1 + the longest, math.inf when a cycle is
+    reachable, 0 when no edge parts."""
+    return 1 + _number(walks.max()) if walks.size else 0
 
 
 def _delays(pg):
     """Largest delay d_m over each R(m) of the reach chain: (p, q) with
     p != q delays the edge by ext[(p, q)], as every edge pair leaving it
-    is distinct, and (s, s) by its parting."""
-    ext = pg.ext()
-    parting = {s: _parting(pg, (s,))[0] for s in pg.g.states}
-    return [max((parting[p] if p == q else ext[(p, q)] for (p, q) in r),
-                default=0)
+    is distinct, and (s, s) by its parting (pg.parted)."""
+    states, kids = pg.parted
+    walks = pg.ext()[kids]
+    diagonal = states * (len(pg.g.states) + 1)
+    apart = pg.ext().copy()
+    apart[pg.diagonal] = 0
+    return [max(_number(apart[r].max(initial=0)), _parting(walks[r[diagonal]]))
             for r in pg.reach_sets()]
 
 
@@ -125,30 +130,30 @@ def losslessness(e):
     word-synchronized, back onto the diagonal.
     """
     pg = _pair_graph_of(e)
-    queue = [kid for s in pg.g.states for kid in pg.parted[s]]
-    seen = set(queue)
-    while queue:
-        p, q = queue.pop()
-        if p == q:
-            return False
-        for kid in pg.succ[(p, q)]:
-            if kid not in seen:
-                seen.add(kid)
-                queue.append(kid)
-    return True
+    return not any(pg.diagonal[front].any()
+                   for front in _frontiers(pg.out, pg.dst, pg.parted[1]))
 
 
-def _infinite_certificate(pg, start_pair):
-    """Word-synchronized walk from an ambiguous pair into a cycle."""
+def _infinite_certificate(pg):
+    """Word-synchronized walk into a cycle from the first parted pair in
+    by_label order (pg.parted's rule, read off ``steps``) whose walks are
+    unbounded."""
     ext = pg.ext()
+
+    def unbounded(node):
+        return ext[pg.index(node)] == math.inf
+
+    node = next((e1.dst, e2.dst) for s in pg.g.states
+                for (_, e1, e2) in pg.steps((s, s))
+                if (e1 != e2 or e1.mult != 1)
+                and unbounded((e1.dst, e2.dst)))
     prefix = []
-    node = start_pair
     visited = set()
     while node not in visited:
         visited.add(node)
         for (a, e1, e2) in pg.steps(node):
             kid = (e1.dst, e2.dst)
-            if ext[kid] == math.inf or kid in visited:
+            if unbounded(kid) or kid in visited:
                 prefix.append((node, a))
                 node = kid
                 break
@@ -166,9 +171,9 @@ def anticipation(e):
     synchronized cycle, from the first parted pair attaining it.
     """
     pg = _pair_graph_of(e)
-    a, kid = _parting(pg, pg.g.states)
+    a = _parting(pg.ext()[pg.parted[1]])
     if a == math.inf:
-        return Infinite(_infinite_certificate(pg, kid))
+        return Infinite(_infinite_certificate(pg))
     return Finite(a)
 
 
@@ -205,10 +210,10 @@ def sliding_block_decodable(e, m, a):
     ext = pg.ext()
     reach = pg.reach_sets()
     return not any(
-        ext[(e1.dst, e2.dst)] >= a
+        ext[pg.index((e1.dst, e2.dst))] >= a
         and set(e.tags.get(e1, ())) != set(e.tags.get(e2, ()))
-        for pair in reach[min(m, len(reach) - 1)]
-        for (_, e1, e2) in pg.steps(pair))
+        for i in np.flatnonzero(reach[min(m, len(reach) - 1)])
+        for (_, e1, e2) in pg.steps(pg.nodes[i]))
 
 
 def presents_subset(e, g, t=1):

@@ -1,5 +1,6 @@
 """Shared fixture graphs and frozen golden values for the test suite."""
 
+import math
 import os
 import warnings
 
@@ -9,7 +10,9 @@ import pytest
 
 from bimodal import (
     Edge,
+    Finite,
     InfeasibleVector,
+    Infinite,
     LabeledGraph,
     NotDecodable,
     NotDeterministic,
@@ -423,6 +426,20 @@ def reference_pair_succ(g):
             for p in g.states for q in g.states}
 
 
+def pair_arrays_of(g, succ):
+    """A pair relation ``succ`` (pair -> set of pairs) as PairGraph's
+    (src, dst) id arrays, sorted by src and then dst."""
+    n = len(g.states)
+
+    def ids(p, q):
+        return g.state_index(p) * n + g.state_index(q)
+
+    keys = sorted((ids(*node), ids(*kid))
+                  for node, kids in succ.items() for kid in kids)
+    return (np.array([k for k, _ in keys], dtype=np.int64),
+            np.array([k for _, k in keys], dtype=np.int64))
+
+
 def with_multiplicities(rng, g, top=3):
     """g with each edge given a random multiplicity from 1 to ``top``."""
     return validate_graph(g.states, [ed[:3] + (int(rng.integers(1, top + 1)),)
@@ -515,6 +532,180 @@ def reference_follower_le(g1, g2):
         if any(n in lacks or not failed.isdisjoint(succ[n]) for n in comp):
             failed |= comp
     return set(succ) - failed, lacks
+
+
+def mask_pair_succ(g1, g2):
+    """The synchronized product as it stood on label masks: (succ,
+    labels1, labels2), ``succ[(p, q)]`` the pairs (x, y) with to1[p][x]
+    and to2[q][y] sharing a label bit, ``labels1[p]`` (``labels2[q]``)
+    the mask of the labels leaving p (q)."""
+    bit = {}
+
+    def masks(g):
+        to = {s: {} for s in g.states}
+        labels = dict.fromkeys(g.states, 0)
+        for e in g.edges:
+            b = bit.get(e.label)
+            if b is None:
+                b = bit[e.label] = 1 << len(bit)
+            row = to[e.src]
+            row[e.dst] = row.get(e.dst, 0) | b
+            labels[e.src] |= b
+        return {s: list(row.items()) for s, row in to.items()}, labels
+
+    to1, labels1 = masks(g1)
+    to2, labels2 = (to1, labels1) if g2 is g1 else masks(g2)
+    succ = {(p, q): {(x, y) for x, mx in to1[p] if mx & labels2[q]
+                     for y, my in to2[q] if mx & my}
+            for p in g1.states for q in g2.states}
+    return succ, labels1, labels2
+
+
+def tarjan_longest(nodes, succ):
+    """Node -> the longest walk leaving it along ``succ``, math.inf when
+    a cycle is reachable, components settled sinks first."""
+    longest = {}
+    for comp in graphs._scc(nodes, succ):
+        n = next(iter(comp))
+        if len(comp) > 1 or n in succ[n]:
+            v = math.inf
+        else:
+            v = 1 + max((longest[k] for k in succ[n]), default=-1)
+        longest.update(dict.fromkeys(comp, v))
+    return longest
+
+
+def mask_follower_le(g1, g2):
+    """follower_le as it stood on label masks: a component fails when a
+    member's g1 label mask leaves its g2 one, or it reaches a failed
+    pair, components sinks first."""
+    if not g2.deterministic:
+        raise NotDeterministic("containment target must be deterministic")
+    succ, labels1, labels2 = mask_pair_succ(g1, g2)
+    failed = set()
+    for comp in graphs._scc(succ, succ):
+        if any(labels1[u] & ~labels2[v] or not failed.isdisjoint(succ[(u, v)])
+               for (u, v) in comp):
+            failed |= comp
+    return set(succ) - failed
+
+
+def tarjan_essential(g):
+    """graphs._essential on tarjan_longest."""
+    longest = tarjan_longest(g.states, {s: {e.dst for e in g.out_edges(s)}
+                                        for s in g.states})
+    keep = [s for s in g.states if longest[s] == math.inf]
+    if len(keep) == len(g.states):
+        return g
+    return graphs._induced(g, keep)
+
+
+class MaskPairGraph:
+    """The pair graph as it stood: ``succ`` a dict of pair sets from
+    mask_pair_succ (or ``succ`` given), walks by tarjan_longest."""
+
+    def __init__(self, g, succ=None):
+        self.g = g
+        self.nodes = [(p, q) for p in g.states for q in g.states]
+        self.succ = mask_pair_succ(g, g)[0] if succ is None else succ
+        self.ext = tarjan_longest(self.nodes, self.succ)
+
+    def steps(self, node):
+        p, q = node
+        idx = self.g.by_label
+        return [(a, e1, e2) for a, es1 in idx[p].items()
+                for e1 in es1 for e2 in idx[q].get(a, ())]
+
+    def parted(self, s):
+        return [(e1.dst, e2.dst) for (_, e1, e2) in self.steps((s, s))
+                if e1 != e2 or e1.mult != 1]
+
+    def reach_sets(self):
+        sets = [frozenset(self.nodes)]
+        while True:
+            cur = sets[-1]
+            nxt = frozenset().union(*(self.succ[n] for n in cur))
+            if nxt == cur:
+                return sets
+            sets.append(nxt)
+
+
+def _mask_parting(pg, states):
+    return max(((pg.ext[kid] + 1, kid) for s in states
+                for kid in pg.parted(s)),
+               key=lambda dk: dk[0], default=(0, None))
+
+
+def _mask_delays(pg):
+    parting = {s: _mask_parting(pg, (s,))[0] for s in pg.g.states}
+    return [max((parting[p] if p == q else pg.ext[(p, q)] for (p, q) in r),
+                default=0)
+            for r in pg.reach_sets()]
+
+
+def mask_pair_checks(e, windows, succ=None):
+    """Every pair check of an encoder as it stood on MaskPairGraph:
+    (losslessness, anticipation, definiteness, is_definite and
+    sliding_block_decodable over ``windows``, memory), certificates by
+    repr."""
+    g = e.graph
+    pg = MaskPairGraph(g, succ)
+    queue = [kid for s in g.states for kid in pg.parted(s)]
+    seen = set(queue)
+    lossless = True
+    while queue:
+        p, q = queue.pop()
+        if p == q:
+            lossless = False
+            break
+        for kid in pg.succ[(p, q)]:
+            if kid not in seen:
+                seen.add(kid)
+                queue.append(kid)
+    a, kid = _mask_parting(pg, g.states)
+    if a == math.inf:
+        prefix, node, visited = [], kid, set()
+        while node not in visited:
+            visited.add(node)
+            for (lbl, e1, e2) in pg.steps(node):
+                nxt = (e1.dst, e2.dst)
+                if pg.ext[nxt] == math.inf or nxt in visited:
+                    prefix.append((node, lbl))
+                    node = nxt
+                    break
+        ant = Infinite((tuple(prefix), node))
+    else:
+        ant = Finite(a)
+    delays = _mask_delays(pg)
+    total, m = min((m + d, m) for m, d in enumerate(delays))
+    definite = None if total == math.inf else (m, total - m)
+    reach = pg.reach_sets()
+    sliding = [not any(
+        pg.ext[(e1.dst, e2.dst)] >= a
+        and set(e.tags.get(e1, ())) != set(e.tags.get(e2, ()))
+        for pair in reach[min(m, len(reach) - 1)]
+        for (_, e1, e2) in pg.steps(pair)) for m, a in windows]
+    memory = next((Finite(k) for k, pairs in enumerate(reach)
+                   if all(p == q for (p, q) in pairs)), None)
+    if memory is None:
+        bad = sorted((p, q) for (p, q) in reach[-1] if p != q)
+        memory = Infinite(tuple(bad[:4]))
+    return (lossless, repr(ant), definite,
+            [delays[min(m, len(delays) - 1)] <= a for m, a in windows],
+            repr(memory), sliding)
+
+
+def object_adjacency_pair(g, t=1):
+    """adjacency_pair with its doubling in Python ints throughout."""
+    n = len(g.states)
+    s = np.zeros((3, n, n), dtype=object)
+    for e in g.edges:
+        in0, in1 = e.label in g.parity.class0, e.label in g.parity.class1
+        if in0 or in1:
+            s[2 if in0 and in1 else int(in1), g.state_index(e.src),
+              g.state_index(e.dst)] += e.mult
+    ev, od, both = graphs._doubling(t, tuple(s), graphs._join_counts)
+    return graphs._ints(ev + both), graphs._ints(od + both), g.states
 
 
 def reference_symbols(label, t, k):

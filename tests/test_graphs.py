@@ -291,6 +291,28 @@ def test_adjacency_pair_int64_limit():
         adjacency_pair(g, 0)
 
 
+def test_adjacency_pair_doubles_in_int64_when_row_sums_allow():
+    # the doubling starts in int64 when r^t fits, r the largest row sum;
+    # on either side of that switch the counts and their dtypes are
+    # those of a doubling in Python ints
+    sides = set()
+    for g, t in ((helpers.two_state(), 8), (helpers.two_state(), 40),
+                 (helpers.load("rll210.cg"), 16),
+                 (helpers.load("rll210.cg"), 18),
+                 (helpers.load("rll210.cg"), 64), (helpers.mixed(), 3),
+                 (helpers.mixed(), 20), (helpers.mixed(), 40),
+                 (helpers.quad(), 40)):
+        got = adjacency_pair(g, t)
+        want = helpers.object_adjacency_pair(g, t)
+        assert [a.dtype for a in got[:2]] == [a.dtype for a in want[:2]]
+        assert [a.tolist() for a in got[:2]] == [a.tolist()
+                                                 for a in want[:2]]
+        rowsum = int(adjacency(g).sum(axis=1).max())
+        sides.add((rowsum ** t <= graphs.INT64_MAX, got[0].dtype.name))
+    # int64 doubling; Python ints giving int64 counts; Python ints kept
+    assert sides == {(True, "int64"), (False, "int64"), (False, "object")}
+
+
 def _class_counts_by_steps(g, t):
     """(A0, A1) of power(g, t) as lists of Python ints, one symbol at a
     time: per start state, the paths of strict symbols with even and odd

@@ -23,6 +23,7 @@ from bimodal import (
     check_encoder,
     decode_sliding,
     decode_stream,
+    determinize,
     definiteness,
     encode_stream,
     extract_deterministic,
@@ -355,9 +356,10 @@ def _pair_checks(e):
 
 
 def test_pair_graph_matches_reference(monkeypatch):
-    # the label-mask successors equal those of the edge-pair listing on
+    # the pair arrays hold the relation of the edge-pair listing on
     # nondeterministic graphs, edges of multiplicity 2 and the fixture
     # encoders, and every pair check answers as it does from the listing
+    # put in their place
     import test_acceptance
     rng = np.random.default_rng(83)
     encoders = [e for _, _, e, _, _, _ in test_acceptance._fixture_encoders()]
@@ -372,13 +374,18 @@ def test_pair_graph_matches_reference(monkeypatch):
             for ed in g.edges}, 1, 1))
     init = PairGraph.__init__
 
+    def listed(g):
+        return helpers.pair_arrays_of(g, helpers.reference_pair_succ(g))
+
     def reference(self, g):
         init(self, g)
-        self.succ = helpers.reference_pair_succ(g)
+        self.src, self.dst = listed(g)
 
     kinds = set()
     for e in encoders:
-        assert PairGraph(e.graph).succ == helpers.reference_pair_succ(e.graph)
+        pg = PairGraph(e.graph)
+        src, dst = listed(e.graph)
+        assert np.array_equal(pg.src, src) and np.array_equal(pg.dst, dst)
         got = _pair_checks(e)
         with monkeypatch.context() as m:
             m.setattr(PairGraph, "__init__", reference)
@@ -389,6 +396,77 @@ def test_pair_graph_matches_reference(monkeypatch):
     # multiplicity 2 parts from itself and rejoins, so it is lossy
     assert kinds == {(True, False, False), (True, True, False),
                      (False, True, False), (False, True, True)}
+
+
+def test_pair_layer_matches_mask_reference(monkeypatch):
+    # every answer read off the pair arrays equals the one read off the
+    # label-mask successors and Tarjan walks they replaced:
+    # nondeterministic graphs of 1-6 states, multiplicities 1-3, strict
+    # and overlapping covers; follower_le into deterministic graphs and
+    # merge_states, weighted and unweighted, on those
+    rng = np.random.default_rng(89)
+    windows = [(m, a) for m in range(3) for a in range(3)]
+    kinds = set()
+    for i in range(1000):
+        strict = bool(i % 2)
+        g = helpers.random_graph(rng, max_states=6, strict=strict)
+        if i % 3 == 0:
+            g = helpers.with_multiplicities(rng, g)
+        e = TaggedEncoder(g, {
+            ed: ((int(rng.integers(2)), int(rng.integers(2))),)
+            for ed in g.edges}, 1, 1)
+        pg = PairGraph(g)
+        got = (losslessness(pg), repr(anticipation(pg)), definiteness(pg),
+               [is_definite(pg, m, a) for m, a in windows],
+               repr(memory(g)),
+               [sliding_block_decodable(e, m, a) for m, a in windows])
+        assert got == helpers.mask_pair_checks(e, windows), g.edges
+        h = helpers.random_det_graph(rng, max_states=6, strict=strict)
+        for a, b in ((g, h), (h, h)):
+            assert graphs.follower_le(a, b) == helpers.mask_follower_le(a, b)
+        merged = []
+        for w in (None, [int(v) for v in rng.integers(0, 3, len(h.states))]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = graphs.merge_states(h, w)
+                with monkeypatch.context() as m:
+                    m.setattr(graphs, "_essential", helpers.tarjan_essential)
+                    m.setattr(graphs, "follower_le", helpers.mask_follower_le)
+                    assert graphs.merge_states(h, w) == want, (h.edges, w)
+            merged.append(len(want.states) < len(h.states))
+        kinds.add((got[0], got[1].startswith("Infinite"), got[2] is None,
+                   got[4].startswith("Infinite")) + tuple(merged))
+    # (lossless, infinite anticipation, no window, infinite memory); a
+    # lossless graph with infinite anticipation keeps an off-diagonal
+    # cycle in every R(m), so it has no window and infinite memory
+    assert {k[:4] for k in kinds} == {
+        (True, False, False, False), (True, False, False, True),
+        (True, False, True, True), (True, True, True, True),
+        (False, True, False, False), (False, True, False, True),
+        (False, True, True, False), (False, True, True, True)}
+    # (merged unweighted, merged weighted)
+    assert {k[4:] for k in kinds} == {(False, False), (True, True),
+                                      (False, True), (True, False)}
+
+
+def test_pair_graph_of_a_long_ring_stays_small():
+    # a 300-state ring has 90 000 pairs; a dense matrix over them would
+    # take 8.1 GB, the pair arrays a few MiB
+    import tracemalloc
+    n = 300
+    states = ["r%d" % i for i in range(n)]
+    g = validate_graph(states, [(states[i], "a", states[(i + 1) % n])
+                                for i in range(n)], ["a"], ["b"])
+    tracemalloc.start()
+    try:
+        pg = PairGraph(g)
+        answers = (losslessness(pg), anticipation(pg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pg.nodes) == n * n and len(pg.src) == n * n
+    assert answers == (True, Finite(0))
+    assert peak < 50 * 2 ** 20
 
 
 def test_check_encoder_report():
@@ -431,6 +509,23 @@ def test_check_encoder_builds_one_pair_graph(monkeypatch):
     rep = check_encoder(e, g, 2, 2)
     assert rep.ok and rep.definiteness is not None
     assert built == [e.graph]
+    # one synchronized product, which follower_le builds the same way
+    monkeypatch.undo()
+    listed = []
+    pair_arrays = graphs._pair_arrays
+
+    def counting_arrays(g1, g2):
+        listed.append((g1, g2))
+        return pair_arrays(g1, g2)
+
+    monkeypatch.setattr(graphs, "_pair_arrays", counting_arrays)
+    check_encoder(e, g, 2, 2)
+    assert listed == [(e.graph, e.graph)]
+    h = determinize(e.graph)
+    graphs.follower_le(e.graph, h)
+    assert listed[1:] == [(e.graph, h)]
+    assert not hasattr(graphs, "_pair_succ")
+    assert not hasattr(graphs, "_longest")
     # the pair checks give the same answers from a prebuilt pair graph
     monkeypatch.undo()
     pg = PairGraph(e.graph)
