@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import le, lt
 
 import numpy as np
 
@@ -143,14 +144,14 @@ def franaszek_joint(a0, a1, n0, n1, xi):
     it with the floor-divided images min(x, A0 x // n0, A1 x // n1),
     both images from one product of the stacked pair, until no entry
     falls; the all zero vector means no nonzero solution fits under xi.
-    A zero n_b drops that side's constraint, and an n_b above the
-    largest row sum of A_b gives the zero vector at once.  Exact: int64
-    when the largest row sum times the largest ceiling entry fits,
-    Python ints otherwise.  Raises ValueError for a degree or ceiling
-    entry that is negative or not an integer.
+    It is returned once certain (see _sweep).  A zero n_b drops that
+    side's constraint, and an n_b above the largest row sum of A_b gives
+    the zero vector at once.  Exact: int64 when the ceiling's top entry
+    times the largest row sum (or 1) fits, Python ints otherwise.
+    Raises ValueError for a negative or non-integer degree or ceiling.
     """
     pair = _check_pair(a0, a1)
-    xi = np.asarray(xi)
+    xi = np.asarray(xi, dtype=object)
     if xi.shape != (pair[1],):
         raise DimensionMismatch("ceiling vector length mismatch")
     if not _nonnegative_ints(xi.tolist()):
@@ -164,13 +165,19 @@ def _sweep(pair, n0, n1, xi):
     Each round is one product of the stacked rows (only the halves whose
     n_b is nonzero), floor-divided in place by n0 on the first k entries
     and n1 on the last k.  The iterate never rises, so it is the
-    fixpoint once no entry falls.
+    fixpoint once no entry falls.  Each iterate x bounds the greatest
+    solution x*, which is surely zero once (a) x <= xi // 2: 2 x* <= xi
+    solves too, so x* >= 2 x*; or (b) every entry falls in a round: an
+    integer x_u falls exactly when (A_b x)_u < n_b x_u, so the monotone,
+    homogeneous L(v) = min(v, A0 v / n0, A1 v / n1) has L(x) <= lam x,
+    lam < 1, and x* = L^m(x*) <= lam^m x -> 0.
     """
     rows, k, r0, r1 = pair
     if not _nonnegative_ints((n0, n1)):
         raise ValueError("out-degree targets must be nonnegative integers")
-    # A_b x <= rowsum * cap bounds every product the sweep forms
-    bound = max(r0, r1) * int(np.max(xi, initial=0))
+    # A_b x <= rowsum * cap bounds every product the sweep forms, and
+    # the cap itself when both matrices are zero
+    bound = max(r0, r1, 1) * int(np.max(xi, initial=0))
     x = _ints(xi, bound)
     if n0 > r0 or n1 > r1:
         return np.zeros_like(x)
@@ -182,6 +189,7 @@ def _sweep(pair, n0, n1, xi):
     rows = _ints(rows[lo:hi], bound)
     div = _ints(([n0] * k + [n1] * k)[lo:hi], bound)
     both = hi - lo > k
+    half = [v // 2 for v in xl]
     while True:
         z = rows @ x
         z //= div
@@ -191,6 +199,8 @@ def _sweep(pair, n0, n1, xi):
         yl = y.tolist()
         if yl == xl:
             return x
+        if all(map(le, yl, half)) or all(map(lt, yl, xl)):
+            return np.zeros_like(y)
         x, xl = y, yl
 
 

@@ -722,20 +722,15 @@ def reference_symbols(label, t, k):
     return [".".join(parts[i:i + k]) for i in range(0, t * k, k)]
 
 
-def reference_sweep(a0, a1, n0, n1, xi):
-    """Franaszek's iteration as two per-class products a round, in
-    Python ints: the largest x <= xi with A0 x >= n0 x and A1 x >= n1 x
-    (a zero n_b drops its side, an n_b above A_b's largest row sum gives
-    zero at once).  The array is int64 when the largest row sum times
-    the largest ceiling entry fits graphs.INT64_MAX, object otherwise."""
+def reference_iterates(a0, a1, n0, n1, xi):
+    """Franaszek's iterates as two per-class products a round, in Python
+    ints and with no early exit: the lists from xi down to the fixpoint,
+    the largest x <= xi with A0 x >= n0 x and A1 x >= n1 x (a zero n_b
+    drops its side), each list once."""
     rows0, rows1 = ([[int(v) for v in row] for row in np.asarray(a).tolist()]
                     for a in (a0, a1))
-    r0, r1 = (max(map(sum, rows), default=0) for rows in (rows0, rows1))
     x = [int(v) for v in xi]
-    bound = max(r0, r1) * max(x, default=0)
-    dtype = np.int64 if bound <= graphs.INT64_MAX else object
-    if n0 > r0 or n1 > r1:
-        return np.array([0] * len(x), dtype=dtype)
+    out = [x]
     while True:
         y = x
         for rows, n in ((rows0, n0), (rows1, n1)):
@@ -743,8 +738,24 @@ def reference_sweep(a0, a1, n0, n1, xi):
                 y = [min(yu, sum(r * v for r, v in zip(row, x)) // n)
                      for yu, row in zip(y, rows)]
         if y == x:
-            return np.array(x, dtype=dtype)
+            return out
+        out.append(y)
         x = y
+
+
+def reference_sweep(a0, a1, n0, n1, xi):
+    """The last of reference_iterates, and zero at once for an n_b above
+    A_b's largest row sum.  The array is int64 when the larger of the
+    largest row sum and 1 times the largest ceiling entry fits
+    graphs.INT64_MAX, object otherwise."""
+    r0, r1 = (max(map(sum, np.asarray(a).tolist()), default=0)
+              for a in (a0, a1))
+    x = [int(v) for v in xi]
+    bound = max(r0, r1, 1) * max(x, default=0)
+    dtype = np.int64 if bound <= graphs.INT64_MAX else object
+    if n0 > r0 or n1 > r1:
+        return np.array([0] * len(x), dtype=dtype)
+    return np.array(reference_iterates(a0, a1, n0, n1, x)[-1], dtype=dtype)
 
 
 def reference_tables(g, t, xi_cap=64):

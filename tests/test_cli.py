@@ -710,11 +710,19 @@ def cli_cases(draw):
 
 
 TWOSTATE = serialize_graph(helpers.two_state())
+# no edges: the sweep's arrays are bounded by the cap alone
+EDGELESS = "states: a\nparity0: p\nparity1: q\n"
+PAST_INT64 = ["--cap", str(10 ** 23)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(cli_cases())
 @example((TWOSTATE, TWOSTATE, ["decode", "E", "--start", "alpha"], "a"))
+@example((EDGELESS, EDGELESS, ["franaszek", "G", "--n0", "0", "--n1", "0"]
+          + PAST_INT64, ""))
+@example((EDGELESS, EDGELESS, ["region", "G", "-t", "1"] + PAST_INT64, ""))
+@example((EDGELESS, EDGELESS, ["synth", "G", "--method", "stether", "--n0",
+                               "0", "--n1", "0"] + PAST_INT64, ""))
 def test_cli_never_raises(case):
     graph, encoder, argv, stdin = case
     out, err = stdio.StringIO(), stdio.StringIO()

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import operator
 import time
 
 import numpy as np
@@ -178,6 +180,25 @@ def test_joint_ae_exists_int64_guard():
         got = joint_ae_exists(a0, a1, 1, 1, xi_cap=cap)
         assert got is not None and got.entries == (cap, cap)
     assert min_infnorm_ae(a0, a1, 2, 2, xi_cap=10 ** 40)[0] == 1
+
+
+def test_edgeless_pair_past_int64():
+    # with both matrices zero the ceiling bounds the sweep's arrays, so a
+    # cap past int64 is held in Python ints
+    z = np.zeros((2, 2), dtype=np.int64)
+    cap = 10 ** 23
+    got = franaszek_joint(z, z, 0, 0, [cap, 3])
+    assert got.dtype == object and got.tolist() == [cap, 3]
+    assert franaszek_joint(z, z, 1, 0, [cap, 3]).tolist() == [0, 0]
+    # numpy would read this ceiling as floats; it is ints all the same
+    assert franaszek_joint(z, z, 0, 0, [10 ** 19, 3]).tolist() == [
+        10 ** 19, 3]
+    assert joint_ae_exists(z, z, 0, 0, xi_cap=cap).entries == (cap, cap)
+    assert joint_ae_exists(z, z, 0, 1, xi_cap=cap) is None
+    assert min_infnorm_ae(z, z, 0, 0, xi_cap=cap) == (
+        1, spectra.ApproxEigenvector((1, 1), 0, 0))
+    with pytest.raises(NotFoundWithin):
+        min_infnorm_ae(z, z, 1, 1, xi_cap=cap)
 
 
 def _exact_sweep_cases():
@@ -583,14 +604,115 @@ def test_sweep_matches_reference(case, shift):
     a1 = np.array(a1, dtype=np.int64).reshape(len(xi), len(xi))
     with pytest.MonkeyPatch.context() as mp:
         if shift is not None:
-            bound = max((sum(row) for row in a0.tolist() + a1.tolist()),
-                        default=0) * max(xi, default=0)
+            bound = max([sum(row) for row in a0.tolist() + a1.tolist()]
+                        + [1]) * max(xi, default=0)
             mp.setattr(graphs, "INT64_MAX",
                        min(bound + shift, graphs.INT64_MAX))
         want = helpers.reference_sweep(a0, a1, n0, n1, xi)
         got = franaszek_joint(a0, a1, n0, n1, xi)
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
+
+
+class _CountingNumpy:
+    """spectra's numpy with its minimum calls counted: one without out=
+    opens each Franaszek round."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def minimum(self, *args, **kwargs):
+        self.rounds += "out" not in kwargs
+        return np.minimum(*args, **kwargs)
+
+
+def _count_rounds(monkeypatch):
+    counter = _CountingNumpy()
+    monkeypatch.setattr(spectra, "np", counter)
+    return counter
+
+
+def _first_exit(iterates, xi):
+    """(round, exit) of the first round whose iterate is <= xi // 2
+    ("a") or falls in every entry ("b"), or None."""
+    half = [v // 2 for v in xi]
+    for i, (x, y) in enumerate(zip(iterates, iterates[1:]), 1):
+        if all(map(operator.le, y, half)):
+            return i, "a"
+        if all(map(operator.lt, y, x)):
+            return i, "b"
+    return None
+
+
+def test_sweep_exits_match_reference(monkeypatch):
+    # the early exits give the no-exit reference's answer and dtype, and
+    # stop at the round where the first of them holds
+    rng = np.random.default_rng(23)
+    counter = _count_rounds(monkeypatch)
+    exits = collections.Counter()
+    for _ in range(1500):
+        k = int(rng.integers(0, 7))
+        a0, a1 = (rng.integers(0, 5, (k, k)) * (rng.random((k, k)) < 0.5)
+                  for _ in range(2))
+        r0, r1 = (int(max(a.sum(axis=1), default=0)) for a in (a0, a1))
+        n0, n1 = (int(rng.integers(0, r + 2)) for r in (r0, r1))
+        if rng.random() < 0.25:
+            n0, n1 = (0, n1) if rng.random() < 0.5 else (n0, 0)
+        if rng.random() < 0.5:
+            xi = [int(rng.integers(2, 65))] * k
+        else:
+            xi = (rng.integers(0, 65, k) * (rng.random(k) < 0.8)).tolist()
+        if rng.random() < 0.25:
+            xi = [v * 10 ** 18 for v in xi]
+        counter.rounds = 0
+        got = franaszek_joint(a0, a1, n0, n1, xi)
+        want = helpers.reference_sweep(a0, a1, n0, n1, xi)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+        its = helpers.reference_iterates(a0, a1, n0, n1, xi)
+        stop = _first_exit(its, xi)
+        exits[stop and stop[1]] += 1
+        if n0 > r0 or n1 > r1 or not (n0 or n1) or not any(xi):
+            assert counter.rounds == 0
+        else:
+            assert counter.rounds == (stop[0] if stop else len(its))
+    assert exits["a"] >= 200 and exits["b"] >= 200
+
+
+@pytest.mark.parametrize("a0,rounds,exit,full", [
+    # (64, 64) -> (64, 32) -> (48, 16): both entries fall in round 2,
+    # where the sweep with no exit runs 11 rounds down to (0, 0)
+    ([[1, 1], [0, 1]], 2, "b", 11),
+    # (64, 64) -> (0, 64) -> (0, 32) <= half the ceiling; the zero entry
+    # never falls, so (b) cannot end it
+    ([[0, 0], [1, 1]], 2, "a", 9),
+])
+def test_sweep_exit_rounds(monkeypatch, a0, rounds, exit, full):
+    # one class, n0 = 2, cap 64; the greatest solution is (0, 0)
+    a1 = np.zeros_like(a0)
+    counter = _count_rounds(monkeypatch)
+    assert franaszek_joint(a0, a1, 2, 0, [64, 64]).tolist() == [0, 0]
+    assert counter.rounds == rounds
+    its = helpers.reference_iterates(a0, a1, 2, 0, [64, 64])
+    assert _first_exit(its, [64, 64]) == (rounds, exit)
+    assert len(its) == full
+
+
+@pytest.mark.parametrize("graph,t,most", [
+    (helpers.two_state, 8, 220), (lambda: rll_graph(2, 10), 16, 500),
+    (lambda: helpers.load("mixed.cg"), 2, 200),
+    (lambda: helpers.load("mixed.cg"), 3, 4200)])
+def test_table_rounds(monkeypatch, graph, t, most):
+    # Franaszek rounds of a rate table and its coding ratio; sweeps run
+    # to their fixpoint made 428, 845, 1396 and 11549
+    g = graph()
+    counter = _count_rounds(monkeypatch)
+    rate_region(g, t)
+    coding_ratio(g, t)
+    assert counter.rounds <= most
 
 
 @pytest.mark.parametrize("name,t", [
