@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import re
 import sys
 import warnings
@@ -248,6 +249,11 @@ def _one_line(message, category, filename, lineno, line=None):
 def main(argv=None):
     args = _parser().parse_args(argv)
     shown, warnings.formatwarning = warnings.formatwarning, _one_line
+    # the command builds many containers and no reference cycles (a
+    # test holds every command to that), so a cyclic collection would
+    # only scan them; the caller's setting comes back in the finally
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args.fn(args)
     except (io.ParseError, graphs.ValidationError, OSError,
@@ -260,6 +266,8 @@ def main(argv=None):
         return 1
     finally:
         warnings.formatwarning = shown
+        if collecting:
+            gc.enable()
     return 0
 
 

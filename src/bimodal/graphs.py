@@ -364,15 +364,14 @@ def _too_big(t):
 def _doubling(t, one, join):
     """The value at t of a sequence whose value at k joins those at
     ceil(k/2) and floor(k/2): join(first, second, k) gives it from them,
-    down to ``one`` at 1.  Each value is computed once."""
+    down to ``one`` at 1.  Each value is computed once, bottom-up over
+    the lengths the halving reaches, ceil(t/2^i) and floor(t/2^i) for
+    2^i <= t."""
     values = {1: one}
-
-    def at(k):
-        if k not in values:
-            values[k] = join(at(k - k // 2), at(k // 2), k)
-        return values[k]
-
-    return at(t)
+    for k in sorted({h for i in range(t.bit_length())
+                     for h in (t >> i, -(-t >> i))} - {1}):
+        values[k] = join(values[k - k // 2], values[k // 2], k)
+    return values[t]
 
 
 def _counts(index, edges):
@@ -504,12 +503,17 @@ def adjacency_pair(g, t=1):
     if t < 1:
         raise ValueError("power exponent must be >= 1")
     n = len(g.states)
-    s = np.zeros((3, n, n), dtype=object)
-    for e in g.edges:
-        in0, in1 = e.label in g.parity.class0, e.label in g.parity.class1
+    class0, class1, index = g.parity.class0, g.parity.class1, g._index
+    # {(0, 1 or 2 for S0, S1 or S2, src index, dst index): count}
+    counts = {}
+    for src, label, dst, mult in g.edges:
+        in0, in1 = label in class0, label in class1
         if in0 or in1:
-            s[2 if in0 and in1 else int(in1), g.state_index(e.src),
-              g.state_index(e.dst)] += e.mult
+            key = (in0 + 2 * in1 - 1, index[src], index[dst])
+            counts[key] = counts.get(key, 0) + mult
+    s = np.zeros((3, n, n), dtype=object)
+    for key, count in counts.items():
+        s[key] = count
     rowsum = max(s.sum(axis=(0, 2)), default=0)
     # r^t fits int64 iff r^min(t, 64) does, as r >= 2 gives r^64 > 2^63
     bound = rowsum ** min(t, 64)

@@ -1,5 +1,6 @@
 """Shared fixture graphs and frozen golden values for the test suite."""
 
+import gc
 import math
 import os
 import warnings
@@ -35,6 +36,21 @@ from bimodal.synth import _check_ae, _check_vector, _cover_bins
 from bimodal.verify import DecodedTag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def cyclic_garbage(fn, *args):
+    """(fn(*args), the number of unreachable objects it left): the call
+    runs with the cyclic collector off, after a collection, so what
+    gc.collect() finds afterwards is the cyclic garbage of the call."""
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        got = fn(*args)
+        return got, gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load(name):

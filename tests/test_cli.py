@@ -1,3 +1,4 @@
+import gc
 import io as stdio
 import os
 import subprocess
@@ -737,6 +738,7 @@ def test_cli_never_raises(case):
                 redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2)
+    assert gc.isenabled()
     if code:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
@@ -845,3 +847,100 @@ def test_cli_warning_as_error_is_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: dropping zero-weight states: x\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector(collecting, tmp_path, monkeypatch,
+                                     capsys):
+    # main pauses the cyclic collector around the command and gives the
+    # caller's setting back on every way out: exits 0, 1 and 2, a usage
+    # exit and an exception it does not catch
+    def broken(path):
+        raise RuntimeError("not caught")
+
+    monkeypatch.setattr("sys.stdin", stdio.StringIO("a"))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in (
+                (["info", fixture("twostate.cg")], 0),
+                (["decode", fixture("twostate.cg"), "--start", "alpha"], 1),
+                (["info", str(tmp_path / "missing.cg")], 2)):
+            assert main(argv) == code
+            assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit):
+            main(["power", fixture("twostate.cg")])
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(bimodal.cli, "_load_graph", broken)
+        with pytest.raises(RuntimeError):
+            main(["info", fixture("twostate.cg")])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.filterwarnings("ignore:dropping zero-weight")
+def test_verify_runs_no_collection(tmp_path, capsys):
+    # verify on the RLL(2,10) t=10 encoder (640 edges) allocates enough
+    # containers for several collections, none of which run in main
+    enc = str(tmp_path / "enc.cg")
+    degrees = ["-t", "10", "--n0", "16", "--n1", "16"]
+    assert main(["synth", fixture("rll210.cg"), "--method", "punctured",
+                 "-o", enc] + degrees) == 0
+    starts = []
+
+    def count(phase, info):
+        starts.append(phase == "start")
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code = main(["verify", enc, "--against", fixture("rll210.cg")]
+                    + degrees)
+    finally:
+        gc.callbacks.remove(count)
+    assert (code, sum(starts)) == (0, 0)
+
+
+OUT = "OUT"
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "rll210.cg", "-t", "10", "-o", OUT],
+    ["power", "mixed.cg", "-t", "3", "-o", OUT],
+    ["synth", "quad.cg", "--method", "det", "--n0", "2", "--n1", "2"],
+    ["synth", "quad.cg", "--method", "det", "-t", "2", "--n0", "8",
+     "--n1", "8"],
+    ["synth", "quad.cg", "--method", "split", "--n0", "2", "--n1", "2"],
+    ["synth", "twostate.cg", "--method", "split", "-t", "3", "--n0", "3",
+     "--n1", "3"],
+    ["synth", "quad.cg", "--method", "stether", "--n0", "2", "--n1", "2"],
+    ["synth", "rll210.cg", "--method", "stether", "-t", "10", "--n0", "16",
+     "--n1", "16", "-o", OUT],
+    ["synth", "quad.cg", "--method", "punctured", "--n0", "1", "--n1", "1"],
+    ["synth", "rll210.cg", "--method", "punctured", "-t", "10", "--n0",
+     "16", "--n1", "16", "-o", OUT],
+    ["verify", OUT, "--against", "rll210.cg", "-t", "10", "--n0", "16",
+     "--n1", "16"],
+    ["region", "rll210.cg", "-t", "10"],
+    ["region", "mixed.cg", "-t", "2", "-o", OUT],
+    ["info", "rll210.cg"],
+    ["info", "mixed.cg"],
+    ["franaszek", "rll210.cg", "-t", "10", "--n0", "16", "--n1", "16"],
+    ["export-dot", "overlap.cg", "-o", OUT],
+], ids=lambda argv: "-".join(a.removesuffix(".cg") for a in argv
+                             if a != OUT and not a.startswith("-")))
+@pytest.mark.filterwarnings("ignore:dropping zero-weight")
+def test_commands_leave_no_cyclic_garbage(argv, tmp_path, capsys):
+    # the pause costs no memory because a command makes no reference
+    # cycles: whatever it built is freed by refcount when it returns
+    out = str(tmp_path / "out")
+    if argv[0] == "verify":
+        assert main(["synth", fixture("rll210.cg"), "--method", "punctured",
+                     "-o", out] + argv[4:]) == 0
+    argv = [fixture(a) if a.endswith(".cg") else out if a == OUT else a
+            for a in argv]
+    # the parser is built once per process, and argparse leaves cycles
+    bimodal.cli._parser()
+    assert helpers.cyclic_garbage(main, argv) == (0, 0)

@@ -62,3 +62,12 @@ def test_layers_import_downwards():
     assert not {name for name, got in imports.items() if "synth" in got}
     # the guard reads every import form
     assert imports["synth"] >= {"graphs", "spectra", "verify"}
+
+
+def test_only_the_cli_touches_the_collector():
+    # main pauses the cyclic collector around a command; library calls
+    # never touch it, so the pause has one home
+    paths = glob.glob(os.path.join(os.path.dirname(bimodal.__file__),
+                                   "*.py"))
+    users = {os.path.basename(p) for p in paths if "gc" in _imports(p)}
+    assert users == {"cli.py"}

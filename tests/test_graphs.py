@@ -313,6 +313,18 @@ def test_adjacency_pair_doubles_in_int64_when_row_sums_allow():
     assert sides == {(True, "int64"), (False, "int64"), (False, "object")}
 
 
+@pytest.mark.parametrize("name", ["twostate.cg", "quad.cg", "hexchain.cg",
+                                  "overlap.cg", "trisplit.cg", "mixed.cg",
+                                  "rll210.cg"])
+def test_power_and_adjacency_pair_leave_no_cycles(name):
+    # the doubling's tables are freed by refcount when the call returns
+    g = helpers.load(name)
+    for t in (2, 3):
+        assert helpers.cyclic_garbage(power, g, t)[1] == 0
+        assert helpers.cyclic_garbage(adjacency_pair, g, t)[1] == 0
+    assert helpers.cyclic_garbage(adjacency_pair, g, 17)[1] == 0
+
+
 def _class_counts_by_steps(g, t):
     """(A0, A1) of power(g, t) as lists of Python ints, one symbol at a
     time: per start state, the paths of strict symbols with even and odd

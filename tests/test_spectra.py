@@ -469,6 +469,12 @@ def test_rate_region_golden():
     assert (a0 @ x >= 20 * x).all() and (a1 @ x >= 26 * x).all()
 
 
+@pytest.mark.parametrize("name, t", [("twostate.cg", 8), ("mixed.cg", 2),
+                                     ("overlap.cg", 3), ("rll210.cg", 16)])
+def test_rate_region_leaves_no_cycles(name, t):
+    assert helpers.cyclic_garbage(rate_region, helpers.load(name), t)[1] == 0
+
+
 def test_rate_region_monotone_boundary():
     pts = rate_region(helpers.mixed(), 2)
     best = [p.n1 for p in pts]
