@@ -247,14 +247,18 @@ def _one_line(message, category, filename, lineno, line=None):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    shown, warnings.formatwarning = warnings.formatwarning, _one_line
     # the command builds many containers and no reference cycles (a
     # test holds every command to that), so a cyclic collection would
-    # only scan them; the caller's setting comes back in the finally
+    # only scan them; the pause covers the cached parser's build too,
+    # whose cycles (argparse's, once per process) wait for a later
+    # collection; the caller's setting comes back in the finally, after
+    # a usage exit too
     collecting = gc.isenabled()
     gc.disable()
+    shown = warnings.formatwarning
     try:
+        args = _parser().parse_args(argv)
+        warnings.formatwarning = _one_line
         args.fn(args)
     except (io.ParseError, graphs.ValidationError, OSError,
             UnicodeDecodeError) as exc:

@@ -208,10 +208,23 @@ class TaggedEncoder:
         return [e for (cls, _), es in sorted(self.by_tag[state].items())
                 if cls == b for e in es]
 
+    @functools.cached_property
+    def _slots(self):
+        """Slot index: state -> class -> the slots its out-edges hold, one
+        entry per edge carrying the tag; one pass over the edges."""
+        idx = {s: {} for s in self.graph.states}
+        tags = self.tags
+        for e in self.graph.edges:
+            held = tags.get(e)
+            if held:
+                at = idx[e.src]
+                for cls, slot in held:
+                    at.setdefault(cls, []).append(slot)
+        return idx
+
     def slots_ok(self, state, b, n):
         """``state`` holds slots 0..n-1 of class b, one edge each."""
-        return sorted(slot for (cls, slot), es in self.by_tag[state].items()
-                      if cls == b for _ in es) == list(range(n))
+        return sorted(self._slots[state].get(b, ())) == list(range(n))
 
     def out_degrees_ok(self):
         """Each state holds slots 0..n_b-1 of class b, one edge each."""

@@ -25,56 +25,47 @@ class ParseError(Exception):
         super().__init__("line %d: %s" % (line_no, reason))
 
 
-def _lines(text):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line
-
-
 def _parse(text):
-    states = []
-    parity0 = []
-    parity1 = []
-    edges = []
-    tags = []
+    states, parity0, parity1, edges, tags = [], [], [], [], []
+    names = {"states": states, "parity0": parity0, "parity1": parity1}
     seen = set()
-    for no, line in _lines(text):
-        if ":" not in line:
-            raise ParseError(no, "missing ':' directive")
-        key, _, rest = line.partition(":")
+    comments = "#" in text
+    for no, line in enumerate(text.splitlines(), start=1):
+        if comments:
+            line = line.split("#", 1)[0]
+        key, colon, rest = line.partition(":")
         key = key.strip()
+        if not colon:
+            if key:
+                raise ParseError(no, "missing ':' directive")
+            continue
         fields = rest.split()
-        if key == "states":
-            states.extend(fields)
-        elif key == "parity0":
-            parity0.extend(fields)
-        elif key == "parity1":
-            parity1.extend(fields)
-        elif key == "edge":
-            if len(fields) not in (3, 4):
-                raise ParseError(no, "edge needs 3 or 4 fields")
-            mult = 1
-            if len(fields) == 4:
-                try:
-                    mult = int(fields[3])
-                except ValueError:
-                    raise ParseError(no, "bad multiplicity %r" % fields[3])
-            edges.append((fields[0], fields[1], fields[2], mult))
-        elif key == "tag":
+        # tag lines are half of an encoder file: test them first
+        if key == "tag":
             if len(fields) != 5:
                 raise ParseError(no, "tag needs 5 fields")
+            src, cls, slot, label, dst = fields
             try:
-                cls, slot = int(fields[1]), int(fields[2])
+                cls, slot = int(cls), int(slot)
             except ValueError:
                 raise ParseError(no, "bad tag class/slot")
             if cls not in (0, 1) or slot < 0:
                 raise ParseError(no, "bad tag class/slot")
-            if (fields[0], cls, slot) in seen:
-                raise ParseError(no, "duplicate tag %s %d %d"
-                                 % (fields[0], cls, slot))
-            seen.add((fields[0], cls, slot))
-            tags.append((fields[0], cls, slot, fields[3], fields[4]))
+            held = (src, cls, slot)
+            if held in seen:
+                raise ParseError(no, "duplicate tag %s %d %d" % held)
+            seen.add(held)
+            tags.append((src, cls, slot, label, dst))
+        elif key == "edge":
+            if len(fields) not in (3, 4):
+                raise ParseError(no, "edge needs 3 or 4 fields")
+            try:
+                mult = int(fields[3]) if len(fields) == 4 else 1
+            except ValueError:
+                raise ParseError(no, "bad multiplicity %r" % fields[3])
+            edges.append((fields[0], fields[1], fields[2], mult))
+        elif key in names:
+            names[key].extend(fields)
         else:
             raise ParseError(no, "unknown directive %r" % key)
     return states, parity0, parity1, edges, tags
@@ -97,39 +88,51 @@ def parse_graph_file(text):
 def parse_encoder_file(text):
     states, p0, p1, edges, tags = _parse(text)
     g = _validated(states, p0, p1, edges)
-    index = {(e.src, e.label, e.dst): e for e in g.edges}
-    tag_map = {}
-    n = [0, 0]
+    index = {e[:3]: e for e in g.edges}
+    tag_map, n = {}, [0, 0]
     for (src, cls, slot, label, dst) in tags:
         e = index.get((src, label, dst))
         if e is None:
             raise ParseError(0, "tag refers to missing edge %s %s %s"
                              % (src, label, dst))
-        tag_map.setdefault(e, []).append((cls, slot))
+        tag_map[e] = tag_map.get(e, ()) + ((cls, slot),)
         n[cls] = max(n[cls], slot + 1)
-    return TaggedEncoder(g, {e: tuple(sorted(t)) for e, t in tag_map.items()},
-                         n[0], n[1])
+    for e, held in tag_map.items():
+        if len(held) > 1:
+            tag_map[e] = tuple(sorted(held))
+    return TaggedEncoder(g, tag_map, n[0], n[1])
 
 
-def serialize_graph(g):
-    """Canonical graph text; a graph with an empty parity class is
-    refused, as the parser would refuse its file."""
+def _sorted_edges(g):
+    return sorted(g.edges, key=g.edge_key)
+
+
+def _graph_text(g, edges):
+    """serialize_graph's text without its last newline."""
     empty = _empty_classes(g.parity)
     if empty:
         raise BimodalError("; ".join(empty))
     out = ["states: %s" % " ".join(g.states)]
     out.append("parity0: %s" % " ".join(sorted(g.parity.class0)))
     out.append("parity1: %s" % " ".join(sorted(g.parity.class1)))
-    for e in sorted(g.edges, key=g.edge_key):
+    for e in edges:
         mult = "" if e.mult == 1 else " %d" % e.mult
         out.append("edge: %s %s %s%s" % (e.src, e.label, e.dst, mult))
-    return "\n".join(out) + "\n"
+    return "\n".join(out)
+
+
+def serialize_graph(g):
+    """Canonical graph text; a graph with an empty parity class is
+    refused, as the parser would refuse its file."""
+    return _graph_text(g, _sorted_edges(g)) + "\n"
 
 
 def serialize_encoder(enc):
-    out = [serialize_graph(enc.graph).rstrip("\n")]
+    """The graph's text, then the tag lines, from one sort of the edges."""
     g = enc.graph
-    for e in sorted(g.edges, key=g.edge_key):
+    edges = _sorted_edges(g)
+    out = [_graph_text(g, edges)]
+    for e in edges:
         for (cls, slot) in sorted(enc.tags.get(e, ())):
             out.append("tag: %s %d %d %s %s"
                        % (e.src, cls, slot, e.label, e.dst))
@@ -145,7 +148,7 @@ def export_dot(g):
     lines = ["digraph constraint {", "  rankdir=LR;"]
     for s in g.states:
         lines.append("  %s;" % _dot_id(s))
-    for e in sorted(g.edges, key=g.edge_key):
+    for e in _sorted_edges(g):
         in0 = e.label in g.parity.class0
         in1 = e.label in g.parity.class1
         if in0 and in1:

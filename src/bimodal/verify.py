@@ -11,6 +11,7 @@ equality for edge equality.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -216,6 +217,21 @@ def sliding_block_decodable(e, m, a):
         for (_, e1, e2) in pg.steps(pg.nodes[i]))
 
 
+def _walk(u, keys, memo, move):
+    """The state set u read through ``keys`` in order: each key's move
+    is memo[key][u], computed by move(u, key) once; an empty set stops
+    the walk."""
+    for k in keys:
+        row = memo[k]
+        nxt = row.get(u)
+        if nxt is None:
+            nxt = row[u] = move(u, k)
+        u = nxt
+        if not u:
+            break
+    return u
+
+
 def presents_subset(e, g, t=1):
     """Every word generated by e is generated somewhere in power(g, t).
 
@@ -224,16 +240,35 @@ def presents_subset(e, g, t=1):
     built: the edges of power(g, t) are the t-step paths of g, so an
     encoder label is read as t symbols of g (see _split_words), stepped
     one at a time through g.  g's symbols must all split into the same
-    number of dotted parts, as validate_graph and power make them.  Each
-    distinct (state set, label) and (state set, symbol) step is computed
-    once per call.
+    number of dotted parts, as validate_graph and power make them.
+
+    Each step is computed once per call: a word from a state set is
+    memoized in that set's row, and read as two halves (its first
+    ceil(t/2) symbols and the rest; words share halves far more often
+    than whole words), each half memoized per state set and stepped
+    through a memo per symbol.
     """
     if t < 1:
         raise ValueError("power exponent must be >= 1")
     eg = _graph_of(e)
-    reads = _split_words(g, t, {ed.label for ed in eg.edges})
-    # (state set, label) -> state set, and symbol -> state set -> state set
-    words, steps = {}, collections.defaultdict(dict)
+    cut = (t + 1) // 2
+    # label -> its nonempty halves, each a tuple of symbols that all
+    # labels with that half share; a label that is no word of
+    # power(g, t) is left out
+    shared = {}
+    halves = {label: tuple(shared.setdefault(h, h)
+                           for h in (tuple(s[:cut]), tuple(s[cut:])) if h)
+              for label, s in _split_words(
+                  g, t, {ed.label for ed in eg.edges}).items() if s}
+    # state set -> label, half -> state set and symbol -> state set,
+    # each to the state set after it
+    words, runs, steps = (collections.defaultdict(dict) for _ in range(3))
+    symbol = functools.partial(_step, g)
+
+    def run(u, symbols):
+        return _walk(u, symbols, steps, symbol)
+
+    empty = frozenset()
     full = frozenset(g.states)
     seen = set()
     queue = []
@@ -243,24 +278,15 @@ def presents_subset(e, g, t=1):
         queue.append(node)
     while queue:
         v, u = queue.pop()
-        for ed in eg.out_edges(v):
-            key = (u, ed.label)
-            u2 = words.get(key)
+        row = words[u]
+        for _, label, dst, _ in eg.out_edges(v):
+            u2 = row.get(label)
             if u2 is None:
-                symbols = reads[ed.label]
-                u2 = u if symbols else frozenset()
-                for a in symbols:
-                    row = steps[a]
-                    nxt = row.get(u2)
-                    if nxt is None:
-                        nxt = row[u2] = _step(g, u2, a)
-                    u2 = nxt
-                    if not u2:
-                        break
-                words[key] = u2
+                word = halves.get(label)
+                u2 = row[label] = _walk(u, word, runs, run) if word else empty
             if not u2:
                 return False
-            node = (ed.dst, u2)
+            node = (dst, u2)
             if node not in seen:
                 seen.add(node)
                 queue.append(node)

@@ -31,7 +31,7 @@ from bimodal import (
 )
 from bimodal import graphs
 from bimodal.construct import rll_graph
-from bimodal.io import parse_graph_file
+from bimodal.io import ParseError, parse_graph_file
 from bimodal.synth import _check_ae, _check_vector, _cover_bins
 from bimodal.verify import DecodedTag
 
@@ -1023,3 +1023,183 @@ def memo_decode(e, word, start, p=None):
         tag, state = memo[key]
         out.append(tag)
     return out
+
+
+# The encoder file reader, writer and checks as they were before the
+# one-pass reader, frozen as references: one generator of stripped
+# lines, the directive branches in grammar order, tags collected into
+# lists and all sorted; the writer sorts the edges once for the graph
+# lines and once more for the tag lines; presents_subset keys its word
+# memo by (state set, label); the degree rule reads by_tag.
+
+
+def _reference_lines(text):
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield i, line
+
+
+def reference_parse(text):
+    """io._parse before the one-pass reader."""
+    states = []
+    parity0 = []
+    parity1 = []
+    edges = []
+    tags = []
+    seen = set()
+    for no, line in _reference_lines(text):
+        if ":" not in line:
+            raise ParseError(no, "missing ':' directive")
+        key, _, rest = line.partition(":")
+        key = key.strip()
+        fields = rest.split()
+        if key == "states":
+            states.extend(fields)
+        elif key == "parity0":
+            parity0.extend(fields)
+        elif key == "parity1":
+            parity1.extend(fields)
+        elif key == "edge":
+            if len(fields) not in (3, 4):
+                raise ParseError(no, "edge needs 3 or 4 fields")
+            mult = 1
+            if len(fields) == 4:
+                try:
+                    mult = int(fields[3])
+                except ValueError:
+                    raise ParseError(no, "bad multiplicity %r" % fields[3])
+            edges.append((fields[0], fields[1], fields[2], mult))
+        elif key == "tag":
+            if len(fields) != 5:
+                raise ParseError(no, "tag needs 5 fields")
+            try:
+                cls, slot = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(no, "bad tag class/slot")
+            if cls not in (0, 1) or slot < 0:
+                raise ParseError(no, "bad tag class/slot")
+            if (fields[0], cls, slot) in seen:
+                raise ParseError(no, "duplicate tag %s %d %d"
+                                 % (fields[0], cls, slot))
+            seen.add((fields[0], cls, slot))
+            tags.append((fields[0], cls, slot, fields[3], fields[4]))
+        else:
+            raise ParseError(no, "unknown directive %r" % key)
+    return states, parity0, parity1, edges, tags
+
+
+def _reference_validated(states, p0, p1, edges):
+    try:
+        return validate_graph(states, edges, p0, p1)
+    except graphs.ValidationError as exc:
+        raise ParseError(0, str(exc))
+
+
+def reference_parse_graph_file(text):
+    """io.parse_graph_file before the one-pass reader."""
+    states, p0, p1, edges, tags = reference_parse(text)
+    if tags:
+        raise ParseError(0, "file contains tag lines; use the encoder parser")
+    return _reference_validated(states, p0, p1, edges)
+
+
+def reference_parse_encoder_file(text):
+    """io.parse_encoder_file before the one-pass reader."""
+    states, p0, p1, edges, tags = reference_parse(text)
+    g = _reference_validated(states, p0, p1, edges)
+    index = {(e.src, e.label, e.dst): e for e in g.edges}
+    tag_map = {}
+    n = [0, 0]
+    for (src, cls, slot, label, dst) in tags:
+        e = index.get((src, label, dst))
+        if e is None:
+            raise ParseError(0, "tag refers to missing edge %s %s %s"
+                             % (src, label, dst))
+        tag_map.setdefault(e, []).append((cls, slot))
+        n[cls] = max(n[cls], slot + 1)
+    return TaggedEncoder(g, {e: tuple(sorted(t)) for e, t in tag_map.items()},
+                         n[0], n[1])
+
+
+def reference_serialize_encoder(enc):
+    """io.serialize_encoder before the one sort: graph lines, then the
+    tag lines from a second sort of the edges."""
+    g = enc.graph
+    out = ["states: %s" % " ".join(g.states),
+           "parity0: %s" % " ".join(sorted(g.parity.class0)),
+           "parity1: %s" % " ".join(sorted(g.parity.class1))]
+    for e in sorted(g.edges, key=g.edge_key):
+        mult = "" if e.mult == 1 else " %d" % e.mult
+        out.append("edge: %s %s %s%s" % (e.src, e.label, e.dst, mult))
+    for e in sorted(g.edges, key=g.edge_key):
+        for (cls, slot) in sorted(enc.tags.get(e, ())):
+            out.append("tag: %s %d %d %s %s"
+                       % (e.src, cls, slot, e.label, e.dst))
+    return "\n".join(out) + "\n"
+
+
+def read_outcome(parse, text):
+    """What a reader makes of ``text``: the encoder's graph key, tags
+    and degrees (or the graph key), else the error's kind, line number
+    and message."""
+    try:
+        got = parse(text)
+    except Exception as exc:
+        return (type(exc).__name__, getattr(exc, "line_no", None), str(exc))
+    if isinstance(got, TaggedEncoder):
+        return got.graph._key, got.tags, got.n0, got.n1
+    return got._key
+
+
+def reference_presents_subset(e, g, t=1):
+    """verify.presents_subset with its word memo keyed by (state set,
+    label) and each word stepped symbol by symbol."""
+    if t < 1:
+        raise ValueError("power exponent must be >= 1")
+    eg = e.graph if isinstance(e, TaggedEncoder) else e
+    reads = graphs._split_words(g, t, {ed.label for ed in eg.edges})
+    words, steps = {}, {}
+    full = frozenset(g.states)
+    seen = set()
+    queue = []
+    for v in eg.states:
+        node = (v, full)
+        seen.add(node)
+        queue.append(node)
+    while queue:
+        v, u = queue.pop()
+        for ed in eg.out_edges(v):
+            key = (u, ed.label)
+            u2 = words.get(key)
+            if u2 is None:
+                symbols = reads[ed.label]
+                u2 = u if symbols else frozenset()
+                for a in symbols:
+                    row = steps.setdefault(a, {})
+                    nxt = row.get(u2)
+                    if nxt is None:
+                        nxt = row[u2] = graphs._step(g, u2, a)
+                    u2 = nxt
+                    if not u2:
+                        break
+                words[key] = u2
+            if not u2:
+                return False
+            node = (ed.dst, u2)
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+    return True
+
+
+def by_tag_slots_ok(e, state, b, n):
+    """TaggedEncoder.slots_ok by its by_tag rule: the class-b slots of
+    the tags on state's out-edges, one per edge holding each, sorted,
+    are 0..n-1."""
+    by_tag = {}
+    for ed in e.graph.out_edges(state):
+        for t in e.tags.get(ed, ()):
+            by_tag.setdefault(t, []).append(ed)
+    return sorted(slot for (cls, slot), es in by_tag.items()
+                  if cls == b for _ in es) == list(range(n))

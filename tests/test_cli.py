@@ -1,6 +1,7 @@
 import gc
 import io as stdio
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -766,6 +767,174 @@ def test_serialize_parse_identity(seed, strict):
     assert serialize_encoder(parse_encoder_file(text)) == text
 
 
+def _random_encoder(rng, strict):
+    """A random tagged encoder on a random graph with multiplicities up
+    to 3: each edge takes a random set of classes, slots counted per
+    state, and now and then a second slot of one class."""
+    g = helpers.with_multiplicities(
+        rng, helpers.random_graph(rng, max_states=4, strict=strict))
+    tags, slots = {}, {}
+    for ed in g.edges:
+        for c in (0, 1):
+            for _ in range(1 + (rng.random() < 0.15)):
+                if rng.random() < 0.6:
+                    slot = slots[ed.src, c] = slots.get((ed.src, c), -1) + 1
+                    tags.setdefault(ed, []).append((c, slot))
+    # edges and each edge's tags in a random order
+    for held in tags.values():
+        if rng.random() < 0.5:
+            held.reverse()
+    order = rng.permutation(len(g.edges))
+    return TaggedEncoder(g, {g.edges[i]: tuple(tags[g.edges[i]])
+                             for i in order if g.edges[i] in tags}, 1, 1)
+
+
+# numbers int() reads (signs, underscores, leading zeros, non-ASCII
+# digits) and ones it does not, for a tag's class or slot and an edge's
+# multiplicity
+NUMBERS = ["0", "1", "2", "+1", "+0", "-0", "-1", "01", "1_0", "0_1",
+           "\u0660", "\u0661", "\u0967", "\uff11", "\u00b2", "1.0", "x",
+           "3", "10"]
+# str.splitlines breaks lines at each of these
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+MUTATIONS = ["comment", "blank", "colon", "swap", "hoist", "number",
+             "edge", "duplicate", "missing", "fields", "directive", "split",
+             "space", "untag"]
+# the reader's messages, and those of validate_graph it passes on
+MESSAGES = ["missing ':' directive", "unknown directive",
+            "edge needs 3 or 4 fields", "tag needs 5 fields",
+            "bad multiplicity", "bad tag class/slot", "duplicate tag",
+            "tag refers to missing edge", "file contains tag lines",
+            "duplicate edge", "is not a state", "is not in either class",
+            "non-positive multiplicity"]
+
+
+def _mutate(text, ops, sep, end):
+    """``text`` with each (op, seed) of ``ops`` applied to its lines, in
+    order, then joined by ``sep`` (a random break per line for "mix")
+    and ended by one more break when ``end``."""
+    lines = text.splitlines()
+    for op, seed in ops:
+        rng = random.Random(seed)
+        i = rng.randrange(len(lines)) if lines else 0
+        line = lines[i] if lines else ""
+        fields = line.split()
+        tags = [j for j, ln in enumerate(lines)
+                if ln.startswith("tag: ") and len(ln.split()) == 6]
+        if op == "comment":
+            note = rng.choice([" # c: 1", "#", "  # tag: a 0 0 p a", "#x#"])
+            if rng.random() < 0.5:
+                lines[i] = line + note
+            else:
+                lines.insert(i, note.strip())
+        elif op == "blank":
+            lines.insert(i, rng.choice(["", "   ", "\t", " \xa0 "]))
+        elif op == "colon":
+            lines[i] = rng.choice([" ", ""]) + line.replace(
+                ":", rng.choice([" : ", ":", "\t:\t", " :"]), 1).replace(
+                ": ", ":", rng.random() < 0.5)
+        elif op == "swap" and lines:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "hoist" and tags:
+            lines.insert(0, lines.pop(rng.choice(tags)))
+        elif op == "number" and fields[:1] == ["tag:"] and len(fields) == 6:
+            fields[rng.choice([2, 3])] = rng.choice(NUMBERS)
+            lines[i] = " ".join(fields)
+        elif op == "number" and fields[:1] == ["edge:"]:
+            fields[4:] = [rng.choice(NUMBERS)]
+            lines[i] = " ".join(fields)
+        elif op == "edge":
+            edges = [ln for ln in lines if ln.startswith("edge:")]
+            lines.insert(i, rng.choice(edges[:1] + [
+                "edge: zz a n0", "edge: n0 a zz", "edge: n0 zz n0"]))
+        elif op == "duplicate" and tags:
+            # the same (src, class, slot), on its edge or a missing one
+            parts = lines[rng.choice(tags)].split()
+            parts[4] = rng.choice([parts[4], "zz"])
+            lines.insert(rng.randrange(len(lines) + 1), " ".join(parts))
+        elif op == "missing" and tags:
+            j = rng.choice(tags)
+            parts = lines[j].split()
+            parts[rng.choice([1, 4, 5])] = rng.choice(["zz", "n0", "a"])
+            lines[j] = " ".join(parts)
+        elif op == "fields" and fields[:1] in (["edge:"], ["tag:"]):
+            if rng.random() < 0.5:
+                fields.pop()
+            else:
+                fields += ["1", "extra"][:rng.randrange(1, 3)]
+            lines[i] = " ".join(fields)
+        elif op == "directive":
+            lines.insert(i, rng.choice(
+                ["bogus: z", "Tag: n0 0 0 a n0", "edges: n0 a n0", ":",
+                 "edge n0 a n0", "states", "tag", "# only a comment",
+                 "parity2: a"]))
+        elif op == "split" and fields[:1] in (["states:"], ["parity0:"],
+                                              ["parity1:"]):
+            cut = rng.randrange(1, len(fields) + 1)
+            lines[i:i + 1] = [" ".join(fields[:cut]),
+                              " ".join(fields[:1] + fields[cut:])]
+        elif op == "space":
+            lines[i] = line.replace(" ", rng.choice(
+                ["\t", "  ", "\xa0", "\u3000", "\x1f"]), 1)
+        elif op == "untag":
+            lines = [ln for ln in lines if not ln.startswith("tag:")]
+    if sep == "mix":
+        rng = random.Random(len(lines))
+        breaks = [rng.choice(BREAKS) for _ in lines]
+        text = "".join(ln + b for ln, b in zip(lines, breaks))
+        return text if end or not lines else text[:-len(breaks[-1])]
+    return sep.join(lines) + (sep if end else "")
+
+
+def _read_both(text):
+    """Each reader's outcome on ``text``, today's and the frozen one's,
+    for the encoder and the graph parser."""
+    return ((helpers.read_outcome(parse_encoder_file, text),
+             helpers.read_outcome(parse_graph_file, text)),
+            (helpers.read_outcome(helpers.reference_parse_encoder_file,
+                                  text),
+             helpers.read_outcome(helpers.reference_parse_graph_file, text)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 999)),
+                max_size=4),
+       st.sampled_from(BREAKS + ["mix"]), st.booleans())
+def test_reader_matches_frozen_reader(seed, strict, ops, sep, end):
+    # the one-pass reader gives what the reader before it gave, an
+    # encoder or a ParseError with its line number and message, on
+    # written encoders and on texts mutated from them
+    e = _random_encoder(np.random.default_rng(seed), strict)
+    text = serialize_encoder(e)
+    assert text == helpers.reference_serialize_encoder(e)
+    assert text.startswith(serialize_graph(e.graph))
+    got, want = _read_both(_mutate(text, ops, sep, end))
+    assert got == want
+
+
+def test_reader_mutations_reach_every_outcome():
+    # the mutations of test_reader_matches_frozen_reader reach each
+    # outcome of both readers: an encoder, a graph, and every message
+    rng = random.Random(5)
+    kinds = set()
+    for i in range(1500):
+        e = _random_encoder(np.random.default_rng(i), bool(i % 2))
+        ops = [(rng.choice(MUTATIONS), rng.randrange(1000))
+               for _ in range(rng.randrange(4))]
+        text = _mutate(serialize_encoder(e), ops,
+                       rng.choice(BREAKS + ["mix"]), rng.random() < 0.5)
+        got, want = _read_both(text)
+        assert got == want, (text, ops)
+        for kind, out in zip(("encoder", "graph"), got):
+            if out[0] == "ParseError":
+                kind = next((m for m in MESSAGES if m in out[2]), out[2])
+            kinds.add(kind)
+    assert kinds == {"encoder", "graph"} | set(MESSAGES)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
        st.integers(min_value=1, max_value=3))
@@ -901,6 +1070,31 @@ def test_verify_runs_no_collection(tmp_path, capsys):
     finally:
         gc.callbacks.remove(count)
     assert (code, sum(starts)) == (0, 0)
+
+
+@pytest.mark.filterwarnings("ignore:dropping zero-weight")
+def test_first_command_in_a_process_runs_no_collection(tmp_path):
+    # the cached parser is built inside the pause too: a fresh process
+    # runs no collection over its first main(["verify", ...]), parser
+    # build included (argparse leaves cycles enough for one)
+    enc = str(tmp_path / "enc.cg")
+    degrees = ["-t", "10", "--n0", "16", "--n1", "16"]
+    assert main(["synth", fixture("rll210.cg"), "--method", "punctured",
+                 "-o", enc] + degrees) == 0
+    argv = ["verify", enc, "--against", fixture("rll210.cg")] + degrees
+    code = ("import gc, sys\n"
+            "from bimodal.cli import main\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: starts.append(phase))\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, starts.count('start'), gc.isenabled(),"
+            " file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(bimodal.__file__)))
+    run = subprocess.run([sys.executable, "-c", code] + argv,
+                         capture_output=True, text=True, env=env)
+    assert run.stderr == "0 0 True\n"
+    assert run.stdout.startswith("out-degrees: ok\n")
 
 
 OUT = "OUT"

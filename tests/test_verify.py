@@ -301,6 +301,65 @@ def test_presents_subset_reads_words_through_base_graph():
             assert got == (t == own), (name, t)
 
 
+def _outside_word(g, t, rng):
+    """A word of t symbols of g that no path of g reads, or None."""
+    words = set(_words(g, t))
+    symbols = sorted(g.parity.alphabet)
+    for _ in range(50):
+        w = ".".join(symbols[rng.integers(len(symbols))] for _ in range(t))
+        if w not in words:
+            return w
+    return None
+
+
+def _relabelled(g, edge, label):
+    return LabeledGraph(g.states, [Edge(ed.src, label, ed.dst, ed.mult)
+                                   if ed == edge else ed for ed in g.edges],
+                        g.parity)
+
+
+def test_presents_subset_matches_frozen_walk():
+    # the word memo per state set and per half gives the verdicts of the
+    # memo keyed by (state set, label): nondeterministic bases whose
+    # symbols are letters or dotted words (a power of a power), t = 1-3,
+    # encoders inside the constraint, encoders of its words and others',
+    # and encoders that leave it on the first edge the walk takes (the
+    # first out-edge of the last state, as the walk pops the last state
+    # queued) or on a late one (the last out-edge of the first state)
+    rng = np.random.default_rng(97)
+    verdicts = {}
+    nondeterministic = 0
+    for i in range(60):
+        base = helpers.random_graph(rng, max_states=3, strict=bool(i % 2),
+                                    max_out=3)
+        g = base if i % 3 else power(base, 2)
+        nondeterministic += not g.deterministic
+        for t in (1, 2, 3):
+            keep = [ed for ed in g.edges if rng.random() < 0.8] or g.edges
+            inside = power(LabeledGraph(g.states, keep, g.parity), t)
+            other = _words(helpers.random_graph(rng, max_states=2), t)
+            encoders = {"inside": inside,
+                        "words": _labelled(rng, _words(g, t), g.parity),
+                        "others": _labelled(rng, _words(g, t) + other,
+                                            g.parity)}
+            out = _outside_word(g, t, rng)
+            tails = [v for v in inside.states if inside.out_edges(v)]
+            if out is not None and tails:
+                first = inside.out_edges(tails[-1])[0]
+                late = inside.out_edges(tails[0])[-1]
+                encoders["first"] = _relabelled(inside, first, out)
+                encoders["late"] = _relabelled(inside, late, out)
+            for kind, e in encoders.items():
+                got = presents_subset(e, g, t)
+                assert got == helpers.reference_presents_subset(e, g, t), (
+                    kind, g.edges, t, e.edges)
+                verdicts.setdefault(kind, set()).add(got)
+    assert verdicts == {"inside": {True}, "words": {True, False},
+                        "others": {True, False}, "first": {False},
+                        "late": {False}}
+    assert nondeterministic >= 20
+
+
 def test_word_split_matches_branched_reference(monkeypatch):
     # the one word split reads each word as the branched split did, and
     # presents_subset gives the same verdicts through either, on bases
@@ -1133,6 +1192,81 @@ def test_encode_stream_matches_table_and_reference(seed, strict):
                 assert got[0] == want[0], (e.tags, tags, policy)
             else:
                 assert got == want, (e.tags, tags, policy)
+
+
+def test_slots_ok_matches_by_tag_rule():
+    # the one-pass slot index answers as the by_tag rule did: by hand,
+    # one tag on two edges of a state, a missing slot, a gapped slot and
+    # n = 0; then random tags, repeated and gapped ones among them
+    g = validate_graph("st", [("s", "a", "s"), ("s", "b", "t"),
+                              ("s", "c", "t"), ("t", "a", "s"),
+                              ("t", "c", "s")], "ab", "c")
+    sa, sb, sc, ta, tc = g.edges
+    cases = [
+        # tags, then (state, class, n, slots_ok)
+        ({sa: ((0, 0),), sb: ((0, 1),), sc: ((1, 0),), ta: ((0, 0),),
+          tc: ((1, 0),)},
+         [("s", 0, 2, True), ("s", 1, 1, True), ("t", 0, 1, True),
+          ("t", 0, 2, False), ("t", 1, 1, True), ("s", 1, 0, False)]),
+        # one tag on two edges of s
+        ({sa: ((0, 0),), sb: ((0, 0),), sc: ((1, 0),)},
+         [("s", 0, 1, False), ("s", 0, 2, False), ("s", 1, 1, True)]),
+        # slot 0 missing
+        ({sb: ((0, 1),), sc: ((1, 0),)},
+         [("s", 0, 1, False), ("s", 0, 2, False), ("s", 0, 0, False)]),
+        # slot 1 gapped
+        ({sa: ((0, 0),), sb: ((0, 2),)},
+         [("s", 0, 2, False), ("s", 0, 3, False), ("s", 0, 1, False)]),
+        # n = 0: no tags of the class, or some
+        ({sa: ((0, 0),), sc: ((0, 1), (1, 0))},
+         [("t", 0, 0, True), ("t", 1, 0, True), ("s", 1, 0, False),
+          ("s", 0, 2, True)]),
+    ]
+    for tags, rows in cases:
+        e = TaggedEncoder(g, tags, 1, 1)
+        for s, b, n, want in rows:
+            assert e.slots_ok(s, b, n) is want, (tags, s, b, n)
+            assert helpers.by_tag_slots_ok(e, s, b, n) is want
+    rng = np.random.default_rng(101)
+    for i in range(300):
+        e = _random_tagged(rng, strict=bool(i % 2))
+        tags = {ed: ts + ((int(rng.integers(2)), int(rng.integers(3))),)
+                if rng.random() < 0.2 else ts for ed, ts in e.tags.items()}
+        for e in (e, TaggedEncoder(e.graph, tags, int(rng.integers(3)),
+                                   int(rng.integers(3)))):
+            for s in e.graph.states:
+                for b in (0, 1):
+                    for n in range(4):
+                        assert e.slots_ok(s, b, n) == helpers.by_tag_slots_ok(
+                            e, s, b, n), (e.tags, s, b, n)
+            assert e.out_degrees_ok() == all(
+                helpers.by_tag_slots_ok(e, s, b, n) for s in e.graph.states
+                for b, n in ((0, e.n0), (1, e.n1)))
+
+
+def test_check_encoder_builds_no_by_tag(monkeypatch):
+    # the degree check reads the one-pass slot index: verifying a parsed
+    # encoder builds no by_tag, which the codec still builds for its
+    # encode map
+    from bimodal.io import parse_encoder_file, serialize_encoder
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    text = serialize_encoder(e)
+    calls = []
+    real = TaggedEncoder.__dict__["by_tag"].func
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TaggedEncoder, "by_tag", property(counted))
+    parsed = parse_encoder_file(text)
+    report = check_encoder(parsed, helpers.two_state(), 2, 2, 3)
+    assert report.ok and report.out_degree_ok == (True, True)
+    bad = check_encoder(parsed, helpers.two_state(), 3, 2, 3)
+    assert bad.out_degree_ok == (False, True)
+    assert not calls
+    assert encode_stream(parsed, ["00", "11"], parsed.graph.states[0])
+    assert calls and all(c is parsed for c in calls)
 
 
 def test_encode_keeps_one_move_per_edge_and_no_per_block_work(monkeypatch):
