@@ -15,7 +15,6 @@ import numpy as np
 from .graphs import (
     BimodalError,
     Edge,
-    Infinite,
     LabeledGraph,
     NotDeterministic,
     POWER_BUDGET,
@@ -25,7 +24,6 @@ from .graphs import (
     adjacency_pair,
 )
 from .spectra import _reach
-from .verify import anticipation
 
 STATE_SEP = "@"
 
@@ -319,18 +317,10 @@ def stether_punctured(g, x_plus, n0, n1):
     deleted slots remove one out-edge per class per state, leaving a
     (n0, n1) encoder.  On a strict cover its anticipation obeys the
     stethering bound at the smaller degrees.  On an overlapping cover it
-    may be infinite, as verify.anticipation finds it; such an encoder,
-    which no decoder can read, is refused with a BimodalError naming the
-    shared symbols.
+    may be infinite; like every route, this one returns what it builds
+    and leaves that verdict to verify.
     """
     wide = stether(g, x_plus, n0 + 1, n1 + 1)
     tagged = [(e, t) for e in wide.graph.edges for t in wide.tags[e]
               if t not in ((0, n0), (1, n1))]
-    enc = _assemble(wide.graph.states, wide.graph.parity, tagged, n0, n1)
-    shared = sorted(g.parity.class0 & g.parity.class1)
-    if shared and isinstance(anticipation(enc), Infinite):
-        names = ", ".join(shared[:8]) + (", ..." if shared[8:] else "")
-        raise BimodalError("punctured encoder has infinite anticipation;"
-                           " the cover shares %s" % names)
-    return enc
-
+    return _assemble(wide.graph.states, wide.graph.parity, tagged, n0, n1)

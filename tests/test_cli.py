@@ -172,20 +172,23 @@ def test_cli_punctured_overlapping_cover_lossless(tmp_path, capsys):
     assert "anticipation: 1" in out
 
 
-def test_cli_punctured_refuses_infinite_anticipation(tmp_path, capsys):
+def test_cli_punctured_emits_infinite_anticipation(tmp_path, capsys):
     # b is in both classes; the (1, 2) punctured encoder of the square
-    # would part two walks forever, so synth writes nothing
+    # parts two walks forever: synth writes it, as every method writes
+    # what it builds, and verify refuses it
     (tmp_path / "ov.cg").write_text(
         "states: n0 n1\nparity0: a b\nparity1: b c\nedge: n0 a n1\n"
         "edge: n0 b n0\nedge: n0 c n1\nedge: n1 c n0\n")
-    enc = tmp_path / "e.cg"
-    assert main(["synth", str(tmp_path / "ov.cg"), "--method", "punctured",
-                 "-t", "2", "--n0", "1", "--n1", "2", "-o", str(enc)]) == 1
+    graph, enc = str(tmp_path / "ov.cg"), tmp_path / "e.cg"
+    degrees = ["-t", "2", "--n0", "1", "--n1", "2"]
+    assert main(["synth", graph, "--method", "punctured", "-o", str(enc)]
+                + degrees) == 0
+    assert capsys.readouterr() == ("", "") and enc.exists()
+    assert main(["verify", str(enc), "--against", graph] + degrees) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and not enc.exists()
-    assert captured.err == ("error: punctured encoder has infinite "
-                            "anticipation; the cover shares b.a, b.b, b.c, "
-                            "c.b\n")
+    assert "anticipation: infinite" in captured.out
+    assert "violation: anticipation is infinite" in captured.out
+    assert captured.err == "error: verification failed\n"
 
 
 def test_cli_synth_infeasible(capsys):
@@ -736,9 +739,15 @@ def test_cli_never_raises(case):
         argv = [os.path.join(d, files[a][1]) if a in files else a
                 for a in argv]
         with mock.patch("sys.stdin", stdio.StringIO(stdin)), \
-                redirect_stdout(out), redirect_stderr(err):
+                redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
     assert code in (0, 1, 2)
+    # the one warning a drawn case may raise: stether's zero-weight drop
+    for w in caught:
+        assert w.category is UserWarning
+        assert str(w.message).startswith("dropping zero-weight states: ")
     assert gc.isenabled()
     if code:
         assert err.getvalue().startswith("error: ")

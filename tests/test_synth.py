@@ -14,12 +14,14 @@ from bimodal import (
     InfeasibleVector,
     LabeledGraph,
     NotFoundWithin,
+    PairGraph,
     SplitInfeasible,
     Infinite,
     TooManyCopies,
     adjacency,
     adjacency_pair,
     anticipation,
+    check_encoder,
     encode_stream,
     extract_deterministic,
     franaszek_joint,
@@ -29,6 +31,7 @@ from bimodal import (
     min_infnorm_ae,
     parity_subgraph,
     power,
+    rate_region,
     split_one_round,
     split_state,
     stether,
@@ -36,7 +39,6 @@ from bimodal import (
     validate_graph,
 )
 from bimodal.graphs import POWER_BUDGET
-from bimodal import synth
 from bimodal.construct import rll_graph
 from bimodal.synth import _check_ae
 
@@ -288,17 +290,65 @@ def _parted_forever():
     return power(g, 2), (2, 1)
 
 
-def test_stether_punctured_refuses_infinite_anticipation(monkeypatch):
+def test_stether_punctured_emits_infinite_anticipation(monkeypatch):
+    # like the other routes, punctured returns what it builds; verify
+    # alone finds that no decoder reads it
     g, x = _parted_forever()
-    wide = helpers.reference_punctured(g, x, 1, 2)
-    assert isinstance(anticipation(wide), Infinite)
-    with pytest.raises(BimodalError, match="infinite anticipation; the "
-                       "cover shares b.a, b.b, b.c, c.b$"):
-        stether_punctured(g, x, 1, 2)
-    # a strict cover builds no pair graph
-    monkeypatch.setattr(synth, "anticipation", None)
-    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
-    assert e.out_degrees_ok()
+    e = stether_punctured(g, x, 1, 2)
+    assert ((e.graph, list(e.tags.items()), e.n0, e.n1)
+            == _outcome(helpers.reference_punctured, g, x, 1, 2))
+    assert isinstance(anticipation(e), Infinite)
+    assert "anticipation is infinite" in check_encoder(e, g, 1, 2).violations
+
+    def no_pair_graph(*args):
+        raise AssertionError("synth built a pair graph")
+
+    # neither cover builds a pair graph
+    monkeypatch.setattr(PairGraph, "__init__", no_pair_graph)
+    assert stether_punctured(g, x, 1, 2).out_degrees_ok()
+    cube = power(helpers.two_state(), 3)
+    assert stether_punctured(cube, (2, 1), 2, 2).out_degrees_ok()
+
+
+def _delay_exponent(n, top):
+    """The least a with (n + 1)**a >= top, in ints; None when there is
+    none (n = 0 and top > 1)."""
+    a, reach = 0, 1
+    while reach < top:
+        if n == 0:
+            return None
+        a, reach = a + 1, reach * (n + 1)
+    return a
+
+
+@pytest.mark.filterwarnings("ignore:dropping zero-weight")
+@pytest.mark.parametrize("seed", [5, 11])
+def test_punctured_strict_cover_finite_delay(seed):
+    # the paper's finite-delay guarantee: on a strict cover, every point
+    # under the staircase whose (n0 + 1, n1 + 1) has a witness x+ gives
+    # an encoder that verify passes, with anticipation at most 1 + a,
+    # a the least int with (min(n0, n1) + 1)**a >= max x+
+    rng = np.random.default_rng(seed)
+    points = 0
+    for base, t in itertools.product(
+            [helpers.random_det_graph(rng) for _ in range(100)], (1, 2)):
+        g = power(base, t)
+        a0, a1, _ = adjacency_pair(g)
+        for row in rate_region(base, t):
+            n0 = row.n0
+            for n1 in range(row.n1 + 1):
+                try:
+                    _, x = min_infnorm_ae(a0, a1, n0 + 1, n1 + 1)
+                except NotFoundWithin:
+                    continue
+                e = stether_punctured(g, x.entries, n0, n1)
+                report = check_encoder(e, base, n0, n1, t)
+                assert report.ok, (base.edges, t, n0, n1, report.violations)
+                a = _delay_exponent(min(n0, n1), max(x.entries))
+                if a is not None:
+                    assert report.anticipation.value <= 1 + a
+                points += 1
+    assert points > 1100
 
 
 def test_stether_overlap_shared_edge_carries_both_tags():
