@@ -15,7 +15,6 @@ format read encoders without importing their construction.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import warnings
@@ -256,6 +255,12 @@ def validate_graph(states, edges, parity0, parity1):
     powers write them) only when every symbol splits into the same
     number of parts, so that a joined word decodes one way.
     """
+    return _validated(states, edges, parity0, parity1)[0]
+
+
+def _validated(states, edges, parity0, parity1):
+    """validate_graph's graph, and its duplicate check's (src, label,
+    dst) -> edge table, which also resolves an encoder file's tags."""
     violations = []
     states = list(states)
     seen = set()
@@ -274,8 +279,7 @@ def validate_graph(states, edges, parity0, parity1):
     if len({a.count(WORD_SEP) for a in alphabet}) > 1:
         violations.append("symbols split into differing numbers of %r parts"
                           % WORD_SEP)
-    built = []
-    triples = set()
+    index = {}
     for raw in edges:
         e = Edge(*raw)
         if e.src not in seen:
@@ -287,13 +291,13 @@ def validate_graph(states, edges, parity0, parity1):
         if e.mult < 1:
             violations.append("edge %s has non-positive multiplicity" % (e,))
         t = (e.src, e.label, e.dst)
-        if t in triples:
+        if t in index:
             violations.append("duplicate edge %s %s %s" % t)
-        triples.add(t)
-        built.append(e)
+        else:
+            index[t] = e
     if violations:
         raise ValidationError(violations)
-    return LabeledGraph(states, built, parity)
+    return LabeledGraph(states, index.values(), parity), index
 
 
 def parity_subgraph(g, b):
@@ -317,41 +321,54 @@ _XOR = [[sum({1 << (p ^ q) for p in (0, 1) for q in (0, 1)
         for m in range(4)]
 
 
-def _join(first, second, scale, u):
-    """Rows of the words from state index u that read a word of
-    ``first`` and then one of ``second``, in word order; ``scale`` is
-    s^j for s symbols and words of length j in ``second``.
+def _join(first, second, u):
+    """(k1, w1, xor, c, rows) per row of ``first`` at state index u, in
+    word order: its key, its word + ".", the _XOR line of its mask, and
+    the rows of ``second`` that follow it, their counts times c.
 
     A table holds, per state index, rows (key, word, mask, counts): key
     the word's symbol ranks read as one number, so keys order like rank
     tuples; word its label, mask its parity set and counts {target
     index: path count} in state order, the rows sorted by key.  A row
-    with one target continues with that target's rows, already in
-    order; with several targets their rows are merged per word and
-    sorted by key, never by the joined label.
+    with one target v continues with second[v], c its path count; with
+    several, their rows are merged per word and sorted by key, never by
+    the joined label, c = 1.
     """
     for k1, w1, m1, r1 in first[u]:
-        k1 *= scale
-        xor = _XOR[m1]
+        w1 += WORD_SEP
         if len(r1) == 1:
             (v, c), = r1.items()
-            for k2, w2, m2, r2 in second[v]:
-                yield (k1 + k2, w1 + WORD_SEP + w2, xor[m2],
-                       r2 if c == 1 else {x: c * n for x, n in r2.items()})
+            yield k1, w1, _XOR[m1], c, second[v]
             continue
         merged = {}
         for v, c in r1.items():
             for k2, w2, m2, r2 in second[v]:
                 row = merged.get(k2)
                 if row is None:
-                    row = merged[k2] = (w2, m2, {})
-                d = row[2]
+                    row = merged[k2] = (k2, w2, m2, {})
+                d = row[3]
                 for x, n in r2.items():
                     d[x] = d.get(x, 0) + c * n
-        for k2 in sorted(merged):
-            w2, m2, d = merged[k2]
-            yield (k1 + k2, w1 + WORD_SEP + w2, xor[m2],
-                   {x: d[x] for x in sorted(d)})
+        yield k1, w1, _XOR[m1], 1, [
+            (k2, w2, m2, {x: d[x] for x in sorted(d)})
+            for k2, w2, m2, d in map(merged.get, sorted(merged))]
+
+
+def _held(first, second):
+    """Rows a join would hold, counted up to one past POWER_BUDGET: a row
+    of ``first`` with one target v adds second[v]'s rows, one with
+    several the distinct keys of their rows."""
+    held = 0
+    for rows in first:
+        for r1 in rows:
+            targets = r1[3]
+            if len(targets) == 1:
+                held += len(second[next(iter(targets))])
+            else:
+                held += len({r[0] for v in targets for r in second[v]})
+            if held > POWER_BUDGET:
+                return held
+    return held
 
 
 def _split_words(g, t, labels):
@@ -397,9 +414,10 @@ def _counts(index, edges):
 
 
 def _power_rows(g, t):
-    """(u, row) for the rows of the length-t words from each state index
-    u in turn, in word order (see _join).  The last join is streamed;
-    the shorter tables are kept only until it ends."""
+    """Per state index u, _join's (k1, w1, xor, c, rows) holding the
+    length-t words from u, in word order.  Each join is counted (_held)
+    and refused past POWER_BUDGET rows before it is built; the last is
+    left lazy, the shorter tables kept only until it ends."""
     index = g.state_index
     symbols = sorted({e.label for e in g.edges})
     rank = {a: i for i, a in enumerate(symbols)}
@@ -407,23 +425,23 @@ def _power_rows(g, t):
     one = [[(rank[a], a, (a in c0) | (a in c1) << 1, _counts(index, es))
             for a, es in sorted(g.by_label[u].items())]
            for u in g.states]
+    if t == 1:
+        # the words of length 1 follow the empty word, of parity 0
+        return [[(0, "", _XOR[1], 1, rows)] for rows in one]
 
     def join(first, second, k):
-        scale = len(symbols) ** (k // 2)
-        rows = [_join(first, second, scale, u) for u in range(len(one))]
+        if _held(first, second) > POWER_BUDGET:
+            raise _too_big(t)
+        heads = [_join(first, second, u) for u in range(len(one))]
         if k == t:
-            return rows
-        table, held = [], 0
-        for r in rows:
-            # one row past the budget is enough to refuse
-            table.append(list(itertools.islice(r, POWER_BUDGET - held + 1)))
-            held += len(table[-1])
-            if held > POWER_BUDGET:
-                raise _too_big(t)
-        return table
+            return heads
+        scale = len(symbols) ** (k // 2)
+        return [[(k1 * scale + k2, w1 + w2, xor[m2],
+                  r2 if c == 1 else {x: c * n for x, n in r2.items()})
+                 for k1, w1, xor, c, rows in at for k2, w2, m2, r2 in rows]
+                for at in heads]
 
-    return ((u, row) for u, rows in enumerate(_doubling(t, one, join))
-            for row in rows)
+    return _doubling(t, one, join)
 
 
 def power(g, t):
@@ -438,24 +456,28 @@ def power(g, t):
     label) and target.
 
     Built on the doubling schedule from tables of word rows (see _join),
-    the last join streamed straight into edges.  A power whose tables or
-    edges pass POWER_BUDGET rows raises BimodalError naming t.
+    each join's rows counted off the two tables it reads (_held) before
+    it is built, the last written straight into edges.  Past
+    POWER_BUDGET rows or edges, BimodalError names t.
     """
     if t < 1:
         raise ValueError("power exponent must be >= 1")
     states = g.states
-    class0 = set()
-    class1 = set()
-    edges = []
-    for u, (_, word, mask, counts) in _power_rows(g, t):
-        if mask & 1:
-            class0.add(word)
-        if mask & 2:
-            class1.add(word)
-        src = states[u]
-        edges += [Edge(src, word, states[x], n) for x, n in counts.items()]
-        if len(edges) > POWER_BUDGET:
-            raise _too_big(t)
+    class0, class1, edges = set(), set(), []
+    new = tuple.__new__
+    for src, heads in zip(states, _power_rows(g, t)):
+        for _, w1, xor, c, rows in heads:
+            for _, w2, m2, counts in rows:
+                word = w1 + w2
+                mask = xor[m2]
+                if mask & 1:
+                    class0.add(word)
+                if mask & 2:
+                    class1.add(word)
+                for x, n in counts.items():
+                    edges.append(new(Edge, (src, word, states[x], c * n)))
+            if len(edges) > POWER_BUDGET:
+                raise _too_big(t)
     parity = ParityPartition(frozenset(class0), frozenset(class1))
     return LabeledGraph(states, edges, parity)
 
@@ -940,16 +962,15 @@ def _essential(g):
     return _induced(g, keep)
 
 
-def _drop_zero_weight(g, weights):
-    """Induced subgraph on the states of positive weight (``weights``
-    aligned with g.states), warning the caller's caller about any
-    zero-weight state dropped."""
-    zero = [s for s, w in zip(g.states, weights) if w == 0]
-    if not zero:
-        return g
-    warnings.warn("dropping zero-weight states: %s" % ", ".join(zero),
-                  stacklevel=3)
-    return _induced(g, [s for s, w in zip(g.states, weights) if w > 0])
+def _positive_states(states, weights):
+    """The states of positive weight (``weights`` aligned with
+    ``states``), warning the caller's caller about any zero-weight state
+    dropped."""
+    zero = [s for s, w in zip(states, weights) if w == 0]
+    if zero:
+        warnings.warn("dropping zero-weight states: %s" % ", ".join(zero),
+                      stacklevel=3)
+    return [s for s, w in zip(states, weights) if w > 0]
 
 
 def merge_states(g, weights=None):
@@ -972,7 +993,8 @@ def merge_states(g, weights=None):
         if len(weights) != len(g.states):
             raise ValueError("weight vector length mismatch")
         wmap = dict(zip(g.states, (int(w) for w in weights)))
-        g = _drop_zero_weight(g, [wmap[s] for s in g.states])
+        keep = _positive_states(g.states, [wmap[s] for s in g.states])
+        g = g if len(keep) == len(g.states) else _induced(g, keep)
     g = _essential(g)
     if not g.states:
         return g

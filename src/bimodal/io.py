@@ -16,7 +16,7 @@ source, label, target.
 from __future__ import annotations
 
 from .graphs import (BimodalError, TaggedEncoder, ValidationError,
-                     _empty_classes, validate_graph)
+                     _empty_classes, _validated)
 
 
 class ParseError(Exception):
@@ -71,9 +71,10 @@ def _parse(text):
     return states, parity0, parity1, edges, tags
 
 
-def _validated(states, p0, p1, edges):
+def _read_graph(states, p0, p1, edges):
+    """_validated's (graph, index), its violations as a ParseError."""
     try:
-        return validate_graph(states, edges, p0, p1)
+        return _validated(states, edges, p0, p1)
     except ValidationError as exc:
         raise ParseError(0, str(exc))
 
@@ -82,13 +83,12 @@ def parse_graph_file(text):
     states, p0, p1, edges, tags = _parse(text)
     if tags:
         raise ParseError(0, "file contains tag lines; use the encoder parser")
-    return _validated(states, p0, p1, edges)
+    return _read_graph(states, p0, p1, edges)[0]
 
 
 def parse_encoder_file(text):
     states, p0, p1, edges, tags = _parse(text)
-    g = _validated(states, p0, p1, edges)
-    index = {e[:3]: e for e in g.edges}
+    g, index = _read_graph(states, p0, p1, edges)
     tag_map, n = {}, [0, 0]
     for (src, cls, slot, label, dst) in tags:
         e = index.get((src, label, dst))

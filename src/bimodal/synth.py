@@ -19,11 +19,8 @@ from .graphs import (
     NotDeterministic,
     POWER_BUDGET,
     TaggedEncoder,
-    _drop_zero_weight,
-    adjacency,
-    adjacency_pair,
+    _positive_states,
 )
-from .spectra import _reach
 
 STATE_SEP = "@"
 
@@ -64,9 +61,11 @@ def _assemble(states, parity, tagged, n0, n1):
 def _check_vector(g, x, bounds, positive=False):
     """x as Python ints, once it has one entry per state of g, positive
     entries (``positive``) or nonnegative ones not all zero, and A x >=
-    n x for each (A, n, failure) in ``bounds``; else InfeasibleVector.
-    A sum past POWER_BUDGET, the state copies an encoder would name,
-    raises TooManyCopies, naming the budget."""
+    n x for each (out, n, failure) in ``bounds``; else InfeasibleVector.
+    (A x)_u sums mult * x_dst over the edges out[u] that A counts, in
+    exact ints and with no matrix: on a deterministic graph, u's (edge,
+    target copy) candidates.  A sum past POWER_BUDGET, the state copies
+    an encoder would name, raises TooManyCopies, naming the budget."""
     xv = np.asarray(x)
     if xv.shape != (len(g.states),):
         raise InfeasibleVector("vector length does not match state count")
@@ -75,8 +74,10 @@ def _check_vector(g, x, bounds, positive=False):
         raise InfeasibleVector("splitting needs strictly positive weights")
     if not positive and (min(xv, default=0) < 0 or not any(xv)):
         raise InfeasibleVector("vector must be nonnegative and nonzero")
-    for a, n, failure in bounds:
-        if _reach(a, xv) < n:
+    w = dict(zip(g.states, xv))
+    for out, n, failure in bounds:
+        if any(sum([e.mult * w[e.dst] for e in out[u]]) < n * xu
+               for u, xu in w.items() if xu):
             raise InfeasibleVector(failure)
     total = sum(xv)
     if total > POWER_BUDGET:
@@ -88,10 +89,15 @@ def _check_vector(g, x, bounds, positive=False):
     return xv
 
 
-def _check_ae(g, x, n0, n1):
-    a0, a1, _ = adjacency_pair(g)
-    return _check_vector(g, x, ((a0, n0, "class-0 inequality fails"),
-                                (a1, n1, "class-1 inequality fails")))
+def _check_ae(g, x, n0, n1, key):
+    """(xv, out): x once _check_vector accepts it at degrees (n0, n1),
+    and out[b], each state's class-b out-edges sorted by ``key``, which
+    (A_b x)_u counts; each state's out-edges are read once."""
+    srt = {u: sorted(g.out_edges(u), key=key) for u in g.states}
+    out = [{u: [e for e in es if e.label in cls] for u, es in srt.items()}
+           for cls in (g.parity.class0, g.parity.class1)]
+    return _check_vector(g, x, ((out[0], n0, "class-0 inequality fails"),
+                                (out[1], n1, "class-1 inequality fails"))), out
 
 
 def extract_deterministic(g, x, n0, n1):
@@ -101,7 +107,7 @@ def extract_deterministic(g, x, n0, n1):
     surviving out-edges of class b in canonical order.  The result is
     deterministic whenever g is, hence has anticipation 0.
     """
-    xv = _check_ae(g, x, n0, n1)
+    xv, out = _check_ae(g, x, n0, n1, g.edge_key)
     if not set(xv) <= {0, 1}:
         raise InfeasibleVector("vector entries must be 0 or 1")
     keep = {s for s, v in zip(g.states, xv) if v == 1}
@@ -110,9 +116,7 @@ def extract_deterministic(g, x, n0, n1):
         if u not in keep:
             continue
         for b, n in ((0, n0), (1, n1)):
-            cls = g.parity.class0 if b == 0 else g.parity.class1
-            cands = [e for e in g.sorted_out_edges(u)
-                     if e.label in cls and e.dst in keep]
+            cands = [e for e in out[b][u] if e.dst in keep]
             if len(cands) < n:
                 raise InfeasibleVector(
                     "state %r has only %d class-%d survivors" %
@@ -193,7 +197,8 @@ def split_one_round(g_b, x, n_b):
     SplitInfeasible when some state admits no such division, after
     exhaustive search.
     """
-    xv = _check_vector(g_b, x, ((adjacency(g_b), n_b,
+    out = {u: g_b.out_edges(u) for u in g_b.states}
+    xv = _check_vector(g_b, x, ((out, n_b,
                                  "inequality fails for the split class"),),
                        positive=True)
     w = dict(zip(g_b.states, xv))
@@ -260,10 +265,12 @@ def _blocks(cands, x_u, n, home):
     that block, ahead of the rest, which fill the blocks in order;
     surplus dropped."""
     groups = [[] for _ in range(x_u)]
-    free = []
-    for el in cands:
-        i = home.get(el)
-        (free if i is None else groups[i]).append(el)
+    free = cands
+    if home:
+        free = []
+        for el in cands:
+            i = home.get(el)
+            (free if i is None else groups[i]).append(el)
     pos = 0
     for grp in groups:
         k = n - len(grp)
@@ -284,30 +291,39 @@ def stether(g, x, n0, n1):
     Element (a, j) in block i becomes an edge from copy i to copy j of
     the symbol's target, tagged (b, position in block), so a shared
     symbol is one edge carrying a tag of each class.
+
+    On a deterministic graph u has (A_b x)_u class-b candidates, so x is
+    checked on the out-edges listed for them.  A zero-weight state gets
+    no copy, with a warning naming it, and no candidate leads to it.
     """
     if not g.deterministic:
         raise NotDeterministic("stethering needs a deterministic graph")
-    xv = _check_ae(g, x, n0, n1)
-    w = dict(zip(g.states, xv))
-    g = _drop_zero_weight(g, xv)
-    copies = {u: [_copy_name(u, i) for i in range(w[u])] for u in g.states}
-    n = (n0, n1)
+    xv, out = _check_ae(g, x, n0, n1, lambda e: e.label)
+    live = _positive_states(g.states, xv)
+    copies = {u: [_copy_name(u, i) for i in range(v)]
+              for u, v in zip(g.states, xv)}
     lo, hi = (0, 1) if n0 <= n1 else (1, 0)
-    classes = (g.parity.class0, g.parity.class1)
-    tagged = []
-    for u in g.states:
-        out = sorted(g.out_edges(u), key=lambda e: e.label)
-        cands = [[(e, j) for e in out if e.label in cls
-                  for j in range(w[e.dst])] for cls in classes]
-        blocks = {lo: _blocks(cands[lo], w[u], n[lo], {})}
-        home = {el: i for i, grp in enumerate(blocks[lo]) for el in grp}
-        blocks[hi] = _blocks(cands[hi], w[u], n[hi], home)
+    n = (n0, n1)
+    # the tag tuples ((b, slot),), one per class and slot
+    slots = [[((b, i),) for i in range(n[b])] for b in (0, 1)]
+    shared = g.parity.class0 & g.parity.class1
+    new = tuple.__new__
+    tags = {}
+    for u in live:
+        x_u = len(copies[u])
+        cands = [[(e.label, c) for e in out[b][u] for c in copies[e.dst]]
+                 for b in (0, 1)]
+        blocks = {lo: _blocks(cands[lo], x_u, n[lo], {})}
+        home = {el: i for i, grp in enumerate(blocks[lo])
+                for el in grp} if shared else {}
+        blocks[hi] = _blocks(cands[hi], x_u, n[hi], home)
         for b in (0, 1):
             for src, grp in zip(copies[u], blocks[b]):
-                tagged += [(Edge(src, e.label, copies[e.dst][j]), (b, slot))
-                           for slot, (e, j) in enumerate(grp)]
-    return _assemble([s for u in g.states for s in copies[u]], g.parity,
-                     tagged, n0, n1)
+                for held, (a, dst) in zip(slots[b], grp):
+                    e = new(Edge, (src, a, dst, 1))
+                    tags[e] = tags.get(e, ()) + held
+    states = [s for u in live for s in copies[u]]
+    return TaggedEncoder(LabeledGraph(states, tags, g.parity), tags, n0, n1)
 
 
 def stether_punctured(g, x_plus, n0, n1):
@@ -321,6 +337,12 @@ def stether_punctured(g, x_plus, n0, n1):
     and leaves that verdict to verify.
     """
     wide = stether(g, x_plus, n0 + 1, n1 + 1)
-    tagged = [(e, t) for e in wide.graph.edges for t in wide.tags[e]
-              if t not in ((0, n0), (1, n1))]
-    return _assemble(wide.graph.states, wide.graph.parity, tagged, n0, n1)
+    top = ((0, n0), (1, n1))
+    tags = {}
+    for e, held in wide.tags.items():
+        if top[0] in held or top[1] in held:
+            held = tuple(t for t in held if t not in top)
+        if held:
+            tags[e] = held
+    return TaggedEncoder(LabeledGraph(wide.graph.states, tags,
+                                      wide.graph.parity), tags, n0, n1)

@@ -203,11 +203,12 @@ def definiteness(e):
 
 
 def sliding_block_decodable(e, m, a):
-    """Equal words of length m+a+1 force equal tags at position m+1."""
+    """Equal words of length m+a+1 force equal tags at position m+1, read
+    off one pair graph per encoder, kept on it (_kept)."""
     if not isinstance(e, TaggedEncoder):
         raise TypeError("tag comparison needs a TaggedEncoder")
     _check_window(m, a)
-    pg = PairGraph(e.graph)
+    pg = _kept(e, "_pair_graph", lambda: PairGraph(e.graph))
     ext = pg.ext()
     reach = pg.reach_sets()
     return not any(
@@ -386,7 +387,7 @@ def _tag_block(tag, p):
 
 
 def _kept(e, name, build):
-    """build(), computed on the first codec call that needs it and kept
+    """build(), computed on the first call that needs it and kept
     on the encoder as ``name``: an encoder's graph and tags never change
     once it is built, and constructing one builds nothing."""
     try:

@@ -32,7 +32,8 @@ from bimodal import (
 from bimodal import graphs
 from bimodal.construct import rll_graph
 from bimodal.io import ParseError, parse_graph_file
-from bimodal.synth import _check_ae, _check_vector, _cover_bins
+from bimodal.spectra import _reach
+from bimodal.synth import TooManyCopies, _cover_bins
 from bimodal.verify import DecodedTag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -253,17 +254,81 @@ def _cover_consistent(g, w, u, n0, n1):
     return {lo: p_lo, hi: tuple(tuple(grp) for grp in groups)}
 
 
+def reference_check_vector(g, x, bounds, positive=False):
+    """synth's vector check as it stood while it read matrices: x as
+    Python ints, refused for its shape, then its signs, then _reach(a,
+    x) < n for each (a, n, failure) in ``bounds`` in turn, then a sum
+    past POWER_BUDGET."""
+    xv = np.asarray(x)
+    if xv.shape != (len(g.states),):
+        raise InfeasibleVector("vector length does not match state count")
+    xv = [int(v) for v in xv.tolist()]
+    if positive and min(xv, default=1) < 1:
+        raise InfeasibleVector("splitting needs strictly positive weights")
+    if not positive and (min(xv, default=0) < 0 or not any(xv)):
+        raise InfeasibleVector("vector must be nonnegative and nonzero")
+    for a, n, failure in bounds:
+        if _reach(a, xv) < n:
+            raise InfeasibleVector(failure)
+    total = sum(xv)
+    if total > graphs.POWER_BUDGET:
+        size = total if total.bit_length() <= 128 else (
+            "of %d bits" % total.bit_length())
+        raise TooManyCopies("vector sum %s passes the budget of %d state "
+                            "copies" % (size, graphs.POWER_BUDGET))
+    return xv
+
+
+def reference_check_ae(g, x, n0, n1):
+    """reference_check_vector on the class matrices of the whole graph."""
+    a0, a1, _ = adjacency_pair(g)
+    return reference_check_vector(g, x, ((a0, n0, "class-0 inequality fails"),
+                                         (a1, n1, "class-1 inequality fails")))
+
+
+def reference_extract_deterministic(g, x, n0, n1):
+    """extract_deterministic as it stood while it checked the vector on
+    the class matrices: the weight-1 states, and at each the first n_b
+    surviving class-b out-edges in canonical order."""
+    xv = reference_check_ae(g, x, n0, n1)
+    if not set(xv) <= {0, 1}:
+        raise InfeasibleVector("vector entries must be 0 or 1")
+    keep = {s for s, v in zip(g.states, xv) if v == 1}
+    tags = {}
+    for u in g.states:
+        if u not in keep:
+            continue
+        for b, n in ((0, n0), (1, n1)):
+            cls = g.parity.class0 if b == 0 else g.parity.class1
+            cands = [e for e in g.sorted_out_edges(u)
+                     if e.label in cls and e.dst in keep]
+            if len(cands) < n:
+                raise InfeasibleVector(
+                    "state %r has only %d class-%d survivors" %
+                    (u, len(cands), b))
+            for slot, e in enumerate(cands[:n]):
+                tags.setdefault(Edge(e.src, e.label, e.dst), []).append(
+                    (b, slot))
+    graph = LabeledGraph([s for s in g.states if s in keep], list(tags),
+                         g.parity)
+    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
+                         n0, n1)
+
+
 def reference_stether(g, x, n0, n1, consistent=True):
     """Stethering by its two historical block rules: each class cut into
     consecutive blocks on its own, or (``consistent``) the cover-
     consistent division; copy i of u takes block i, element (a, j)
     becomes an edge to copy j of a's target, tagged (class, position in
     block), emitted class 0 then class 1 at each state.  Zero-weight
-    states are left out."""
+    states are left out, with a warning naming them."""
     if not g.deterministic:
         raise NotDeterministic("stethering needs a deterministic graph")
-    w = dict(zip(g.states, _check_ae(g, x, n0, n1)))
+    w = dict(zip(g.states, reference_check_ae(g, x, n0, n1)))
     states = [u for u in g.states if w[u]]
+    if len(states) < len(g.states):
+        warnings.warn("dropping zero-weight states: %s" % ", ".join(
+            u for u in g.states if not w[u]))
     tags = {}
     for u in states:
         succ = {e.label: e.dst for e in g.out_edges(u)}
@@ -310,7 +375,10 @@ def reference_merge_states(g, weights=None):
         if len(weights) != len(g.states):
             raise ValueError("weight vector length mismatch")
         wmap = dict(zip(g.states, (int(w) for w in weights)))
-        g = graphs._drop_zero_weight(g, [wmap[s] for s in g.states])
+        zero = [s for s in g.states if wmap[s] == 0]
+        if zero:
+            warnings.warn("dropping zero-weight states: %s" % ", ".join(zero))
+            g = graphs._induced(g, [s for s in g.states if wmap[s] > 0])
     g = graphs._essential(g)
     if not g.states:
         return g
@@ -363,9 +431,9 @@ def reference_split_one_round(g_b, x, n_b):
     """split_one_round as it stood before its one loop per state: every
     state's division first, then each copy's first n_b edges by (label,
     target copy name)."""
-    xv = _check_vector(g_b, x, ((adjacency(g_b), n_b,
-                                 "inequality fails for the split class"),),
-                       positive=True)
+    xv = reference_check_vector(
+        g_b, x, ((adjacency(g_b), n_b, "inequality fails for the split "
+                  "class"),), positive=True)
     w = dict(zip(g_b.states, xv))
     groups = {}
     for u in g_b.states:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -238,6 +239,78 @@ def test_power_budget(monkeypatch):
     for t in (4, 8, 40):
         with pytest.raises(BimodalError, match="t=%d" % t):
             power(g, t)
+
+
+def _doubling_lengths(t):
+    """The word lengths power's doubling schedule tabulates for t."""
+    return sorted({h for i in range(t.bit_length())
+                   for h in (t >> i, -(-t >> i))} - {1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans(),
+       st.integers(min_value=1, max_value=5), st.booleans(),
+       st.integers(min_value=1, max_value=60))
+def test_power_budget_matches_reference(seed, strict, t, mult, budget):
+    # under a small budget, power builds exactly when every table of its
+    # schedule holds at most that many word rows (the distinct (state,
+    # word) pairs of the reference power at that length) and the power
+    # at most that many edges; either way it matches the reference
+    rng = np.random.default_rng(seed)
+    g = helpers.random_graph(rng, max_states=3, strict=strict, max_out=4)
+    if mult:
+        g = helpers.with_multiplicities(rng, g)
+    want = helpers.reference_label_power(g, t)
+    rows = [len({e[:2] for e in helpers.reference_label_power(g, k).edges})
+            for k in _doubling_lengths(t)]
+    fits = max(rows + [len(want.edges)]) <= budget
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graphs, "POWER_BUDGET", budget)
+        if fits:
+            assert power(g, t) == want
+        else:
+            with pytest.raises(BimodalError,
+                               match="power at t=%d holds more than %d "
+                                     "word rows" % (t, budget)):
+                power(g, t)
+
+
+def test_power_budget_counts_merged_words(monkeypatch):
+    # u reads a to three states that each read b to w: the word a.b is
+    # one row (and one edge, of multiplicity 3) however many targets "a"
+    # has, so a budget of the power's five rows and edges builds it
+    g = validate_graph(
+        ["u", "v1", "v2", "v3", "w"],
+        [("u", "a", "v1"), ("u", "a", "v2"), ("u", "a", "v3"),
+         ("v1", "b", "w"), ("v2", "b", "w"), ("v3", "b", "w"),
+         ("w", "c", "w")], ["a", "c"], ["b"])
+    want = helpers.reference_label_power(g, 2)
+    assert len(want.edges) == 5 and Edge("u", "a.b", "w", 3) in want.edges
+    monkeypatch.setattr(graphs, "POWER_BUDGET", 5)
+    assert power(g, 2) == want
+    monkeypatch.setattr(graphs, "POWER_BUDGET", 4)
+    with pytest.raises(BimodalError, match="t=2"):
+        power(g, 2)
+
+
+@pytest.mark.parametrize("g", [
+    rll_graph(2, 10),
+    validate_graph(["u"], [("u", "a", "u"), ("u", "b", "u")], ["a"], ["b"]),
+], ids=["rll210", "binary"])
+def test_power_refused_before_its_rows_are_built(g):
+    # at t=40 a table of the schedule passes the budget by far: the count
+    # read off the two tables it joins refuses it, so the refusal holds
+    # no more than the shorter tables
+    tracemalloc.start()
+    try:
+        with pytest.raises(BimodalError) as info:
+            power(g, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == ("power at t=40 holds more than %d word rows"
+                               % graphs.POWER_BUDGET)
+    assert peak < 16 * 2 ** 20
 
 
 @settings(max_examples=150, deadline=None)

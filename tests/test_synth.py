@@ -38,9 +38,9 @@ from bimodal import (
     stether_punctured,
     validate_graph,
 )
+from bimodal import graphs, synth
 from bimodal.graphs import POWER_BUDGET
 from bimodal.construct import rll_graph
-from bimodal.synth import _check_ae
 
 
 def test_split_state_parsing():
@@ -89,7 +89,7 @@ def test_extract_deterministic_rejections():
 def test_check_ae_exact_on_huge_entries():
     # int64 products wrap here: A0 x >= 5 x must still read as false
     with pytest.raises(InfeasibleVector, match="class-0"):
-        _check_ae(rll_graph(2, 10), [2 ** 61 - 1] * 11, 5, 0)
+        stether(rll_graph(2, 10), [2 ** 61 - 1] * 11, 5, 0)
     # entries past int64 are checked in Python ints: s10 has no class-0
     # edge, and at (10^20, 1) alpha's class-0 edges weigh 10^20 + 1, short
     # of 2 * 10^20
@@ -417,6 +417,112 @@ def test_stether_matches_reference():
                     (False, True, True)}
 
 
+def _outcome_warned(build, *args):
+    """_outcome, and the texts of the warnings the call gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            e = build(*args)
+        except BimodalError as exc:
+            got = type(exc), str(exc)
+        else:
+            got = e.graph, list(e.tags.items()), e.n0, e.n1
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def _draw_vector(rng, g, a0, a1, n0, n1, kind):
+    """A witness at (n0, n1) (``kind`` 0, or a random 0-2 vector when none
+    is found), or a vector meant to meet one refusal first: any length
+    and sign (1), huge equal entries past the copy budget (2), or a 0-1
+    vector (3)."""
+    n = len(g.states)
+    if kind == 0:
+        try:
+            return min_infnorm_ae(a0, a1, n0, n1, xi_cap=6)[1].entries
+        except NotFoundWithin:
+            return rng.integers(0, 3, size=n)
+    if kind == 1:
+        return rng.integers(-1, 3, size=n + int(rng.integers(-1, 2)))
+    if kind == 2:
+        return [10 ** int(rng.integers(6, 40))] * n
+    return rng.integers(0, 2, size=n)
+
+
+def test_routes_match_frozen_references():
+    # stether, punctured stethering and extraction against the rules as
+    # they stood while the vector was checked on the class matrices of
+    # the whole word graph: the encoder, its tags in order, or the first
+    # refusal in the order shape, sign, class 0, class 1, copy budget,
+    # and every warning's text
+    rng = np.random.default_rng(27)
+    routes = ((0, stether, helpers.reference_stether),
+              (1, stether_punctured, helpers.reference_punctured),
+              (0, extract_deterministic,
+               helpers.reference_extract_deterministic))
+    seen = set()
+    for i in range(800):
+        strict = bool(i % 2)
+        if i % 8 < 2:
+            g = helpers.random_graph(rng, max_states=3, strict=strict)
+        else:
+            g = helpers.random_det_graph(rng, strict=strict)
+        g = g if i % 3 else power(g, 2)
+        if i % 7 == 0 and g.parity.class0 and g.parity.class1:
+            g = helpers.with_multiplicities(rng, g)
+        a0, a1, _ = adjacency_pair(g)
+        n0, n1 = (int(v) for v in rng.integers(0, 4, size=2))
+        for up, build, ref in routes:
+            x = _draw_vector(rng, g, a0, a1, n0 + up, n1 + up, i % 4)
+            got = _outcome_warned(build, g, x, n0, n1)
+            assert got == _outcome_warned(ref, g, x, n0, n1), (
+                build.__name__, g.edges, x, n0, n1)
+            result, warned = got
+            seen.add(result[1].split(" ")[0] if result[0] is
+                     InfeasibleVector else getattr(result[0], "__name__",
+                                                   "built"))
+            seen.add("warned" if warned else "quiet")
+    assert seen >= {"vector", "class-0", "class-1", "TooManyCopies",
+                    "NotDeterministic", "built", "warned", "quiet"}
+
+
+def test_zero_weight_warning_names_the_caller():
+    # stether warns its caller, as the induced copy it no longer builds
+    # did; punctured stethering's call to stether is that caller
+    g = helpers.trisplit()
+    with pytest.warns(UserWarning) as caught:
+        stether(g, (1, 1, 0), 1, 1)
+    assert [str(w.message) for w in caught] == [
+        "dropping zero-weight states: z"]
+    assert caught[0].filename == __file__
+    with pytest.warns(UserWarning) as caught:
+        stether_punctured(power(g, 2), (1, 1, 0), 1, 1)
+    assert caught[0].filename == stether_punctured.__code__.co_filename
+
+
+def test_routes_read_no_matrix_and_no_induced_copy(monkeypatch):
+    # each route checks its vector on the out-edges it lists, and skips a
+    # zero-weight state without an induced copy of the word graph
+    g = power(helpers.trisplit(), 2)
+    x = (1, 1, 0)
+    want = [_outcome_warned(build, g, x, n, n) for build, n in
+            ((extract_deterministic, 2), (stether, 2),
+             (stether_punctured, 1))]
+
+    def refuse(*args):
+        raise AssertionError("a route read the word graph's matrices or "
+                             "built an induced copy")
+
+    for name in ("adjacency_pair", "adjacency", "_induced"):
+        for module in (graphs, synth):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    got = [_outcome_warned(build, g, x, n, n) for build, n in
+           ((extract_deterministic, 2), (stether, 2),
+            (stether_punctured, 1))]
+    assert got == want
+    assert all(isinstance(r[0], LabeledGraph) for r, _ in got)
+    assert all(w for _, w in got[1:])
+
+
 def test_assign_block_tags():
     g = power(helpers.two_state(), 3)
     e = stether_punctured(g, (2, 1), 2, 2)
@@ -565,6 +671,6 @@ def test_huge_vector_sum_refused_by_budget():
     # a 5001-digit entry: the refusal names the budget, not the sum,
     # whose decimal form Python will not print
     with pytest.raises(TooManyCopies) as info:
-        _check_ae(helpers.quad(), [10 ** 5000] * 2, 2, 2)
+        stether(helpers.quad(), [10 ** 5000] * 2, 2, 2)
     msg = str(info.value)
     assert str(POWER_BUDGET) in msg and len(msg) < 100

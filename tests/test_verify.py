@@ -1366,6 +1366,25 @@ def test_sliding_block_decodable_matches_path_enumeration():
     assert seen == {True, False}
 
 
+def test_sliding_block_decodable_keeps_one_pair_graph(monkeypatch):
+    # the nine windows of one encoder read one pair graph, kept on the
+    # encoder on the first call (their verdicts are checked against path
+    # enumeration above)
+    built = []
+    init = PairGraph.__init__
+
+    def counted(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(PairGraph, "__init__", counted)
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    got = [sliding_block_decodable(e, m, a)
+           for m in range(3) for a in range(3)]
+    assert built == [e.graph]
+    assert any(got) and not all(got)
+
+
 def test_negative_window_is_refused():
     e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
     word, _, _ = encode_stream(e, ["00", "11", "01", "10"],
