@@ -190,13 +190,13 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--n0", type=count, required=True)
     p.add_argument("--n1", type=count, required=True)
-    p.add_argument("--cap", type=positive, default=64)
+    p.add_argument("--cap", type=positive, default=spectra.XI_CAP)
     p.add_argument("-t", type=positive, default=1)
 
     p = add("region", cmd_region, help="achievable degree pairs as CSV")
     p.add_argument("file")
     p.add_argument("-t", type=positive, required=True)
-    p.add_argument("--cap", type=positive, default=64)
+    p.add_argument("--cap", type=positive, default=spectra.XI_CAP)
     p.add_argument("-o", "--output")
 
     p = add("synth", cmd_synth, help="construct an encoder")
@@ -205,7 +205,7 @@ def build_parser():
                    choices=["det", "split", "stether", "punctured"])
     p.add_argument("--n0", type=count, required=True)
     p.add_argument("--n1", type=count, required=True)
-    p.add_argument("--cap", type=positive, default=64)
+    p.add_argument("--cap", type=positive, default=spectra.XI_CAP)
     p.add_argument("-t", type=positive, default=1)
     p.add_argument("-o", "--output")
 

@@ -191,26 +191,11 @@ class TaggedEncoder:
         self.n1 = n1
 
     @functools.cached_property
-    def by_tag(self):
-        """Tag index: state -> (class, slot) -> the out-edges carrying
-        that tag, in out-edge order."""
-        idx = {}
-        for s in self.graph.states:
-            d = idx[s] = {}
-            for e in self.graph.out_edges(s):
-                for t in self.tags.get(e, ()):
-                    d.setdefault(t, []).append(e)
-        return idx
-
-    def class_edges(self, state, b):
-        """Edges tagged with class b at state, in slot order."""
-        return [e for (cls, _), es in sorted(self.by_tag[state].items())
-                if cls == b for e in es]
-
-    @functools.cached_property
     def _slots(self):
-        """Slot index: state -> class -> the slots its out-edges hold, one
-        entry per edge carrying the tag; one pass over the edges."""
+        """The one tag index: state -> class -> (slot, edge) pairs, one
+        per tag an out-edge holds, sorted by slot, edges sharing a slot
+        in edge order; one pass over the edges, then one stable sort of
+        each list."""
         idx = {s: {} for s in self.graph.states}
         tags = self.tags
         for e in self.graph.edges:
@@ -218,12 +203,21 @@ class TaggedEncoder:
             if held:
                 at = idx[e.src]
                 for cls, slot in held:
-                    at.setdefault(cls, []).append(slot)
+                    at.setdefault(cls, []).append((slot, e))
+        first = operator.itemgetter(0)
+        for at in idx.values():
+            for pairs in at.values():
+                pairs.sort(key=first)
         return idx
+
+    def class_edges(self, state, b):
+        """Edges tagged with class b at state, in slot order."""
+        return [e for _, e in self._slots[state].get(b, ())]
 
     def slots_ok(self, state, b, n):
         """``state`` holds slots 0..n-1 of class b, one edge each."""
-        return sorted(self._slots[state].get(b, ())) == list(range(n))
+        held = self._slots[state].get(b, ())
+        return [slot for slot, _ in held] == list(range(n))
 
     def out_degrees_ok(self):
         """Each state holds slots 0..n_b-1 of class b, one edge each."""

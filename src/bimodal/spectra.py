@@ -17,6 +17,10 @@ from .graphs import (POWER_BUDGET, BimodalError, _ints, _scc, adjacency,
                      adjacency_pair)
 
 
+# the default entry cap of the vector searches and of the CLI's --cap
+XI_CAP = 64
+
+
 class DimensionMismatch(BimodalError):
     pass
 
@@ -204,7 +208,7 @@ def _sweep(pair, n0, n1, xi):
         x, xl = y, yl
 
 
-def joint_ae_exists(a0, a1, n0, n1, xi_cap=64):
+def joint_ae_exists(a0, a1, n0, n1, xi_cap=XI_CAP):
     """Nonzero joint approximate eigenvector under the cap, or None.
 
     None only means no solution with entries <= xi_cap exists; larger
@@ -234,7 +238,7 @@ def _exists(pair, n0, n1, xi_cap):
     return ApproxEigenvector(tuple(int(v) for v in x), n0, n1)
 
 
-def min_infnorm_ae(a0, a1, n0, n1, xi_cap=64):
+def min_infnorm_ae(a0, a1, n0, n1, xi_cap=XI_CAP):
     """Smallest ceiling value admitting a solution, with a witness.
 
     Returns (norm, vector); raises NotFoundWithin when even xi_cap
@@ -256,18 +260,21 @@ def min_infnorm_ae(a0, a1, n0, n1, xi_cap=64):
     return xi_cap - best[0], best[1]
 
 
-def anticipation_lower_bound(a0, a1, n0, n1, xi_cap=64):
-    """log_n of the minimal solution norm, n the larger class degree."""
+def anticipation_lower_bound(a0, a1, n0, n1, xi_cap=XI_CAP):
+    """The least integer a >= 0 with n**a >= the minimal solution norm,
+    n the larger class degree, in exact ints: ceil(log_n(norm)), or
+    math.inf when n <= 1 < norm."""
     norm, _ = min_infnorm_ae(a0, a1, n0, n1, xi_cap=xi_cap)
     n = max(n0, n1)
-    if norm <= 1:
-        return 0.0
-    if n <= 1:
-        return float("inf")
-    return math.log(norm, n)
+    if n <= 1 < norm:
+        return math.inf
+    a, reach = 0, 1
+    while reach < norm:
+        a, reach = a + 1, reach * n
+    return a
 
 
-def rate_region(g, t, xi_cap=64):
+def rate_region(g, t, xi_cap=XI_CAP):
     """Achievable (n0, n1) pairs for block length t, one point per n0.
 
     Feasibility is monotone decreasing in both degrees, so n0 walks up
@@ -311,7 +318,7 @@ def rate_region(g, t, xi_cap=64):
     return points
 
 
-def coding_ratio(g, t, xi_cap=64):
+def coding_ratio(g, t, xi_cap=XI_CAP):
     """(n_max, ratio): best symmetric degree and its per-step rate.
 
     n_max is the largest n with a joint approximate eigenvector at

@@ -48,16 +48,6 @@ def split_state(name):
     return parent, int(idx)
 
 
-def _assemble(states, parity, tagged, n0, n1):
-    """Encoder from (edge, tag) pairs: each edge kept once, in first-seen
-    order, with its tags in the order given."""
-    tags = {}
-    for e, t in tagged:
-        tags.setdefault(e, []).append(t)
-    return TaggedEncoder(LabeledGraph(states, list(tags), parity),
-                         {e: tuple(t) for e, t in tags.items()}, n0, n1)
-
-
 def _check_vector(g, x, bounds, positive=False):
     """x as Python ints, once it has one entry per state of g, positive
     entries (``positive``) or nonnegative ones not all zero, and A x >=
@@ -110,21 +100,20 @@ def extract_deterministic(g, x, n0, n1):
     xv, out = _check_ae(g, x, n0, n1, g.edge_key)
     if not set(xv) <= {0, 1}:
         raise InfeasibleVector("vector entries must be 0 or 1")
-    keep = {s for s, v in zip(g.states, xv) if v == 1}
-    tagged = []
-    for u in g.states:
-        if u not in keep:
-            continue
+    states = [s for s, v in zip(g.states, xv) if v == 1]
+    keep = set(states)
+    tags = {}
+    for u in states:
         for b, n in ((0, n0), (1, n1)):
             cands = [e for e in out[b][u] if e.dst in keep]
             if len(cands) < n:
                 raise InfeasibleVector(
                     "state %r has only %d class-%d survivors" %
                     (u, len(cands), b))
-            tagged += [(Edge(e.src, e.label, e.dst), (b, slot))
-                       for slot, e in enumerate(cands[:n])]
-    return _assemble([s for s in g.states if s in keep], g.parity, tagged,
-                     n0, n1)
+            for slot, e in enumerate(cands[:n]):
+                e = Edge(e.src, e.label, e.dst)
+                tags[e] = tags.get(e, ()) + ((b, slot),)
+    return TaggedEncoder(LabeledGraph(states, tags, g.parity), tags, n0, n1)
 
 
 def _cover_bins(weights, k, target):
@@ -243,21 +232,22 @@ def merge_split_pair(e0, e1, x, matching=None):
 
     if {rename(s) for s in e1.states} != set(e0.states):
         raise InfeasibleVector("split graphs disagree on state copies")
-    n, tagged = [0, 0], []
+    n, tags = [0, 0], {}
     for b, e_b, name in ((0, e0, lambda s: s), (1, e1, rename)):
         for s in e_b.states:
             out = sorted((Edge(name(e.src), e.label, name(e.dst))
                           for e in e_b.out_edges(s)),
                          key=lambda e: (e.label, e.dst))
             n[b] = max(n[b], len(out))
-            tagged += [(e, (b, slot)) for slot, e in enumerate(out)]
+            for slot, e in enumerate(out):
+                tags[e] = tags.get(e, ()) + ((b, slot),)
     parity = e0.parity
     if e1.parity is not parity:
         parity = type(parity)(
             parity.class0 | e1.parity.class0,
             parity.class1 | e1.parity.class1,
         )
-    return _assemble(e0.states, parity, tagged, *n)
+    return TaggedEncoder(LabeledGraph(e0.states, tags, parity), tags, *n)
 
 
 def _blocks(cands, x_u, n, home):

@@ -406,23 +406,28 @@ def _encodes(e, p):
     """state -> input -> the moves the policies may take for it, kept on
     the encoder.  A move is (label, sign, dst, the dst's row), sign +1
     when the label is in class 0 and -1 otherwise, one move per edge; a
-    tag's move is that of the first edge by_tag lists for it.  A raw tag
-    (p None) holds its own move; a p-bit block holds four, None where the
-    state has no edge for the tag: its own (as-tagged), its even twin's
-    (fixed-parity) and its two reserved-bit twins' (rds-min).  A state's
-    inputs are the blocks of its tags and their twins, so at most twice
-    as many as its tags, whatever p."""
+    tag's move is that of the first edge in the slot index holding it,
+    the first in edge order.  A raw tag (p None) holds its own move; a
+    p-bit block holds four, None where the state has no edge for the
+    tag: its own (as-tagged), its even twin's (fixed-parity) and its two
+    reserved-bit twins' (rds-min).  A state's inputs are the blocks of
+    its tags and their twins, so at most twice as many as its tags,
+    whatever p."""
     def build():
         class0 = e.graph.parity.class0
         rows = {s: {} for s in e.graph.states}
         move = {ed: (ed.label, 1 if ed.label in class0 else -1, ed.dst,
                      rows[ed.dst]) for ed in e.graph.edges}
         blocks = {}  # one key string per block, shared by the states
-        for s, by_tag in e.by_tag.items():
+        for s, by_class in e._slots.items():
+            held = {}
+            for cls, pairs in by_class.items():
+                for slot, ed in pairs:
+                    held.setdefault((cls, slot), move[ed])
             if p is None:
-                rows[s].update((t, (move[es[0]],)) for t, es in by_tag.items())
+                rows[s].update((t, (mv,)) for t, mv in held.items())
                 continue
-            sent = {b: move[es[0]] for t, es in by_tag.items()
+            sent = {b: mv for t, mv in held.items()
                     for b in (_tag_block(t, p),) if _block_tag(b, p) == t}
             for b in sent:
                 rest = b[1:]

@@ -929,6 +929,19 @@ def reference_encode(e, blocks, start, policy, p):
     return word, state, trace
 
 
+def by_tag(e):
+    """The tag index TaggedEncoder kept before its one slot index, frozen
+    as a reference: state -> (class, slot) -> the out-edges carrying
+    that tag, in out-edge order."""
+    idx = {}
+    for s in e.graph.states:
+        d = idx[s] = {}
+        for ed in e.graph.out_edges(s):
+            for t in e.tags.get(ed, ()):
+                d.setdefault(t, []).append(ed)
+    return idx
+
+
 def table_encode(e, tags, start, policy="as-tagged", p=None):
     """encode_stream over a send table and the by_tag rows.  The table
     maps each input to the tags the policy may send for it: a raw tag
@@ -952,7 +965,8 @@ def table_encode(e, tags, start, policy="as-tagged", p=None):
         v = int(block, 2)
         return v.bit_count() % 2, v >> 1
 
-    known = {t for row in e.by_tag.values() for t in row}
+    rows = by_tag(e)
+    known = {t for row in rows.values() for t in row}
     if block_mode:
         policies = {
             "as-tagged": lambda k: (k,),
@@ -966,7 +980,7 @@ def table_encode(e, tags, start, policy="as-tagged", p=None):
     class0 = e.graph.parity.class0
     state, level, rds, word, trace = start, 1, 0, [], [0]
     for t in tags:
-        row = e.by_tag[state]
+        row = rows[state]
         move = None
         for tag in sends.get(t, ()):
             edges = row.get(tag)
@@ -1265,9 +1279,5 @@ def by_tag_slots_ok(e, state, b, n):
     """TaggedEncoder.slots_ok by its by_tag rule: the class-b slots of
     the tags on state's out-edges, one per edge holding each, sorted,
     are 0..n-1."""
-    by_tag = {}
-    for ed in e.graph.out_edges(state):
-        for t in e.tags.get(ed, ()):
-            by_tag.setdefault(t, []).append(ed)
-    return sorted(slot for (cls, slot), es in by_tag.items()
+    return sorted(slot for (cls, slot), es in by_tag(e)[state].items()
                   if cls == b for _ in es) == list(range(n))

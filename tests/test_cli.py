@@ -322,8 +322,11 @@ def test_cli_error_codes(tmp_path, capsys):
      "--n0", "1", "--n1", "1"],
     ["encode", "quad.cg", "--start", "alpha", "-p", "0"],
     ["decode", "quad.cg", "--start", "alpha", "-p", "0"],
+    ["power", "twostate.cg", "-t", "1.5"],
+    ["franaszek", "twostate.cg", "--n0", "abc", "--n1", "1"],
 ], ids=["power-t", "franaszek-n0", "franaszek-cap", "region-t", "synth-t",
-        "verify-t", "encode-p", "decode-p"])
+        "verify-t", "encode-p", "decode-p", "power-t-fraction",
+        "franaszek-n0-word"])
 def test_cli_error_codes_out_of_range(argv, capsys):
     argv = [fixture(a) if a.endswith(".cg") else a for a in argv]
     with pytest.raises(SystemExit) as exc:

@@ -712,3 +712,22 @@ def test_power_composes(seed, t):
     rhs = adjacency_pair(power(g, 2 * t))
     assert lhs[0].tolist() == rhs[0].tolist()
     assert lhs[1].tolist() == rhs[1].tolist()
+
+
+def test_merge_states_refusals():
+    nondet = validate_graph("st", [("s", "a", "s"), ("s", "a", "t"),
+                                   ("t", "b", "s")], "a", "b")
+    with pytest.raises(NotDeterministic,
+                       match="^merge_states needs a deterministic graph$"):
+        merge_states(nondet)
+    for weights in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError,
+                           match="^weight vector length mismatch$"):
+            merge_states(helpers.two_state(), weights)
+
+
+def test_power_and_rll_refusals():
+    with pytest.raises(ValueError, match="^power exponent must be >= 1$"):
+        power(helpers.two_state(), 0)
+    with pytest.raises(ValueError, match=r"^need 0 <= d <= k$"):
+        rll_graph(3, 2)

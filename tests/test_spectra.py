@@ -38,6 +38,14 @@ def test_perron_simple_values():
     assert perron(np.zeros((3, 3), dtype=int)) == 0.0
 
 
+def test_perron_refuses_bad_matrices():
+    with pytest.raises(DimensionMismatch, match="^expected a square matrix$"):
+        perron(np.array([[1, 0, 1], [0, 1, 1]]))
+    with pytest.raises(ValueError,
+                       match="^matrix entries must be nonnegative$"):
+        perron(np.array([[1, -1], [0, 1]]))
+
+
 def test_perron_refuses_past_float():
     # an entry floats cannot hold, and entries that fit whose root
     # (2 * 10^308) does not
@@ -286,12 +294,43 @@ def test_min_infnorm_ae():
         min_infnorm_ae(a0, a1, 4, 4, xi_cap=8)
 
 
-def test_anticipation_lower_bound():
+def test_anticipation_lower_bound(monkeypatch):
+    # the least integer a >= 0 with n**a >= norm, n the larger degree
     g = helpers.two_state()
     a0, a1, _ = adjacency_pair(power(g, 3))
-    assert anticipation_lower_bound(a0, a1, 3, 3) == pytest.approx(
-        math.log(2, 3))
-    assert anticipation_lower_bound(a0, a1, 1, 1) == 0.0
+    assert min_infnorm_ae(a0, a1, 3, 3)[0] == 2
+    got = anticipation_lower_bound(a0, a1, 3, 3)
+    assert got == 1 and type(got) is int
+    got = anticipation_lower_bound(a0, a1, 1, 1)
+    assert got == 0 and type(got) is int
+    # at exact powers of n and one past them, from a stubbed search
+    for norm, n, want in ((1, 0, 0), (1, 1, 0), (1, 5, 0), (2, 2, 1),
+                          (3, 2, 2), (4, 2, 2), (5, 2, 3), (9, 3, 2),
+                          (10, 3, 3), (10 ** 40, 10, 40),
+                          (10 ** 40 + 1, 10, 41)):
+        monkeypatch.setattr(spectra, "min_infnorm_ae",
+                            lambda *args, norm=norm, **kw: (norm, None))
+        assert anticipation_lower_bound(a0, a1, n, 0) == want, (norm, n)
+        assert anticipation_lower_bound(a0, a1, 0, n) == want, (norm, n)
+    # no power of n <= 1 reaches a norm above 1
+    for n in (0, 1):
+        monkeypatch.setattr(spectra, "min_infnorm_ae",
+                            lambda *args, **kw: (2, None))
+        assert anticipation_lower_bound(a0, a1, n, n) == math.inf
+    monkeypatch.undo()
+    # the search never gives such a norm: at degrees <= 1 the support
+    # of a solution is a 0-1 solution
+    rng = np.random.default_rng(3)
+    norms = collections.Counter()
+    for _ in range(200):
+        a0 = helpers.random_matrix(rng, max_entry=2)
+        a1 = rng.integers(0, 3, size=a0.shape)
+        for n0, n1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            try:
+                norms[min_infnorm_ae(a0, a1, n0, n1)[0]] += 1
+            except NotFoundWithin:
+                norms["none"] += 1
+    assert set(norms) == {1, "none"} and norms[1] > 400, norms
 
 
 def _reference_largest(test, lo, hi):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import warnings
@@ -626,6 +627,38 @@ def test_witness_ae_rejects_wrong_degrees():
         witness_ae(e, g, 2, 1)
 
 
+def test_witness_ae_refusals():
+    # the three refusals after the degree check: no sink, a lifted
+    # vector of zeros, and one failing g's inequalities
+    from bimodal.io import parse_encoder_file
+    g = helpers.two_state()
+    empty = TaggedEncoder(LabeledGraph([], [], g.parity), {}, 1, 1)
+    with pytest.raises(PreconditionFailed,
+                       match="^determinized encoder has no sink$"):
+        witness_ae(empty, g, 1, 1)
+    # an encoder whose labels p, q g never reads
+    foreign = parse_encoder_file(
+        "states: z\nparity0: p\nparity1: q\nedge: z p z\nedge: z q z\n"
+        "tag: z 0 0 p z\ntag: z 1 0 q z\n")
+    with pytest.raises(PreconditionFailed, match="^lifted vector is zero$"):
+        witness_ae(foreign, g, 1, 1)
+    # the file puts a in class 1, where g has it in class 0: the lifted
+    # vector (1, 0) has no class-1 edge into its support at alpha
+    swapped = parse_encoder_file(
+        "states: z\nparity0: b\nparity1: a\nedge: z a z\n"
+        "tag: z 1 0 a z\n")
+    assert (swapped.n0, swapped.n1) == (0, 1)
+    with pytest.raises(PreconditionFailed,
+                       match="^lifted vector fails the inequalities$"):
+        witness_ae(swapped, g, 0, 1)
+
+
+def test_sliding_block_decodable_needs_tags():
+    with pytest.raises(TypeError,
+                       match="^tag comparison needs a TaggedEncoder$"):
+        sliding_block_decodable(helpers.quad(), 0, 0)
+
+
 def _ex3_t2_encoder():
     g = power(helpers.two_state(), 2)
     return extract_deterministic(g, (1, 1), 1, 1)
@@ -1119,7 +1152,7 @@ def _encode_features(e):
     """Which of the cases the encode references must agree on e has."""
     c0, c1 = e.graph.parity.class0, e.graph.parity.class1
     found = set()
-    for row in e.by_tag.values():
+    for row in helpers.by_tag(e).values():
         if len(row) < 6:
             found.add("a state lacks a tag")
         if any(len(es) > 1 for es in row.values()):
@@ -1197,7 +1230,8 @@ def test_encode_stream_matches_table_and_reference(seed, strict):
 def test_slots_ok_matches_by_tag_rule():
     # the one-pass slot index answers as the by_tag rule did: by hand,
     # one tag on two edges of a state, a missing slot, a gapped slot and
-    # n = 0; then random tags, repeated and gapped ones among them
+    # n = 0; then random tags, repeated and gapped ones among them, where
+    # class_edges also lists the edges the by_tag rows give
     g = validate_graph("st", [("s", "a", "s"), ("s", "b", "t"),
                               ("s", "c", "t"), ("t", "a", "s"),
                               ("t", "c", "s")], "ab", "c")
@@ -1234,44 +1268,52 @@ def test_slots_ok_matches_by_tag_rule():
                 if rng.random() < 0.2 else ts for ed, ts in e.tags.items()}
         for e in (e, TaggedEncoder(e.graph, tags, int(rng.integers(3)),
                                    int(rng.integers(3)))):
+            rows = helpers.by_tag(e)
             for s in e.graph.states:
                 for b in (0, 1):
                     for n in range(4):
                         assert e.slots_ok(s, b, n) == helpers.by_tag_slots_ok(
                             e, s, b, n), (e.tags, s, b, n)
+                    assert e.class_edges(s, b) == [
+                        ed for (c, _), es in sorted(rows[s].items())
+                        if c == b for ed in es], (e.tags, s, b)
             assert e.out_degrees_ok() == all(
                 helpers.by_tag_slots_ok(e, s, b, n) for s in e.graph.states
                 for b, n in ((0, e.n0), (1, e.n1)))
 
 
-def test_check_encoder_builds_no_by_tag(monkeypatch):
-    # the degree check reads the one-pass slot index: verifying a parsed
-    # encoder builds no by_tag, which the codec still builds for its
-    # encode map
+def test_check_encoder_builds_slot_index_once_and_no_codec_map(monkeypatch):
+    # the degree check reads the one slot index: verifying a parsed
+    # encoder builds it once and no codec map; the codec's encode map
+    # then reads the same index without building it again
     from bimodal.io import parse_encoder_file, serialize_encoder
     e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
     text = serialize_encoder(e)
     calls = []
-    real = TaggedEncoder.__dict__["by_tag"].func
+    real = TaggedEncoder.__dict__["_slots"].func
 
     def counted(self):
         calls.append(self)
         return real(self)
 
-    monkeypatch.setattr(TaggedEncoder, "by_tag", property(counted))
+    kept = functools.cached_property(counted)
+    kept.__set_name__(TaggedEncoder, "_slots")
+    monkeypatch.setattr(TaggedEncoder, "_slots", kept)
     parsed = parse_encoder_file(text)
     report = check_encoder(parsed, helpers.two_state(), 2, 2, 3)
     assert report.ok and report.out_degree_ok == (True, True)
     bad = check_encoder(parsed, helpers.two_state(), 3, 2, 3)
     assert bad.out_degree_ok == (False, True)
-    assert not calls
+    assert calls == [parsed]
+    assert not [k for k in vars(parsed) if k.startswith(("_encode_",
+                                                          "_moves_"))]
     assert encode_stream(parsed, ["00", "11"], parsed.graph.states[0])
-    assert calls and all(c is parsed for c in calls)
+    assert calls == [parsed] and "_encode_2" in vars(parsed)
 
 
 def test_encode_keeps_one_move_per_edge_and_no_per_block_work(monkeypatch):
     # one warm-up call builds the map all three policies read; a long
-    # stream then converts no block to a tag and reads no by_tag
+    # stream then converts no block to a tag and reads no slot index
     e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
     g = e.graph
     start = g.states[0]
@@ -1291,8 +1333,8 @@ def test_encode_keeps_one_move_per_edge_and_no_per_block_work(monkeypatch):
 
     for name in ("_block_tag", "_tag_block"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
-    monkeypatch.setattr(TaggedEncoder, "by_tag", property(counted(
-        "by_tag", TaggedEncoder.__dict__["by_tag"].func)))
+    monkeypatch.setattr(TaggedEncoder, "_slots", property(counted(
+        "_slots", TaggedEncoder.__dict__["_slots"].func)))
     for policy in POLICIES:
         assert encode_stream(e, blocks, start, policy=policy) == want[policy]
     assert not calls
