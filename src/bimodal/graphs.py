@@ -114,9 +114,6 @@ class LabeledGraph:
     def edge_key(self, e):
         return (self._index[e.src], e.label, self._index[e.dst])
 
-    def sorted_out_edges(self, s):
-        return sorted(self._out[s], key=self.edge_key)
-
     @functools.cached_property
     def by_label(self):
         """Label index: state -> label -> its out-edges with that label,
@@ -698,22 +695,18 @@ def irreducible_components(g):
 
 
 def period(g):
-    """gcd of cycle lengths; the graph must be irreducible with edges."""
+    """gcd of cycle lengths; the graph must be irreducible with edges.
+    Levels are the breadth-first frontiers from the first state, and an
+    edge u -> v closes a cycle length of level u + 1 - level v."""
     if len(_scc(g.states, _successors(g))) != 1 or not g.edges:
         raise NotIrreducible("period is defined for irreducible graphs")
     # a single trivial component with no self-loop has no cycles at all
-    level = {g.states[0]: 0}
-    queue = [g.states[0]]
-    while queue:
-        v = queue.pop()
-        for e in g.out_edges(v):
-            if e.dst not in level:
-                level[e.dst] = level[v] + 1
-                queue.append(e.dst)
-    p = 0
-    for e in g.edges:
-        p = math.gcd(p, level[e.src] + 1 - level[e.dst])
-    return p
+    src, dst = g.edge_ids[:2]
+    order, start = _grouped(src, len(g.states))
+    level = np.zeros(len(g.states), dtype=np.int64)
+    for k, front in enumerate(_frontiers(start, dst[order], [0])):
+        level[front] = k
+    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
 
 
 def _shared_labels(g1, g2):

@@ -120,8 +120,10 @@ def _cover_bins(weights, k, target):
     """Partition indices 0..len-1 into k >= 1 bins, each of weight >= target.
 
     Greedy prefix fill first; exact backtracking (largest weights first,
-    empty-bin symmetry broken) as fallback.  Returns a bin index per
-    item, or None after exhaustive search.
+    empty-bin symmetry broken, and an item of the previous item's weight
+    tries only that item's bin and later ones, as equal weights are
+    interchangeable) as fallback.  Returns a bin index per item, or None
+    after exhaustive search.
     """
     total = sum(weights)
     if total < k * target:
@@ -156,8 +158,10 @@ def _cover_bins(weights, k, target):
         if pos == len(order):
             return all(f >= target for f in fills)
         i = order[pos]
+        first = (assign[order[pos - 1]] if pos
+                 and weights[order[pos - 1]] == weights[i] else 0)
         tried_empty = False
-        for b in range(k):
+        for b in range(first, k):
             if fills[b] == 0:
                 if tried_empty:
                     continue
@@ -186,21 +190,21 @@ def split_one_round(g_b, x, n_b):
     SplitInfeasible when some state admits no such division, after
     exhaustive search.
     """
-    out = {u: g_b.out_edges(u) for u in g_b.states}
+    out = {u: sorted(g_b.out_edges(u), key=g_b.edge_key)
+           for u in g_b.states}
     xv = _check_vector(g_b, x, ((out, n_b,
                                  "inequality fails for the split class"),),
                        positive=True)
     w = dict(zip(g_b.states, xv))
     edges = []
     for u in g_b.states:
-        out = g_b.sorted_out_edges(u)
-        assign = _cover_bins([w[e.dst] for e in out], w[u], n_b)
+        assign = _cover_bins([w[e.dst] for e in out[u]], w[u], n_b)
         if assign is None:
             raise SplitInfeasible(
                 "no weight-consistent division of the out-edges of %r "
                 "into %d groups of weight >= %d" % (u, w[u], n_b))
         copies = [[] for _ in range(w[u])]
-        for e, i in zip(out, assign):
+        for e, i in zip(out[u], assign):
             copies[i] += (Edge(_copy_name(u, i), e.label, _copy_name(e.dst, j))
                           for j in range(w[e.dst]))
         for cp in copies:

@@ -152,14 +152,11 @@ def _infinite_certificate(pg):
     visited = set()
     while node not in visited:
         visited.add(node)
-        for (a, e1, e2) in pg.steps(node):
-            kid = (e1.dst, e2.dst)
-            if unbounded(kid) or kid in visited:
-                prefix.append((node, a))
-                node = kid
-                break
-        else:  # pragma: no cover - unbounded node always has such a child
-            break
+        a, kid = next((a, kid) for (a, e1, e2) in pg.steps(node)
+                      for kid in ((e1.dst, e2.dst),)
+                      if unbounded(kid) or kid in visited)
+        prefix.append((node, a))
+        node = kid
     return (tuple(prefix), node)
 
 
@@ -371,17 +368,10 @@ def _check_block_width(e, p):
             (p, need, e.n0, e.n1))
 
 
-def _block_tag(block, p):
-    """Tag of a p-bit block string: class its parity, slot the block
-    without its last bit; None when it is not a p-bit string."""
-    if len(block) != p or block.strip("01"):
-        return None
-    v = int(block, 2)
-    return v.bit_count() % 2, v >> 1
-
-
 def _tag_block(tag, p):
-    """Inverse of _block_tag: the last bit restores the class parity."""
+    """The block of a (class, slot) tag: the slot's bits, then the bit
+    that makes the block's parity the class.  It is a p-bit block
+    exactly when the class is 0 or 1 and 0 <= slot < 2^p // 2."""
     cls, slot = tag
     return bin(2 * slot + (slot.bit_count() + cls) % 2)[2:].zfill(p)
 
@@ -419,6 +409,7 @@ def _encodes(e, p):
         move = {ed: (ed.label, 1 if ed.label in class0 else -1, ed.dst,
                      rows[ed.dst]) for ed in e.graph.edges}
         blocks = {}  # one key string per block, shared by the states
+        slots = 2 ** p // 2 if p else 0  # per class of a p-bit block
         for s, by_class in e._slots.items():
             held = {}
             for cls, pairs in by_class.items():
@@ -427,15 +418,14 @@ def _encodes(e, p):
             if p is None:
                 rows[s].update((t, (mv,)) for t, mv in held.items())
                 continue
-            sent = {b: mv for t, mv in held.items()
-                    for b in (_tag_block(t, p),) if _block_tag(b, p) == t}
-            for b in sent:
-                rest = b[1:]
+            sent = {_tag_block(t, p): mv for t, mv in held.items()
+                    if t[0] in (0, 1) and 0 <= t[1] < slots}
+            for rest in dict.fromkeys(b[1:] for b in sent):
                 ks = [blocks.setdefault(r + rest, r + rest) for r in "01"]
                 twins = tuple(map(sent.get, ks))
                 even = twins[rest.count("1") % 2]
-                for k, own in zip(ks, twins):
-                    rows[s][k] = (own, even) + twins
+                rows[s].update((k, (own, even) + twins)
+                               for k, own in zip(ks, twins))
         return rows
     return _kept(e, "_encode_%s" % p, build)
 

@@ -203,6 +203,24 @@ def random_graph(rng, max_states=4, strict=True, max_out=3):
     return validate_graph(states, sorted(edges), p0, p1)
 
 
+def reference_period(g):
+    """graphs.period as it stood before it read _frontiers: levels from
+    a depth-first walk over a dict from the first state, then the gcd
+    of level[u] + 1 - level[v] over the edges u -> v."""
+    level = {g.states[0]: 0}
+    queue = [g.states[0]]
+    while queue:
+        v = queue.pop()
+        for e in g.out_edges(v):
+            if e.dst not in level:
+                level[e.dst] = level[v] + 1
+                queue.append(e.dst)
+    p = 0
+    for e in g.edges:
+        p = math.gcd(p, level[e.src] + 1 - level[e.dst])
+    return p
+
+
 def random_det_graph(rng, max_states=3, strict=True):
     """Small random deterministic graph: each state reads a random
     nonempty set of distinct symbols; ``strict`` picks a strict cover,
@@ -300,7 +318,7 @@ def reference_extract_deterministic(g, x, n0, n1):
             continue
         for b, n in ((0, n0), (1, n1)):
             cls = g.parity.class0 if b == 0 else g.parity.class1
-            cands = [e for e in g.sorted_out_edges(u)
+            cands = [e for e in sorted(g.out_edges(u), key=g.edge_key)
                      if e.label in cls and e.dst in keep]
             if len(cands) < n:
                 raise InfeasibleVector(
@@ -437,7 +455,7 @@ def reference_split_one_round(g_b, x, n_b):
     w = dict(zip(g_b.states, xv))
     groups = {}
     for u in g_b.states:
-        out = g_b.sorted_out_edges(u)
+        out = sorted(g_b.out_edges(u), key=g_b.edge_key)
         assign = _cover_bins([w[e.dst] for e in out], w[u], n_b)
         if assign is None:
             raise SplitInfeasible(
@@ -457,6 +475,60 @@ def reference_split_one_round(g_b, x, n_b):
                 key=lambda e: (e.label, e.dst))
             edges.extend(expanded[:n_b])
     return LabeledGraph(states, edges, g_b.parity)
+
+
+def reference_cover_bins(weights, k, target):
+    """synth._cover_bins as it stood before equal weights shared one bin
+    order: greedy prefix fill, then backtracking by falling weight with
+    only the empty-bin symmetry broken."""
+    total = sum(weights)
+    if total < k * target:
+        return None
+    assign = [0] * len(weights)
+    b, acc = 0, 0
+    remaining = total
+    for i, w in enumerate(weights):
+        assign[i] = b
+        acc += w
+        remaining -= w
+        if b < k - 1 and acc >= target and remaining >= (k - 1 - b) * target:
+            b += 1
+            acc = 0
+    if b == k - 1 and acc >= target:
+        return assign
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])
+    fills = [0] * k
+    assign = [None] * len(weights)
+    suffix = [0] * (len(order) + 1)
+    for pos in range(len(order) - 1, -1, -1):
+        suffix[pos] = suffix[pos + 1] + weights[order[pos]]
+
+    def deficit():
+        return sum(max(0, target - f) for f in fills)
+
+    def rec(pos):
+        if deficit() > suffix[pos]:
+            return False
+        if pos == len(order):
+            return all(f >= target for f in fills)
+        i = order[pos]
+        tried_empty = False
+        for b in range(k):
+            if fills[b] == 0:
+                if tried_empty:
+                    continue
+                tried_empty = True
+            fills[b] += weights[i]
+            assign[i] = b
+            if rec(pos + 1):
+                return True
+            fills[b] -= weights[i]
+            assign[i] = None
+        return False
+
+    if rec(0):
+        return assign
+    return None
 
 
 def reference_merge_split_pair(e0, e1, x, matching=None):
@@ -929,6 +1001,56 @@ def reference_encode(e, blocks, start, policy, p):
     return word, state, trace
 
 
+def block_tag(block, p):
+    """The (class, slot) tag of a p-bit block string, class its parity
+    and slot the block without its last bit; None when it is not a p-bit
+    string."""
+    if len(block) != p or block.strip("01"):
+        return None
+    v = int(block, 2)
+    return v.bit_count() % 2, v >> 1
+
+
+def reference_encodes(e, p):
+    """verify._encodes' map as it stood before it tested the slot range:
+    a tag is sent when the round trip block_of -> block_tag gives it
+    back, and each twin's two rows are written once per twin."""
+    class0 = e.graph.parity.class0
+    rows = {s: {} for s in e.graph.states}
+    move = {ed: (ed.label, 1 if ed.label in class0 else -1, ed.dst,
+                 rows[ed.dst]) for ed in e.graph.edges}
+    for s, by_class in e._slots.items():
+        held = {}
+        for cls, pairs in by_class.items():
+            for slot, ed in pairs:
+                held.setdefault((cls, slot), move[ed])
+        if p is None:
+            rows[s].update((t, (mv,)) for t, mv in held.items())
+            continue
+        sent = {b: mv for t, mv in held.items()
+                for b in (block_of(t, p),) if block_tag(b, p) == t}
+        for b in sent:
+            rest = b[1:]
+            ks = [r + rest for r in "01"]
+            twins = tuple(map(sent.get, ks))
+            even = twins[rest.count("1") % 2]
+            for k, own in zip(ks, twins):
+                rows[s][k] = (own, even) + twins
+    return rows
+
+
+def encode_rows(rows):
+    """An encode map as plain data, rows and entries in insertion order,
+    each move as (label, sign, dst) once it is checked to hold the dst's
+    own row of the map."""
+    flat = []
+    for s, row in rows.items():
+        for k, sent in row.items():
+            assert all(mv is None or mv[3] is rows[mv[2]] for mv in sent)
+            flat.append((s, k, tuple(mv and mv[:3] for mv in sent)))
+    return flat
+
+
 def by_tag(e):
     """The tag index TaggedEncoder kept before its one slot index, frozen
     as a reference: state -> (class, slot) -> the out-edges carrying
@@ -960,10 +1082,7 @@ def table_encode(e, tags, start, policy="as-tagged", p=None):
         p = len(tags[0])
 
     def tag_of(block):
-        if len(block) != p or block.strip("01"):
-            return None
-        v = int(block, 2)
-        return v.bit_count() % 2, v >> 1
+        return block_tag(block, p)
 
     rows = by_tag(e)
     known = {t for row in rows.values() for t in row}

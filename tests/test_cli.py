@@ -2,6 +2,7 @@ import gc
 import io as stdio
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -72,6 +73,36 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError):
         parse_graph_file("states: a\nparity0: p\nparity1: q\n"
                          "tag: a 0 0 p a\n")
+
+
+def test_readme_tour_runs(tmp_path, capsys, monkeypatch):
+    # the README's CLI quick tour, line by line: continuations joined,
+    # /tmp/ pointed at tmp_path, an echo fed to stdin
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## CLI quick tour", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    ran = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        line = line.replace("/tmp/", str(tmp_path) + os.sep)
+        stdin = ""
+        if line.startswith("echo "):
+            echo, line = line.split("|", 1)
+            stdin = shlex.split(echo)[1] + "\n"
+        argv = shlex.split(line)
+        assert argv[0] == "bimodal", line
+        monkeypatch.setattr("sys.stdin", stdio.StringIO(stdin))
+        assert main(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        if argv[1] == "verify":
+            assert "lossless:    yes" in out.splitlines()
+        ran.append(argv[1])
+    assert ran == ["info", "power", "franaszek", "region", "synth",
+                   "verify", "encode"]
 
 
 def test_cli_info(capsys):

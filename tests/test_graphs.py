@@ -488,6 +488,30 @@ def test_period():
         period(validate_graph(["u", "v"], [("u", "a", "v")], ["a"], ["b"]))
 
 
+def test_period_matches_dict_walk():
+    # breadth-first levels from _frontiers give the gcd the depth-first
+    # dict walk gave: every irreducible component of random graphs and
+    # its powers, overlapping covers and multiplicities among them
+    rng = np.random.default_rng(29)
+    found = set()
+    for i in range(600):
+        g = helpers.random_graph(rng, max_states=5, strict=bool(i % 2))
+        for comp, _ in irreducible_components(g):
+            for t in (1, 2, 3):
+                h = power(comp, t) if t > 1 else comp
+                if not h.edges or len(irreducible_components(h)) != 1:
+                    continue
+                want = helpers.reference_period(h)
+                assert period(h) == want, (h.states, h.edges)
+                found.add("period %d" % min(want, 3))
+                if any(e.mult > 1 for e in h.edges):
+                    found.add("multiplicity")
+                if h.parity.class0 & h.parity.class1:
+                    found.add("overlapping cover")
+    assert found == {"period 1", "period 2", "period 3", "multiplicity",
+                     "overlapping cover"}
+
+
 def test_memory_finite():
     # every symbol of the fixture pins down the terminal state
     assert memory(helpers.two_state()) == Finite(1)

@@ -1,4 +1,5 @@
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -145,6 +146,44 @@ def test_split_one_round_infeasible():
     assert (a1 @ x == 2 * x).all()
     with pytest.raises(SplitInfeasible):
         split_one_round(parity_subgraph(g, 1), x, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
+                max_size=9),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=12))
+def test_cover_bins_matches_reference(weights, k, target):
+    # equal weights taking bins in order loses no division: the verdict
+    # is the exhaustive search's, and an answer covers every bin
+    assign = synth._cover_bins(weights, k, target)
+    want = helpers.reference_cover_bins(weights, k, target)
+    assert (assign is None) == (want is None)
+    if assign is not None:
+        fills = [0] * k
+        for w, b in zip(weights, assign):
+            fills[b] += w
+        assert min(fills) >= target
+
+
+def test_cover_bins_equal_weight_families_refuse_fast():
+    # [4] * n into two bins of 2n with n odd, and the two-state class
+    # graph u -> w by m labels, w -> w by 2m, w -> u by one at x = (1, 3)
+    # and degree 2m: both cannot be divided, and both were exponential
+    # in n or m before equal weights shared one bin order
+    start = time.perf_counter()
+    for n in (15, 19, 21):
+        assert synth._cover_bins([4] * n, 2, 2 * n) is None
+    for m in (13, 19, 23):
+        labels = ["a%d" % i for i in range(3 * m + 1)]
+        g = validate_graph(
+            ["u", "w"],
+            [("u", a, "w") for a in labels[:m]]
+            + [("w", a, "w") for a in labels[m:3 * m]]
+            + [("w", labels[3 * m], "u")], labels, ["z"])
+        with pytest.raises(SplitInfeasible, match="out-edges of 'w'"):
+            split_one_round(g, (1, 3), 2 * m)
+    assert time.perf_counter() - start < 1
 
 
 def test_split_one_round_rejects_bad_vector():
