@@ -99,31 +99,35 @@ class LabeledGraph:
         # original states; None for graphs not built by determinize()
         self.members = members
         self._index = {s: i for i, s in enumerate(self.states)}
-        out = {s: [] for s in self.states}
-        for e in self.edges:
-            out[e.src].append(e)
-        self._out = {s: tuple(v) for s, v in out.items()}
         self._key = (self.states, self.edges, self.parity)
 
     def state_index(self, s):
         return self._index[s]
 
-    def out_edges(self, s):
-        return self._out[s]
-
-    def edge_key(self, e):
-        return (self._index[e.src], e.label, self._index[e.dst])
-
     @functools.cached_property
     def by_label(self):
-        """Label index: state -> label -> its out-edges with that label,
-        labels in first-seen order, edges in out-edge order."""
-        idx = {}
-        for s, es in self._out.items():
-            d = idx[s] = {}
-            for e in es:
-                d.setdefault(e.label, []).append(e)
+        """The one per-state edge index: state -> label -> its out-edges
+        with that label, labels in first-seen order, edges in edge
+        order; one pass over the edges, on first use."""
+        idx = {s: {} for s in self.states}
+        for e in self.edges:
+            idx[e.src].setdefault(e.label, []).append(e)
         return idx
+
+    def canonical_edges(self, s):
+        """s's out-edges in canonical order: labels sorted, then edges
+        sharing a label by target index."""
+        at = self.by_label[s]
+        index = self._index
+
+        def target(e):
+            return index[e.dst]
+
+        out = []
+        for a in sorted(at):
+            es = at[a]
+            out += es if len(es) == 1 else sorted(es, key=target)
+        return out
 
     @functools.cached_property
     def edge_ids(self):
@@ -150,15 +154,9 @@ class LabeledGraph:
     @functools.cached_property
     def deterministic(self):
         """No state has two out-edges with one label, and no edge has
-        multiplicity above one; scanned once, as the graph never
-        changes."""
-        for s in self.states:
-            seen = set()
-            for e in self.out_edges(s):
-                if e.mult > 1 or e.label in seen:
-                    return False
-                seen.add(e.label)
-        return True
+        multiplicity above one: as many label groups as edges."""
+        return (sum(map(len, self.by_label.values())) == len(self.edges)
+                and all(e.mult <= 1 for e in self.edges))
 
     def __eq__(self, other):
         return isinstance(other, LabeledGraph) and self._key == other._key
@@ -597,7 +595,8 @@ def _scc(states, succ):
 
 def _successors(g):
     """State -> the set of states one edge away."""
-    return {s: {e.dst for e in g.out_edges(s)} for s in g.states}
+    return {s: {e.dst for es in at.values() for e in es}
+            for s, at in g.by_label.items()}
 
 
 def _runs(a):
@@ -687,10 +686,10 @@ def irreducible_components(g):
     leaves it.  Trivial components (single state, no self-loop) are
     included.
     """
-    comps = _scc(g.states, _successors(g))
+    succ = _successors(g)
+    comps = _scc(g.states, succ)
     comps.sort(key=lambda c: min(g.state_index(s) for s in c))
-    return [(_induced(g, comp),
-             all(e.dst in comp for s in comp for e in g.out_edges(s)))
+    return [(_induced(g, comp), all(succ[s] <= comp for s in comp))
             for comp in comps]
 
 

@@ -104,7 +104,7 @@ def parse_encoder_file(text):
 
 
 def _sorted_edges(g):
-    return sorted(g.edges, key=g.edge_key)
+    return [e for s in g.states for e in g.canonical_edges(s)]
 
 
 def _graph_text(g, edges):
@@ -139,27 +139,24 @@ def serialize_encoder(enc):
     return "\n".join(out) + "\n"
 
 
-def _dot_id(name):
-    return '"%s"' % name.replace('"', '\\"')
+def _quoted(text):
+    """A DOT string: backslashes escaped first, then double quotes."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def export_dot(g):
     """Graphviz text: class-0 edges solid, class-1 dashed, shared bold."""
     lines = ["digraph constraint {", "  rankdir=LR;"]
     for s in g.states:
-        lines.append("  %s;" % _dot_id(s))
+        lines.append("  %s;" % _quoted(s))
+    # by (in class 0, in class 1); a label in neither class is solid
+    styles = {(True, True): "bold", (False, True): "dashed"}
     for e in _sorted_edges(g):
-        in0 = e.label in g.parity.class0
-        in1 = e.label in g.parity.class1
-        if in0 and in1:
-            style = "bold"
-        elif in1:
-            style = "dashed"
-        else:
-            style = "solid"
+        style = styles.get((e.label in g.parity.class0,
+                            e.label in g.parity.class1), "solid")
         extra = "" if e.mult == 1 else " x%d" % e.mult
-        lines.append('  %s -> %s [label="%s%s", style=%s];'
-                     % (_dot_id(e.src), _dot_id(e.dst), e.label, extra,
-                        style))
+        lines.append("  %s -> %s [label=%s, style=%s];"
+                     % (_quoted(e.src), _quoted(e.dst),
+                        _quoted(e.label + extra), style))
     lines.append("}")
     return "\n".join(lines) + "\n"

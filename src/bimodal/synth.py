@@ -10,6 +10,8 @@ deletes the top tag slot.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .graphs import (
@@ -79,11 +81,11 @@ def _check_vector(g, x, bounds, positive=False):
     return xv
 
 
-def _check_ae(g, x, n0, n1, key):
+def _check_ae(g, x, n0, n1):
     """(xv, out): x once _check_vector accepts it at degrees (n0, n1),
-    and out[b], each state's class-b out-edges sorted by ``key``, which
-    (A_b x)_u counts; each state's out-edges are read once."""
-    srt = {u: sorted(g.out_edges(u), key=key) for u in g.states}
+    and out[b], each state's class-b out-edges in canonical order, which
+    (A_b x)_u counts; each state's out-edges are listed once."""
+    srt = {u: g.canonical_edges(u) for u in g.states}
     out = [{u: [e for e in es if e.label in cls] for u, es in srt.items()}
            for cls in (g.parity.class0, g.parity.class1)]
     return _check_vector(g, x, ((out[0], n0, "class-0 inequality fails"),
@@ -97,7 +99,7 @@ def extract_deterministic(g, x, n0, n1):
     surviving out-edges of class b in canonical order.  The result is
     deterministic whenever g is, hence has anticipation 0.
     """
-    xv, out = _check_ae(g, x, n0, n1, g.edge_key)
+    xv, out = _check_ae(g, x, n0, n1)
     if not set(xv) <= {0, 1}:
         raise InfeasibleVector("vector entries must be 0 or 1")
     states = [s for s, v in zip(g.states, xv) if v == 1]
@@ -123,7 +125,8 @@ def _cover_bins(weights, k, target):
     empty-bin symmetry broken, and an item of the previous item's weight
     tries only that item's bin and later ones, as equal weights are
     interchangeable) as fallback.  Returns a bin index per item, or None
-    after exhaustive search.
+    after exhaustive search; a search past POWER_BUDGET nodes raises
+    SplitInfeasible, naming the budget.
     """
     total = sum(weights)
     if total < k * target:
@@ -149,10 +152,15 @@ def _cover_bins(weights, k, target):
     for pos in range(len(order) - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] + weights[order[pos]]
 
+    nodes = itertools.count(1)
+
     def deficit():
         return sum(max(0, target - f) for f in fills)
 
     def rec(pos):
+        if next(nodes) > POWER_BUDGET:
+            raise SplitInfeasible("the search passed its budget of %d nodes"
+                                  % POWER_BUDGET)
         if deficit() > suffix[pos]:
             return False
         if pos == len(order):
@@ -188,21 +196,23 @@ def split_one_round(g_b, x, n_b):
     n_b out-edges: the first n_b by (label, target copy name), a string
     order, not the declaration order of the targets.  Raises
     SplitInfeasible when some state admits no such division, after
-    exhaustive search.
+    exhaustive search, or when its search passes the node budget.
     """
-    out = {u: sorted(g_b.out_edges(u), key=g_b.edge_key)
-           for u in g_b.states}
+    out = {u: g_b.canonical_edges(u) for u in g_b.states}
     xv = _check_vector(g_b, x, ((out, n_b,
                                  "inequality fails for the split class"),),
                        positive=True)
     w = dict(zip(g_b.states, xv))
     edges = []
     for u in g_b.states:
-        assign = _cover_bins([w[e.dst] for e in out[u]], w[u], n_b)
+        what = "the out-edges of %r into %d groups of weight >= %d" % (
+            u, w[u], n_b)
+        try:
+            assign = _cover_bins([w[e.dst] for e in out[u]], w[u], n_b)
+        except SplitInfeasible as exc:
+            raise SplitInfeasible("dividing %s: %s" % (what, exc)) from None
         if assign is None:
-            raise SplitInfeasible(
-                "no weight-consistent division of the out-edges of %r "
-                "into %d groups of weight >= %d" % (u, w[u], n_b))
+            raise SplitInfeasible("no weight-consistent division of " + what)
         copies = [[] for _ in range(w[u])]
         for e, i in zip(out[u], assign):
             copies[i] += (Edge(_copy_name(u, i), e.label, _copy_name(e.dst, j))
@@ -240,7 +250,7 @@ def merge_split_pair(e0, e1, x, matching=None):
     for b, e_b, name in ((0, e0, lambda s: s), (1, e1, rename)):
         for s in e_b.states:
             out = sorted((Edge(name(e.src), e.label, name(e.dst))
-                          for e in e_b.out_edges(s)),
+                          for es in e_b.by_label[s].values() for e in es),
                          key=lambda e: (e.label, e.dst))
             n[b] = max(n[b], len(out))
             for slot, e in enumerate(out):
@@ -292,7 +302,7 @@ def stether(g, x, n0, n1):
     """
     if not g.deterministic:
         raise NotDeterministic("stethering needs a deterministic graph")
-    xv, out = _check_ae(g, x, n0, n1, lambda e: e.label)
+    xv, out = _check_ae(g, x, n0, n1)
     live = _positive_states(g.states, xv)
     copies = {u: [_copy_name(u, i) for i in range(v)]
               for u, v in zip(g.states, xv)}

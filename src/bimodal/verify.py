@@ -268,26 +268,23 @@ def presents_subset(e, g, t=1):
 
     empty = frozenset()
     full = frozenset(g.states)
-    seen = set()
-    queue = []
-    for v in eg.states:
-        node = (v, full)
-        seen.add(node)
-        queue.append(node)
+    queue = [(v, full) for v in eg.states]
+    seen = set(queue)
     while queue:
         v, u = queue.pop()
         row = words[u]
-        for _, label, dst, _ in eg.out_edges(v):
+        for label, es in eg.by_label[v].items():
             u2 = row.get(label)
             if u2 is None:
                 word = halves.get(label)
                 u2 = row[label] = _walk(u, word, runs, run) if word else empty
             if not u2:
                 return False
-            node = (dst, u2)
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
+            for ed in es:
+                node = (ed.dst, u2)
+                if node not in seen:
+                    seen.add(node)
+                    queue.append(node)
     return True
 
 

@@ -54,6 +54,20 @@ def cyclic_garbage(fn, *args):
             gc.enable()
 
 
+def out_edges(g, s):
+    """The per-state out-edge index LabeledGraph kept before by_label
+    became its one index, frozen as a reference: s's out-edges in edge
+    order, as a tuple; built in one pass and kept on the graph."""
+    idx = vars(g).get("_reference_out")
+    if idx is None:
+        grouped = {v: [] for v in g.states}
+        for e in g.edges:
+            grouped[e.src].append(e)
+        idx = vars(g)["_reference_out"] = {v: tuple(es)
+                                           for v, es in grouped.items()}
+    return idx[s]
+
+
 def load(name):
     with open(os.path.join(FIXTURES, name)) as fh:
         return parse_graph_file(fh.read())
@@ -211,7 +225,7 @@ def reference_period(g):
     queue = [g.states[0]]
     while queue:
         v = queue.pop()
-        for e in g.out_edges(v):
+        for e in out_edges(g, v):
             if e.dst not in level:
                 level[e.dst] = level[v] + 1
                 queue.append(e.dst)
@@ -245,7 +259,7 @@ def _candidates(g, w, u, b):
     (symbol, target copy) element per copy of its target."""
     cls = g.parity.class0 if b == 0 else g.parity.class1
     return tuple((e.label, j)
-                 for e in sorted(g.out_edges(u), key=lambda e: e.label)
+                 for e in sorted(out_edges(g, u), key=lambda e: e.label)
                  if e.label in cls for j in range(w[e.dst]))
 
 
@@ -318,7 +332,8 @@ def reference_extract_deterministic(g, x, n0, n1):
             continue
         for b, n in ((0, n0), (1, n1)):
             cls = g.parity.class0 if b == 0 else g.parity.class1
-            cands = [e for e in sorted(g.out_edges(u), key=g.edge_key)
+            cands = [e for e in sorted(out_edges(g, u), key=lambda e: (
+                         e.label, g.state_index(e.dst)))
                      if e.label in cls and e.dst in keep]
             if len(cands) < n:
                 raise InfeasibleVector(
@@ -349,7 +364,7 @@ def reference_stether(g, x, n0, n1, consistent=True):
             u for u in g.states if not w[u]))
     tags = {}
     for u in states:
-        succ = {e.label: e.dst for e in g.out_edges(u)}
+        succ = {e.label: e.dst for e in out_edges(g, u)}
         if consistent:
             parts = _cover_consistent(g, w, u, n0, n1)
         else:
@@ -455,7 +470,8 @@ def reference_split_one_round(g_b, x, n_b):
     w = dict(zip(g_b.states, xv))
     groups = {}
     for u in g_b.states:
-        out = sorted(g_b.out_edges(u), key=g_b.edge_key)
+        out = sorted(out_edges(g_b, u),
+                     key=lambda e: (e.label, g_b.state_index(e.dst)))
         assign = _cover_bins([w[e.dst] for e in out], w[u], n_b)
         if assign is None:
             raise SplitInfeasible(
@@ -551,16 +567,16 @@ def reference_merge_split_pair(e0, e1, x, matching=None):
                        key=lambda s: order.get(s, len(order)))
     if set(e1_states) != set(states):
         raise InfeasibleVector("split graphs disagree on state copies")
-    n0 = max((len(e0.out_edges(s)) for s in e0.states), default=0)
-    n1 = max((len(e1.out_edges(s)) for s in e1.states), default=0)
+    n0 = max((len(out_edges(e0, s)) for s in e0.states), default=0)
+    n1 = max((len(out_edges(e1, s)) for s in e1.states), default=0)
     tags = {}
     for s in e0.states:
         for slot, e in enumerate(
-                sorted(e0.out_edges(s), key=lambda e: (e.label, e.dst))):
+                sorted(out_edges(e0, s), key=lambda e: (e.label, e.dst))):
             tags.setdefault(Edge(e.src, e.label, e.dst), []).append((0, slot))
     for s in e1.states:
         renamed = sorted((Edge(rename(e.src), e.label, rename(e.dst))
-                          for e in e1.out_edges(s)),
+                          for e in out_edges(e1, s)),
                          key=lambda e: (e.label, e.dst))
         for slot, e in enumerate(renamed):
             tags.setdefault(e, []).append((1, slot))
@@ -672,11 +688,11 @@ def reference_follower_le(g1, g2):
     pairs that lack a label)."""
     if not g2.deterministic:
         raise NotDeterministic("containment target must be deterministic")
-    succ2 = {s: {e.label: e.dst for e in g2.out_edges(s)}
+    succ2 = {s: {e.label: e.dst for e in out_edges(g2, s)}
              for s in g2.states}
     succ, lacks = {}, set()
     for u in g1.states:
-        es = g1.out_edges(u)
+        es = out_edges(g1, u)
         for v, d in succ2.items():
             if all(e.label in d for e in es):
                 succ[(u, v)] = {(e.dst, d[e.label]) for e in es}
@@ -748,7 +764,7 @@ def mask_follower_le(g1, g2):
 
 def tarjan_essential(g):
     """graphs._essential on tarjan_longest."""
-    longest = tarjan_longest(g.states, {s: {e.dst for e in g.out_edges(s)}
+    longest = tarjan_longest(g.states, {s: {e.dst for e in out_edges(g, s)}
                                         for s in g.states})
     keep = [s for s in g.states if longest[s] == math.inf]
     if len(keep) == len(g.states):
@@ -1058,7 +1074,7 @@ def by_tag(e):
     idx = {}
     for s in e.graph.states:
         d = idx[s] = {}
-        for ed in e.graph.out_edges(s):
+        for ed in out_edges(e.graph, s):
             for t in e.tags.get(ed, ()):
                 d.setdefault(t, []).append(ed)
     return idx
@@ -1164,10 +1180,10 @@ def reference_decode(e, word, start, a, p=None):
     out = []
     for i, label in enumerate(word):
         cands = []
-        for ed in g.out_edges(state):
+        for ed in out_edges(g, state):
             reach = {ed.dst} if ed.label == label else set()
             for b in word[i + 1:i + 1 + a]:
-                reach = {x.dst for z in reach for x in g.out_edges(z)
+                reach = {x.dst for z in reach for x in out_edges(g, z)
                          if x.label == b}
             if reach:
                 cands.append(ed)
@@ -1204,10 +1220,10 @@ def memo_decode(e, word, start, p=None):
         if key not in memo:
             label, ahead = key[1][0], key[1][1:]
             cands = []
-            for ed in g.out_edges(state):
+            for ed in out_edges(g, state):
                 z = {ed.dst} if ed.label == label else set()
                 for b in ahead:
-                    z = {x.dst for u in z for x in g.out_edges(u)
+                    z = {x.dst for u in z for x in out_edges(g, u)
                          if x.label == b}
                 if z:
                     cands.append(ed)
@@ -1330,10 +1346,13 @@ def reference_serialize_encoder(enc):
     out = ["states: %s" % " ".join(g.states),
            "parity0: %s" % " ".join(sorted(g.parity.class0)),
            "parity1: %s" % " ".join(sorted(g.parity.class1))]
-    for e in sorted(g.edges, key=g.edge_key):
+    def key(e):
+        return g.state_index(e.src), e.label, g.state_index(e.dst)
+
+    for e in sorted(g.edges, key=key):
         mult = "" if e.mult == 1 else " %d" % e.mult
         out.append("edge: %s %s %s%s" % (e.src, e.label, e.dst, mult))
-    for e in sorted(g.edges, key=g.edge_key):
+    for e in sorted(g.edges, key=key):
         for (cls, slot) in sorted(enc.tags.get(e, ())):
             out.append("tag: %s %d %d %s %s"
                        % (e.src, cls, slot, e.label, e.dst))
@@ -1370,7 +1389,7 @@ def reference_presents_subset(e, g, t=1):
         queue.append(node)
     while queue:
         v, u = queue.pop()
-        for ed in eg.out_edges(v):
+        for ed in out_edges(eg, v):
             key = (u, ed.label)
             u2 = words.get(key)
             if u2 is None:

@@ -389,6 +389,27 @@ def test_cli_info_binary_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_export_dot_quotes_ids_and_labels(tmp_path, capsys):
+    # one rule for state ids and edge labels: backslash escaped first,
+    # then the double quote, so neither can end a DOT string early
+    g = validate_graph(["a\\", 'b"c'], [("a\\", 'x"y', 'b"c'),
+                                         ('b"c', "z\\", "a\\")],
+                       ['x"y'], ["z\\"])
+    want = "\n".join([
+        "digraph constraint {",
+        "  rankdir=LR;",
+        r'  "a\\";',
+        r'  "b\"c";',
+        r'  "a\\" -> "b\"c" [label="x\"y", style=solid];',
+        r'  "b\"c" -> "a\\" [label="z\\", style=dashed];',
+        "}", ""])
+    assert export_dot(g) == want
+    path = tmp_path / "quoted.cg"
+    path.write_text(serialize_graph(g))
+    assert main(["export-dot", str(path)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_export_dot_multiplicity():
     g = helpers.rll_16()
     dot = export_dot(g)

@@ -74,3 +74,33 @@ def test_only_the_cli_touches_the_collector():
                                    "*.py"))
     users = {os.path.basename(p) for p in paths if "gc" in _imports(p)}
     assert users == {"cli.py"}
+
+
+def _names(path):
+    """Every identifier a module defines or reads: names, attributes,
+    functions, classes, arguments and keywords."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
+
+
+def test_by_label_is_the_one_edge_index():
+    # a graph keeps one per-state edge index, by_label, and one
+    # canonical listing off it; the eager per-state lists and the sort
+    # key they were sorted by are gone from the package
+    paths = glob.glob(os.path.join(os.path.dirname(bimodal.__file__),
+                                   "*.py"))
+    names = {os.path.basename(p): set(_names(p)) for p in paths}
+    gone = {"out_edges", "_out", "edge_key"}
+    assert not {(m, n) for m, got in names.items() for n in got & gone}
+    # the guard sees attribute reads and definitions alike
+    assert {"by_label", "canonical_edges"} <= names["graphs.py"]
+    assert "canonical_edges" in names["io.py"]

@@ -156,7 +156,7 @@ def _reference_power(g, t):
         for _ in range(t):
             nxt = {}
             for (v, word), m in frontier.items():
-                for e in g.out_edges(v):
+                for e in helpers.out_edges(g, v):
                     key = (e.dst, word + (e.label,))
                     nxt[key] = nxt.get(key, 0) + m * e.mult
             frontier = nxt
@@ -225,9 +225,81 @@ def test_power_orders_words_by_symbol_rank():
                        ["a", "b"], ["a-"])
     for t in range(2, 6):
         assert power(g, t) == _reference_power(g, t)
-    words = [e.label for e in power(g, 3).out_edges("u")]
+    words = [e.label for e in helpers.out_edges(power(g, 3), "u")]
     assert words.index("a.a.a") < words.index("a.a-.a")
     assert words != sorted(words)
+
+
+def _frozen_canonical(g):
+    """Every edge sorted by (source index, label, target index), the
+    order the file writer, extract and split once each sorted by."""
+    index = {s: i for i, s in enumerate(g.states)}
+    return sorted(g.edges, key=lambda e: (index[e.src], e.label,
+                                          index[e.dst]))
+
+
+def _random_shuffled_graph(rng, strict):
+    """A graph whose state names sort unlike their indices (s10 < s2),
+    with edges in random order, random multiplicities and labels that
+    repeat at a state."""
+    names = ["s%d" % k for k in rng.permutation(12)]
+    states = names[:rng.integers(1, 6)]
+    syms = list("abcdef")
+    k0 = int(rng.integers(1, 4))
+    p0 = syms[:k0]
+    p1 = syms[k0:k0 + 2] if strict else syms[k0 - 1:k0 + 2]
+    alphabet = sorted(set(p0) | set(p1))
+    edges = {(u, alphabet[rng.integers(len(alphabet))],
+              states[rng.integers(len(states))]): int(rng.integers(1, 4))
+             for u in states for _ in range(rng.integers(1, 7))}
+    order = rng.permutation(len(edges))
+    listed = list(edges.items())
+    return validate_graph(states, [listed[i][0] + (listed[i][1],)
+                                   for i in order], p0, p1)
+
+
+def test_canonical_edges_match_frozen_sort():
+    # the canonical listing, state by state off the one label index,
+    # equals the frozen sort; the index and the determinism test agree
+    # with the per-state edge lists it replaced
+    rng = np.random.default_rng(30)
+    met = set()
+    for i in range(400):
+        g = _random_shuffled_graph(rng, strict=bool(i % 2))
+        listing = [e for s in g.states for e in g.canonical_edges(s)]
+        assert listing == _frozen_canonical(g)
+        for s in g.states:
+            want = {}
+            for e in helpers.out_edges(g, s):
+                want.setdefault(e.label, []).append(e)
+            assert g.by_label[s] == want
+            assert list(g.by_label[s]) == list(want)
+            if any(len(es) > 1 for es in want.values()):
+                met.add("several per label")
+        scan = all(e.mult == 1 for e in g.edges) and all(
+            len({e.label for e in helpers.out_edges(g, s)})
+            == len(helpers.out_edges(g, s)) for s in g.states)
+        assert g.deterministic == scan
+        met.add("deterministic" if g.deterministic else "not")
+        if any(e.mult > 1 for e in g.edges):
+            met.add("multiplicity")
+        if g.parity.class0 & g.parity.class1:
+            met.add("overlap")
+        if listing != list(g.edges):
+            met.add("reordered")
+    assert met == {"several per label", "deterministic", "not",
+                   "multiplicity", "overlap", "reordered"}
+    # a < a- < b: a power lists its words by symbol rank, and a.a-.a
+    # before a.a.a only as strings
+    g = validate_graph("uvw", [("u", "a", "v"), ("u", "a", "w"),
+                               ("v", "a", "u"), ("v", "b", "u"),
+                               ("w", "a-", "u"), ("w", "a", "w")],
+                       ["a", "b"], ["a-"])
+    for t in range(1, 5):
+        h = power(g, t)
+        listing = [e for s in h.states for e in h.canonical_edges(s)]
+        assert listing == _frozen_canonical(h)
+        assert (listing != list(h.edges)) == (t > 1)
 
 
 def test_power_budget(monkeypatch):
@@ -535,7 +607,7 @@ def _endpoint_pairs(g, k):
     paths = [((), s) for s in g.states]
     for _ in range(k):
         paths = [(word + (e.label,), e.dst)
-                 for word, v in paths for e in g.out_edges(v)]
+                 for word, v in paths for e in helpers.out_edges(g, v)]
     ends = {}
     for word, v in paths:
         ends.setdefault(word, set()).add(v)
@@ -574,7 +646,7 @@ def _words_up_to(g, length):
     for _ in range(length):
         nxt = set()
         for s, w in frontier:
-            for e in g.out_edges(s):
+            for e in helpers.out_edges(g, s):
                 w2 = w + (e.label,)
                 out.add(w2)
                 nxt.add((e.dst, w2))
@@ -619,7 +691,7 @@ def _walk_words(g, u, length):
     out = frontier = {((), u)}
     for _ in range(length):
         frontier = {(w + (e.label,), e.dst)
-                    for w, s in frontier for e in g.out_edges(s)}
+                    for w, s in frontier for e in helpers.out_edges(g, s)}
         out = out | frontier
     return {w for w, _ in out}
 

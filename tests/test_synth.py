@@ -1,4 +1,6 @@
+import functools
 import itertools
+import sys
 import time
 import warnings
 
@@ -119,7 +121,7 @@ def test_split_one_round_unit_weights():
     s = split_one_round(g0, (1, 1), 1)
     assert set(s.states) == {"alpha@0", "beta@0"}
     for u in s.states:
-        assert len(s.out_edges(u)) == 1
+        assert len(helpers.out_edges(s, u)) == 1
 
 
 def test_split_one_round_copies_and_degrees():
@@ -131,7 +133,7 @@ def test_split_one_round_copies_and_degrees():
     s = split_one_round(g1, x, 3)
     assert sorted(s.states) == ["alpha@0", "alpha@1", "beta@0"]
     for u in s.states:
-        assert len(s.out_edges(u)) == 3
+        assert len(helpers.out_edges(s, u)) == 3
     # every edge targets an existing copy of the right parent
     for e in s.edges:
         parent, idx = split_state(e.dst)
@@ -184,6 +186,55 @@ def test_cover_bins_equal_weight_families_refuse_fast():
         with pytest.raises(SplitInfeasible, match="out-edges of 'w'"):
             split_one_round(g, (1, 3), 2 * m)
     assert time.perf_counter() - start < 1
+
+
+def test_cover_bins_distinct_weights_stop_at_the_budget(monkeypatch):
+    # [4i + 2 for i = 1..n] into two bins of half the total, n odd: the
+    # weights are even and half the total is odd, so no division exists;
+    # with distinct weights the exact search grows by about 3.6 for
+    # every two more (n = 25 took about 2 s unbudgeted, n = 33 minutes),
+    # and it now stops after POWER_BUDGET nodes, naming the budget
+    n = 33
+    weights = [4 * i + 2 for i in range(1, n + 1)]
+    half = sum(weights) // 2
+    start = time.perf_counter()
+    with pytest.raises(SplitInfeasible) as exc:
+        synth._cover_bins(weights, 2, half)
+    assert str(exc.value) == ("the search passed its budget of %d nodes"
+                              % POWER_BUDGET)
+    # the same search inside a split: u -> v_i by one label each at
+    # x(v_i) = 4i + 2, x(u) = 2, degree half; each v_i -> h by x(v_i)
+    # labels and h -> h by half loops, at x(h) = half, so the vector
+    # holds everywhere and u's division alone runs out
+    labels = ["a%d" % k for k in range(half)]
+    heads = ["v%d" % i for i in range(1, n + 1)]
+    g = validate_graph(
+        ["u", *heads, "h"],
+        [("u", labels[0], v) for v in heads]
+        + [(v, a, "h") for v, w in zip(heads, weights) for a in labels[:w]]
+        + [("h", a, "h") for a in labels], labels, ["z"])
+    with pytest.raises(SplitInfeasible) as exc:
+        split_one_round(g, (2, *weights, half), half)
+    assert str(exc.value) == (
+        "dividing the out-edges of 'u' into 2 groups of weight >= %d: the "
+        "search passed its budget of %d nodes" % (half, POWER_BUDGET))
+    assert time.perf_counter() - start < 10
+    # the budget counts search nodes: at 1000 the search stops as it
+    # enters its 1001st, on a member the full search refuses in 3364
+    monkeypatch.setattr(synth, "POWER_BUDGET", 1000)
+    nodes = []
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "rec":
+            nodes.append(frame)
+
+    sys.setprofile(count)
+    try:
+        with pytest.raises(SplitInfeasible, match="budget of 1000 nodes"):
+            synth._cover_bins(weights[:15], 2, sum(weights[:15]) // 2)
+    finally:
+        sys.setprofile(None)
+    assert len(nodes) == 1001
 
 
 def test_split_one_round_rejects_bad_vector():
@@ -247,7 +298,7 @@ def test_merged_rll_pipeline_structure():
 def _alpha_class1(g, w):
     """alpha's class-1 candidates of power(two_state(), 3) under w: its
     class-1 words in sorted order, one (word, copy) per target copy."""
-    succ = {e.label: e.dst for e in g.out_edges("alpha")}
+    succ = {e.label: e.dst for e in helpers.out_edges(g, "alpha")}
     return [(a, j) for a in sorted(succ) if a in g.parity.class1
             for j in range(w[succ[a]])]
 
@@ -264,7 +315,7 @@ def test_stether_candidates_label_sorted():
     g = power(helpers.two_state(), 3)
     e = stether(g, (2, 1), 3, 3)
     w = {"alpha": 2, "beta": 1}
-    succ = {ed.label: ed.dst for ed in g.out_edges("alpha")}
+    succ = {ed.label: ed.dst for ed in helpers.out_edges(g, "alpha")}
     read = [el for grp in _blocks_read(e, "alpha", 1, 2) for el in grp]
     assert read == sorted(read)
     for a, j in read:
@@ -290,7 +341,8 @@ def test_stether_structure():
     e = stether(g, (2, 1), 3, 3)
     assert sorted(e.graph.states) == ["alpha@0", "alpha@1", "beta@0"]
     assert e.out_degrees_ok()
-    succ = {u: {ed.label: ed.dst for ed in g.out_edges(u)} for u in g.states}
+    succ = {u: {ed.label: ed.dst for ed in helpers.out_edges(g, u)}
+            for u in g.states}
     for ed in e.graph.edges:
         parent, _ = split_state(ed.src)
         tgt_parent, idx = split_state(ed.dst)
@@ -601,23 +653,25 @@ def test_assign_block_tags_matches_reference(method, name, t, p):
 
 
 def test_determinism_scanned_once_per_graph(monkeypatch):
-    g = power(helpers.two_state(), 2)
-    reads = []
-    out_edges = LabeledGraph.out_edges
+    # deterministic and every stether call read the one label index,
+    # which each graph builds once
+    g, h = (power(helpers.two_state(), 2) for _ in range(2))
+    builds = []
+    build = LabeledGraph.by_label.func
 
-    def counted(self, s):
-        reads.append(s)
-        return out_edges(self, s)
+    def counted(self):
+        builds.append(self)
+        return build(self)
 
-    monkeypatch.setattr(LabeledGraph, "out_edges", counted)
-    counts = []
+    index = functools.cached_property(counted)
+    index.__set_name__(LabeledGraph, "by_label")
+    monkeypatch.setattr(LabeledGraph, "by_label", index)
+    assert g.deterministic
     for _ in range(2):
-        reads.clear()
         stether(g, (1, 1), 1, 1)
-        counts.append(len(reads))
-    # the determinism scan reads each state once for the graph, and the
-    # candidate lists read each state once per call
-    assert counts == [2 * len(g.states), len(g.states)]
+    for _ in range(2):
+        stether(h, (1, 1), 1, 1)
+    assert list(map(id, builds)) == [id(g), id(h)]
 
 
 def _either(build, *args):
