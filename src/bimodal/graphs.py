@@ -771,31 +771,19 @@ def _pair_arrays(g1, g2):
 class PairGraph:
     """Synchronized product of a graph with itself, over ordered pairs.
 
-    ``nodes`` lists the pairs (p, q) in id order, id p·n + q for state
-    indices p and q, and pair dst[k] follows src[k] by one pair of
-    equally labeled edges (_pair_arrays).  ``steps`` lists those edge
-    pairs where edges or labels matter, and ``parted`` the ones leaving
-    each diagonal pair.  ``ext`` gives, per pair id, the longest
-    synchronized walk length leaving it (see _walk_lengths), and
-    ``reach_sets`` the pairs reachable by walks of each length.
+    ``nodes`` ranges over the pair ids p·n + q of state indices p and q,
+    named back by divmod(id, n); pair dst[k] follows src[k] by a pair of
+    equally labeled edges (_pair_arrays), which ``steps`` lists.  ``ext``
+    gives per pair id its longest synchronized walk (_walk_lengths),
+    ``parting`` how long two walks from it stay together once they part,
+    and ``reach_sets`` the pairs reachable by walks of each length.
     """
 
     def __init__(self, g):
         self.g = g
-        self.nodes = [(p, q) for p in g.states for q in g.states]
+        self.nodes = range(len(g.states) ** 2)
         self.src, self.dst = _pair_arrays(g, g)
         self._ext = None
-
-    def index(self, node):
-        """The id of the pair ``node``."""
-        p, q = node
-        index = self.g.state_index
-        return index(p) * len(self.g.states) + index(q)
-
-    @functools.cached_property
-    def out(self):
-        """The successors of pair v are dst[out[v]:out[v + 1]]."""
-        return _grouped(self.src, len(self.nodes))[1]
 
     @functools.cached_property
     def diagonal(self):
@@ -810,24 +798,33 @@ class PairGraph:
         return [(a, e1, e2) for a, es1 in idx[p].items()
                 for e1 in es1 for e2 in idx[q].get(a, ())]
 
-    @functools.cached_property
-    def parted(self):
-        """(states, kids): the pair ids kids[k] reached from (s, s), s =
-        states[k], by a distinct edge pair, where two paths part; an
-        edge of multiplicity other than 1 counts as its own partner.
-        Listed once for all the pair checks, from the label groups of
-        each state."""
+    def parting(self, key=None):
+        """(kids, delays): two walks part at an equally labeled edge pair
+        whose keys differ, ``key`` holding an int per edge; the edges of
+        each label are matched across the states.  kids are the pair ids
+        parting edge pairs reach, and delays[v] is 1 + the longest walk
+        (ext) after one leaving pair v, 0 when none does.  No key is the
+        edge rule: the key is the edge id, and an edge of multiplicity
+        other than 1 parts from itself.  Every edge pair leaving (p, q),
+        p != q, then parts, so those pairs take ext, and only the label
+        groups of each state are listed."""
         src, dst, label, multi, labels = self.g.edge_ids
         n = len(self.g.states)
-        group = src * len(labels) + label
-        states, kids = [], []
-        for rows, cnt, (y, other) in _matches(group, group, n * len(labels),
-                                              dst, multi):
-            x = dst[rows].repeat(cnt)
-            keep = (x != y) | multi[rows].repeat(cnt) | other
-            states.append(src[rows].repeat(cnt)[keep])
-            kids.append(x[keep] * n + y[keep])
-        return np.concatenate(states), np.concatenate(kids)
+        ext = self.ext()
+        if key is None:
+            key, group = np.arange(len(src)), src * len(labels) + label
+            delays = np.where(self.diagonal, 0, ext)
+        else:
+            group, multi = label, np.zeros_like(multi)
+            delays = np.zeros_like(ext)
+        kids = []
+        for rows, cnt, (p, y, k) in _matches(group, group, n * len(labels),
+                                             src, dst, key):
+            keep = (key[rows].repeat(cnt) != k) | multi[rows].repeat(cnt)
+            kids.append(dst[rows].repeat(cnt)[keep] * n + y[keep])
+            np.maximum.at(delays, (src[rows].repeat(cnt) * n + p)[keep],
+                          ext[kids[-1]] + 1)
+        return np.concatenate(kids), delays
 
     def ext(self):
         if self._ext is None:
@@ -860,7 +857,8 @@ def memory(g):
     for k, pairs in enumerate(sets):
         if not (pairs & ~pg.diagonal).any():
             return Finite(k)
-    bad = sorted(pg.nodes[i] for i in np.flatnonzero(sets[-1] & ~pg.diagonal))
+    bad = sorted((g.states[p], g.states[q]) for p, q in zip(*np.divmod(
+        np.flatnonzero(sets[-1] & ~pg.diagonal), len(g.states))))
     return Infinite(tuple(bad[:4]))
 
 

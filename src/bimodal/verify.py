@@ -1,11 +1,11 @@
 """Structural verification of encoders and tagged stream coding.
 
 The checks are built on synchronized pair walks: two walks reading the
-same word at once.  Losslessness asks whether diverged walks can
-reconverge, anticipation how long two walks with distinct first edges
-can stay word-synchronized, definiteness the same question after an
-arbitrary synchronized prefix, and decodability substitutes tag
-equality for edge equality.
+same word at once.  Losslessness asks whether walks that part can
+reconverge; anticipation, definiteness and decodability read how long
+two walks stay word-synchronized after they part off one delay per pair
+(PairGraph.parting), where walks part when their edges differ, or, for
+decodability, their tag sets.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .graphs import (
     PairGraph,
     TaggedEncoder,
     _frontiers,
+    _grouped,
     _split_words,
     _step,
     adjacency_pair,
@@ -33,7 +34,7 @@ from .graphs import (
     follower_le,
     irreducible_components,
 )
-from .spectra import ApproxEigenvector, _reach
+from .spectra import ApproxEigenvector, _nonnegative_ints, _reach
 
 
 class PreconditionFailed(BimodalError):
@@ -98,29 +99,22 @@ def _number(x):
     return math.inf if x == math.inf else int(x)
 
 
-def _parting(walks):
-    """Delay of the edges parting into pairs whose longest synchronized
-    walks are ``walks``: 1 + the longest, math.inf when a cycle is
-    reachable, 0 when no edge parts."""
-    return 1 + _number(walks.max()) if walks.size else 0
+def _parted(pg):
+    """pg's parting by the edge rule, kept on it: every pair check of
+    one pair graph reads it."""
+    return _kept(pg, "_parted", pg.parting)
 
 
-def _delays(pg):
-    """Largest delay d_m over each R(m) of the reach chain: (p, q) with
-    p != q delays the edge by ext[(p, q)], as every edge pair leaving it
-    is distinct, and (s, s) by its parting (pg.parted)."""
-    states, kids = pg.parted
-    walks = pg.ext()[kids]
-    diagonal = states * (len(pg.g.states) + 1)
-    apart = pg.ext().copy()
-    apart[pg.diagonal] = 0
-    return [max(_number(apart[r].max(initial=0)), _parting(walks[r[diagonal]]))
-            for r in pg.reach_sets()]
+def _delays(pg, key=None):
+    """Largest delay d_m over each R(m) of the reach chain, two walks
+    parting by the edge rule or by ``key`` (see PairGraph.parting)."""
+    delays = (_parted(pg) if key is None else pg.parting(key))[1]
+    return [_number(delays[r].max(initial=0)) for r in pg.reach_sets()]
 
 
 def _check_window(m, a):
-    if m < 0 or a < 0:
-        raise ValueError("window (%d, %d) has a negative side" % (m, a))
+    if not _nonnegative_ints((m, a)):
+        raise ValueError("window (%r, %r) needs nonnegative integers" % (m, a))
 
 
 def losslessness(e):
@@ -131,18 +125,21 @@ def losslessness(e):
     word-synchronized, back onto the diagonal.
     """
     pg = _pair_graph_of(e)
+    out = _grouped(pg.src, len(pg.nodes))[1]
     return not any(pg.diagonal[front].any()
-                   for front in _frontiers(pg.out, pg.dst, pg.parted[1]))
+                   for front in _frontiers(out, pg.dst, _parted(pg)[0]))
 
 
 def _infinite_certificate(pg):
-    """Word-synchronized walk into a cycle from the first parted pair in
-    by_label order (pg.parted's rule, read off ``steps``) whose walks are
-    unbounded."""
+    """Word-synchronized walk into a cycle from the first pair in
+    by_label order reached by a parting edge pair (the edge rule of
+    PairGraph.parting, read off ``steps``) whose walks are unbounded."""
     ext = pg.ext()
+    index = pg.g.state_index
+    n = len(pg.g.states)
 
     def unbounded(node):
-        return ext[pg.index(node)] == math.inf
+        return ext[index(node[0]) * n + index(node[1])] == math.inf
 
     node = next((e1.dst, e2.dst) for s in pg.g.states
                 for (_, e1, e2) in pg.steps((s, s))
@@ -165,11 +162,11 @@ def anticipation(e):
 
     Finite(a): every two paths with distinct first edges from a common
     state disagree within a symbols after the first; a is the largest
-    parting over the states.  Infinite carries a certificate walk into a
-    synchronized cycle, from the first parted pair attaining it.
+    delay over the diagonal pairs.  Infinite carries a certificate walk
+    into a synchronized cycle, from the first parted pair attaining it.
     """
     pg = _pair_graph_of(e)
-    a = _parting(pg.ext()[pg.parted[1]])
+    a = _number(_parted(pg)[1][pg.diagonal].max(initial=0))
     if a == math.inf:
         return Infinite(_infinite_certificate(pg))
     return Finite(a)
@@ -200,19 +197,21 @@ def definiteness(e):
 
 
 def sliding_block_decodable(e, m, a):
-    """Equal words of length m+a+1 force equal tags at position m+1, read
-    off one pair graph per encoder, kept on it (_kept)."""
+    """Equal words of length m+a+1 force equal tags at position m+1: the
+    delay d_m is at most a when two walks part as their tag sets differ,
+    an untagged edge holding the empty set.  The delays are read off one
+    pair graph per encoder and kept on it (_kept)."""
     if not isinstance(e, TaggedEncoder):
         raise TypeError("tag comparison needs a TaggedEncoder")
     _check_window(m, a)
-    pg = _kept(e, "_pair_graph", lambda: PairGraph(e.graph))
-    ext = pg.ext()
-    reach = pg.reach_sets()
-    return not any(
-        ext[pg.index((e1.dst, e2.dst))] >= a
-        and set(e.tags.get(e1, ())) != set(e.tags.get(e2, ()))
-        for i in np.flatnonzero(reach[min(m, len(reach) - 1)])
-        for (_, e1, e2) in pg.steps(pg.nodes[i]))
+
+    def build():
+        ids = {}
+        key = [ids.setdefault(frozenset(e.tags.get(ed, ())), len(ids))
+               for ed in e.graph.edges]
+        return _delays(PairGraph(e.graph), np.array(key, dtype=np.int64))
+    d = _kept(e, "_tag_delays", build)
+    return d[min(m, len(d) - 1)] <= a
 
 
 def _walk(u, keys, memo, move):
@@ -374,9 +373,9 @@ def _tag_block(tag, p):
 
 
 def _kept(e, name, build):
-    """build(), computed on the first call that needs it and kept
-    on the encoder as ``name``: an encoder's graph and tags never change
-    once it is built, and constructing one builds nothing."""
+    """build(), computed on the first call that needs it and kept on
+    ``e`` (an encoder or a pair graph) as ``name``: neither changes once
+    it is built, and constructing an encoder builds nothing."""
     try:
         return e.__dict__[name]
     except KeyError:

@@ -217,6 +217,26 @@ def random_graph(rng, max_states=4, strict=True, max_out=3):
     return validate_graph(states, sorted(edges), p0, p1)
 
 
+def random_shuffled_graph(rng, strict):
+    """A graph whose state names sort unlike their indices (s10 < s2),
+    with edges in random order, random multiplicities and labels that
+    repeat at a state."""
+    names = ["s%d" % k for k in rng.permutation(12)]
+    states = names[:rng.integers(1, 6)]
+    syms = list("abcdef")
+    k0 = int(rng.integers(1, 4))
+    p0 = syms[:k0]
+    p1 = syms[k0:k0 + 2] if strict else syms[k0 - 1:k0 + 2]
+    alphabet = sorted(set(p0) | set(p1))
+    edges = {(u, alphabet[rng.integers(len(alphabet))],
+              states[rng.integers(len(states))]): int(rng.integers(1, 4))
+             for u in states for _ in range(rng.integers(1, 7))}
+    order = rng.permutation(len(edges))
+    listed = list(edges.items())
+    return validate_graph(states, [listed[i][0] + (listed[i][1],)
+                                   for i in order], p0, p1)
+
+
 def reference_period(g):
     """graphs.period as it stood before it read _frontiers: levels from
     a depth-first walk over a dict from the first state, then the gcd

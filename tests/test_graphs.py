@@ -238,26 +238,6 @@ def _frozen_canonical(g):
                                           index[e.dst]))
 
 
-def _random_shuffled_graph(rng, strict):
-    """A graph whose state names sort unlike their indices (s10 < s2),
-    with edges in random order, random multiplicities and labels that
-    repeat at a state."""
-    names = ["s%d" % k for k in rng.permutation(12)]
-    states = names[:rng.integers(1, 6)]
-    syms = list("abcdef")
-    k0 = int(rng.integers(1, 4))
-    p0 = syms[:k0]
-    p1 = syms[k0:k0 + 2] if strict else syms[k0 - 1:k0 + 2]
-    alphabet = sorted(set(p0) | set(p1))
-    edges = {(u, alphabet[rng.integers(len(alphabet))],
-              states[rng.integers(len(states))]): int(rng.integers(1, 4))
-             for u in states for _ in range(rng.integers(1, 7))}
-    order = rng.permutation(len(edges))
-    listed = list(edges.items())
-    return validate_graph(states, [listed[i][0] + (listed[i][1],)
-                                   for i in order], p0, p1)
-
-
 def test_canonical_edges_match_frozen_sort():
     # the canonical listing, state by state off the one label index,
     # equals the frozen sort; the index and the determinism test agree
@@ -265,7 +245,7 @@ def test_canonical_edges_match_frozen_sort():
     rng = np.random.default_rng(30)
     met = set()
     for i in range(400):
-        g = _random_shuffled_graph(rng, strict=bool(i % 2))
+        g = helpers.random_shuffled_graph(rng, strict=bool(i % 2))
         listing = [e for s in g.states for e in g.canonical_edges(s)]
         assert listing == _frozen_canonical(g)
         for s in g.states:

@@ -408,10 +408,12 @@ def test_word_split_matches_branched_reference(monkeypatch):
 
 
 def _pair_checks(e):
-    """Every answer read off the pair graph, certificates by repr."""
+    """Every answer read off the pair graph, certificates by repr; the
+    edge checks share one prebuilt pair graph."""
     windows = [(m, a) for m in range(3) for a in range(3)]
-    return (losslessness(e), repr(anticipation(e)), definiteness(e),
-            [is_definite(e, m, a) for m, a in windows],
+    pg = PairGraph(e.graph)
+    return (losslessness(pg), repr(anticipation(pg)), definiteness(pg),
+            [is_definite(pg, m, a) for m, a in windows],
             repr(memory(e.graph)),
             [sliding_block_decodable(e, m, a) for m, a in windows])
 
@@ -476,11 +478,7 @@ def test_pair_layer_matches_mask_reference(monkeypatch):
         e = TaggedEncoder(g, {
             ed: ((int(rng.integers(2)), int(rng.integers(2))),)
             for ed in g.edges}, 1, 1)
-        pg = PairGraph(g)
-        got = (losslessness(pg), repr(anticipation(pg)), definiteness(pg),
-               [is_definite(pg, m, a) for m, a in windows],
-               repr(memory(g)),
-               [sliding_block_decodable(e, m, a) for m, a in windows])
+        got = _pair_checks(e)
         assert got == helpers.mask_pair_checks(e, windows), g.edges
         h = helpers.random_det_graph(rng, max_states=6, strict=strict)
         for a, b in ((g, h), (h, h)):
@@ -508,11 +506,37 @@ def test_pair_layer_matches_mask_reference(monkeypatch):
     # (merged unweighted, merged weighted)
     assert {k[4:] for k in kinds} == {(False, False), (True, True),
                                       (False, True), (True, False)}
+    # the same comparison where edge order and tag ids can slip: state
+    # names that sort unlike their indices, shuffled edges,
+    # multiplicities 1-3 on half the draws, overlapping covers, and tag
+    # sets that are absent or hold one or two tags
+    kinds = set()
+    for i in range(300):
+        g = helpers.random_shuffled_graph(rng, strict=bool(i % 2))
+        if i % 4 < 2:
+            g = validate_graph(g.states, [ed[:3] for ed in g.edges],
+                               g.parity.class0, g.parity.class1)
+        e = TaggedEncoder(g, {
+            ed: tuple((int(rng.integers(2)), int(rng.integers(2)))
+                      for _ in range(rng.integers(1, 3)))
+            for ed in g.edges if rng.integers(4)}, 1, 1)
+        got = _pair_checks(e)
+        assert got == helpers.mask_pair_checks(e, windows), (g.edges, e.tags)
+        kinds.add((got[0], got[1].startswith("Infinite"), any(got[5]),
+                   all(got[5])))
+    # (lossless, infinite anticipation, some window decodes the tags,
+    # every window does)
+    assert kinds == {
+        (True, False, True, True), (True, False, True, False),
+        (True, False, False, False), (True, True, False, False),
+        (False, True, True, True), (False, True, True, False),
+        (False, True, False, False)}
 
 
 def test_pair_graph_of_a_long_ring_stays_small():
     # a 300-state ring has 90 000 pairs; a dense matrix over them would
-    # take 8.1 GB, the pair arrays a few MiB
+    # take 8.1 GB, the pair arrays and the checks on them about 5.6 MiB
+    # at peak, with no per-pair Python object
     import tracemalloc
     n = 300
     states = ["r%d" % i for i in range(n)]
@@ -525,9 +549,9 @@ def test_pair_graph_of_a_long_ring_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(pg.nodes) == n * n and len(pg.src) == n * n
+    assert pg.diagonal.size == n * n and len(pg.src) == n * n
     assert answers == (True, Finite(0))
-    assert peak < 50 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_check_encoder_report():
@@ -1456,14 +1480,28 @@ def test_sliding_block_decodable_keeps_one_pair_graph(monkeypatch):
     assert any(got) and not all(got)
 
 
+def test_quad_det_decodes_by_tags_but_not_by_edges():
+    # the two parting rules differ on the quad-det encoder: each label
+    # holds one tag wherever it is read, so the symbol itself gives the
+    # tag, but walks from alpha and from beta read every word together,
+    # so no window pins the edge down
+    e = extract_deterministic(helpers.quad(), (1, 1), 2, 2)
+    assert definiteness(e) is None
+    assert not any(is_definite(e, m, a) for m in range(3) for a in range(3))
+    assert sliding_block_decodable(e, 0, 0)
+
+
 def test_negative_window_is_refused():
+    # a negative or fractional side is refused before any pair graph or
+    # list index reads it
     e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
     word, _, _ = encode_stream(e, ["00", "11", "01", "10"],
                                e.graph.states[0])
-    for m, a in ((-1, 0), (0, -1), (-2, 3)):
-        with pytest.raises(ValueError, match="negative"):
+    for m, a in ((-1, 0), (0, -1), (-2, 3), (0, 0.5), (0.5, 1), (1.5, 0),
+                 (1.0, 1), (-0.5, 0)):
+        with pytest.raises(ValueError, match="needs nonnegative integers"):
             is_definite(e, m, a)
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="needs nonnegative integers"):
             sliding_block_decodable(e, m, a)
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="needs nonnegative integers"):
             decode_sliding(e, word, m, a, p=2)
