@@ -41,16 +41,13 @@ def _maybe_power(g, t):
 
 
 def _int_min(lo):
-    """argparse type: an integer no smaller than ``lo``."""
+    """argparse type: an integer no smaller than ``lo`` (graphs._whole)."""
     def parse(text):
         try:
-            v = int(text)
+            return graphs._whole(int(text), "argument", lo)
         except ValueError:
-            v = None
-        if v is None or v < lo:
             raise argparse.ArgumentTypeError(
                 "expected an integer >= %d, got %r" % (lo, text))
-        return v
     return parse
 
 

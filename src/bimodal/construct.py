@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import validate_graph
+from .graphs import _whole, validate_graph
 
 
 def rll_graph(d, k):
@@ -11,8 +11,7 @@ def rll_graph(d, k):
     States s0..sk count the current run of 0s; symbol '0' extends it,
     '1' (odd class) closes a run of admissible length.
     """
-    if not (0 <= d <= k):
-        raise ValueError("need 0 <= d <= k")
+    _whole(k, "run length k", _whole(d, "run length d"))
     states = ["s%d" % i for i in range(k + 1)]
     edges = []
     for i in range(k + 1):

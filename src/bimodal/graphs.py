@@ -39,6 +39,26 @@ class ValidationError(Exception):
         super().__init__("; ".join(self.violations))
 
 
+def _whole(values, what, lo=0):
+    """The one integer rule: ``values``, a count or array-like of counts,
+    each an int or numpy integer >= lo (None: any), as a Python int or an
+    array of exact ints; anything else, 2.0 too, raises ValueError."""
+    if isinstance(values, (int, np.integer)) and (lo is None or values >= lo):
+        return operator.index(values)
+    # a list is read as objects: numpy reads an int past int64 as a float
+    values = np.asarray(values, dtype=getattr(values, "dtype", object))
+    # an integer array can fail only at its least entry, below lo
+    for v in ((values.min(initial=lo or 0),) if values.dtype.kind in "iu"
+              else values.flat):
+        if not isinstance(v, (int, np.integer)) or lo is not None and v < lo:
+            raise ValueError("%s must be an integer%s, got %s" % (
+                what, "" if lo is None else " >= %d" % lo, v))
+    if values.dtype == object:
+        # numpy integers held as objects become Python ints: no sum wraps
+        values = np.frompyfunc(operator.index, 1, 1)(values)
+    return values
+
+
 class NotIrreducible(BimodalError):
     pass
 
@@ -277,8 +297,10 @@ def _validated(states, edges, parity0, parity1):
             violations.append("edge target %r is not a state" % e.dst)
         if e.label not in alphabet:
             violations.append("edge label %r is not in either class" % e.label)
-        if e.mult < 1:
-            violations.append("edge %s has non-positive multiplicity" % (e,))
+        try:
+            _whole(e.mult, "multiplicity", 1)
+        except ValueError as exc:
+            violations.append("edge %s %s %s: %s" % (*e[:3], exc))
         t = (e.src, e.label, e.dst)
         if t in index:
             violations.append("duplicate edge %s %s %s" % t)
@@ -449,8 +471,7 @@ def power(g, t):
     it is built, the last written straight into edges.  Past
     POWER_BUDGET rows or edges, BimodalError names t.
     """
-    if t < 1:
-        raise ValueError("power exponent must be >= 1")
+    t = _whole(t, "power exponent", 1)
     states = g.states
     class0, class1, edges = set(), set(), []
     new = tuple.__new__
@@ -524,8 +545,7 @@ def adjacency_pair(g, t=1):
     S0 + S1 + S2: each count at a level k <= t, and each partial sum
     forming it, is at most an entry of (S0 + S1 + S2)^k, so at most r^t.
     """
-    if t < 1:
-        raise ValueError("power exponent must be >= 1")
+    t = _whole(t, "power exponent", 1)
     n = len(g.states)
     class0, class1, index = g.parity.class0, g.parity.class1, g._index
     # {(0, 1 or 2 for S0, S1 or S2, src index, dst index): count}
@@ -961,13 +981,13 @@ def merge_states(g, weights=None):
     """Collapse redundant states of a deterministic graph.
 
     Always merges states whose follower sets are equal.  When a weight
-    vector (aligned with g.states) is supplied, zero-weight states are
-    removed first with a warning, equal followers merge only at equal
-    weight, and a state whose follower set strictly contains that of
-    another state of its weight is absorbed as well.  A state goes to
-    the first state, in state order, of those it may merge into that
-    absorb no other state: its outgoing edges are dropped and its
-    incoming edges are retargeted.  Dead-end states are pruned
+    vector (aligned with g.states, integers >= 0 by _whole) is supplied,
+    zero-weight states are removed first with a warning, equal followers
+    merge only at equal weight, and a state whose follower set strictly
+    contains that of another state of its weight is absorbed as well.  A
+    state goes to the first state, in state order, of those it may merge
+    into that absorb no other state: its outgoing edges are dropped and
+    its incoming edges are retargeted.  Dead-end states are pruned
     afterwards.
     """
     if not g.deterministic:
@@ -976,7 +996,7 @@ def merge_states(g, weights=None):
     if weights is not None:
         if len(weights) != len(g.states):
             raise ValueError("weight vector length mismatch")
-        wmap = dict(zip(g.states, (int(w) for w in weights)))
+        wmap = dict(zip(g.states, _whole(weights, "state weight").tolist()))
         keep = _positive_states(g.states, [wmap[s] for s in g.states])
         g = g if len(keep) == len(g.states) else _induced(g, keep)
     g = _essential(g)

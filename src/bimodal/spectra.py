@@ -1,7 +1,8 @@
 """Spectral quantities and joint approximate eigenvectors.
 
-All matrix inputs are square nonnegative integer matrices; the two
-matrices of a pair must share dimensions and a state order.
+Matrices are square, and the two of a pair share dimensions and a state
+order.  Every matrix entry, cap, degree and ceiling passes the one
+integer rule, graphs._whole: an int or numpy integer >= 0, never 2.0.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from operator import le, lt
 
 import numpy as np
 
-from .graphs import (POWER_BUDGET, BimodalError, _ints, _scc, adjacency,
-                     adjacency_pair)
+from .graphs import (POWER_BUDGET, BimodalError, _ints, _scc, _whole,
+                     adjacency, adjacency_pair)
 
 
 # the default entry cap of the vector searches and of the CLI's --cap
@@ -46,13 +47,10 @@ class RatePoint:
 
 
 def _as_int_matrix(a):
-    m = np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _whole(a, "matrix entry")
+    if np.ndim(m) != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    m = _ints(m)
-    if (m < 0).any():
-        raise ValueError("matrix entries must be nonnegative")
-    return m
+    return _ints(m)
 
 
 def _check_pair(a0, a1):
@@ -61,8 +59,7 @@ def _check_pair(a0, a1):
     images, and r_b is the largest row sum of A_b, which bounds any
     feasible n_b (n_b x_u <= (A_b x)_u <= rowsum_u x_u at x's top entry
     u)."""
-    a0 = _as_int_matrix(a0)
-    a1 = _as_int_matrix(a1)
+    a0, a1 = map(_as_int_matrix, (a0, a1))
     if a0.shape != a1.shape:
         raise DimensionMismatch("matrix pair shapes differ")
     r0, r1 = (max(map(sum, a.tolist()), default=0) for a in (a0, a1))
@@ -113,7 +110,6 @@ def _reach(a, x):
     the least (A x)_u // x_u over the support of x, in exact ints, and
     infinity for the zero vector, which satisfies every n.  So x
     satisfies degree n exactly when _reach(a, x) >= n."""
-    x = [int(v) for v in x]
     return min((sum(r * v for r, v in zip(row, x)) // xu
                 for row, xu in zip(np.asarray(a).tolist(), x) if xu),
                default=math.inf)
@@ -155,12 +151,9 @@ def franaszek_joint(a0, a1, n0, n1, xi):
     Raises ValueError for a negative or non-integer degree or ceiling.
     """
     pair = _check_pair(a0, a1)
-    xi = np.asarray(xi, dtype=object)
-    if xi.shape != (pair[1],):
+    if np.shape(xi) != (pair[1],):
         raise DimensionMismatch("ceiling vector length mismatch")
-    if not _nonnegative_ints(xi.tolist()):
-        raise ValueError("ceiling entries must be nonnegative integers")
-    return _sweep(pair, n0, n1, xi)
+    return _sweep(pair, n0, n1, _whole(xi, "ceiling entry"))
 
 
 def _sweep(pair, n0, n1, xi):
@@ -177,8 +170,8 @@ def _sweep(pair, n0, n1, xi):
     lam < 1, and x* = L^m(x*) <= lam^m x -> 0.
     """
     rows, k, r0, r1 = pair
-    if not _nonnegative_ints((n0, n1)):
-        raise ValueError("out-degree targets must be nonnegative integers")
+    _whole(n0, "out-degree n0")
+    _whole(n1, "out-degree n1")
     # A_b x <= rowsum * cap bounds every product the sweep forms, and
     # the cap itself when both matrices are zero
     bound = max(r0, r1, 1) * int(np.max(xi, initial=0))
@@ -214,20 +207,7 @@ def joint_ae_exists(a0, a1, n0, n1, xi_cap=XI_CAP):
     None only means no solution with entries <= xi_cap exists; larger
     solutions may still exist, so absence is not a disproof.
     """
-    _check_cap(xi_cap)
-    return _exists(_check_pair(a0, a1), n0, n1, xi_cap)
-
-
-def _nonnegative_ints(values):
-    return all(isinstance(v, (int, np.integer)) and v >= 0 for v in values)
-
-
-def _check_cap(xi_cap):
-    """Refuse a cap that is negative or not an integer; cap 0 admits
-    only the zero vector."""
-    if not _nonnegative_ints((xi_cap,)):
-        raise ValueError("entry cap must be a nonnegative integer, got %r"
-                         % xi_cap)
+    return _exists(_check_pair(a0, a1), n0, n1, _whole(xi_cap, "entry cap"))
 
 
 def _exists(pair, n0, n1, xi_cap):
@@ -249,7 +229,7 @@ def min_infnorm_ae(a0, a1, n0, n1, xi_cap=XI_CAP):
     finds w moves the search down to max(w) at once; the caps below it
     are bisected, and the answer is the last witness's max.
     """
-    _check_cap(xi_cap)
+    _whole(xi_cap, "entry cap")
     pair = _check_pair(a0, a1)
     # a solution under one cap is one under any larger cap, so index i
     # standing for cap xi_cap - i makes the feasible indices a prefix
@@ -294,7 +274,7 @@ def rate_region(g, t, xi_cap=XI_CAP):
     class-0 row sum) raises BimodalError naming t and the budget before
     the walk.
     """
-    _check_cap(xi_cap)
+    _whole(xi_cap, "entry cap")
     a0, a1, _ = adjacency_pair(g, t)
     pair = rows, k, r0, hi = _check_pair(a0, a1)
     if r0 + 1 > POWER_BUDGET:
@@ -327,7 +307,7 @@ def coding_ratio(g, t, xi_cap=XI_CAP):
     at n holds at every n' up to min(rho0(w), rho1(w)) (see
     rate_region), so each probe that holds moves the search past that.
     """
-    _check_cap(xi_cap)
+    _whole(xi_cap, "entry cap")
     a0, a1, _ = adjacency_pair(g, t)
     pair = rows, k, r0, r1 = _check_pair(a0, a1)
     best = _largest(lambda n: _exists(pair, n, n, xi_cap), 1, min(r0, r1),

@@ -22,6 +22,7 @@ from .graphs import (
     POWER_BUDGET,
     TaggedEncoder,
     _positive_states,
+    _whole,
 )
 
 STATE_SEP = "@"
@@ -51,17 +52,18 @@ def split_state(name):
 
 
 def _check_vector(g, x, bounds, positive=False):
-    """x as Python ints, once it has one entry per state of g, positive
-    entries (``positive``) or nonnegative ones not all zero, and A x >=
-    n x for each (out, n, failure) in ``bounds``; else InfeasibleVector.
-    (A x)_u sums mult * x_dst over the edges out[u] that A counts, in
-    exact ints and with no matrix: on a deterministic graph, u's (edge,
-    target copy) candidates.  A sum past POWER_BUDGET, the state copies
-    an encoder would name, raises TooManyCopies, naming the budget."""
-    xv = np.asarray(x)
-    if xv.shape != (len(g.states),):
+    """x as Python ints, once it has one entry per state of g, integers by
+    _whole as the degrees are, positive entries (``positive``) or
+    nonnegative ones not all zero, and A x >= n x for each (out, n,
+    failure) in ``bounds``; else InfeasibleVector.  (A x)_u sums mult *
+    x_dst over the edges out[u] that A counts, in exact ints and with no
+    matrix: on a deterministic graph, u's (edge, target copy)
+    candidates.  A sum past POWER_BUDGET, the state copies an encoder
+    would name, raises TooManyCopies, naming the budget."""
+    _whole([n for _, n, _ in bounds], "out-degree")
+    if np.shape(x) != (len(g.states),):
         raise InfeasibleVector("vector length does not match state count")
-    xv = [int(v) for v in xv.tolist()]
+    xv = _whole(x, "vector entry", None).tolist()
     if positive and min(xv, default=1) < 1:
         raise InfeasibleVector("splitting needs strictly positive weights")
     if not positive and (min(xv, default=0) < 0 or not any(xv)):
@@ -340,6 +342,7 @@ def stether_punctured(g, x_plus, n0, n1):
     may be infinite; like every route, this one returns what it builds
     and leaves that verdict to verify.
     """
+    _whole([n0, n1], "out-degree")
     wide = stether(g, x_plus, n0 + 1, n1 + 1)
     top = ((0, n0), (1, n1))
     tags = {}

@@ -29,12 +29,13 @@ from .graphs import (
     _grouped,
     _split_words,
     _step,
+    _whole,
     adjacency_pair,
     determinize,
     follower_le,
     irreducible_components,
 )
-from .spectra import ApproxEigenvector, _nonnegative_ints, _reach
+from .spectra import ApproxEigenvector, _reach
 
 
 class PreconditionFailed(BimodalError):
@@ -89,9 +90,12 @@ def _graph_of(e):
     return e.graph if isinstance(e, TaggedEncoder) else e
 
 
-def _pair_graph_of(e):
-    """The pair checks take an encoder, a graph or a prebuilt PairGraph."""
-    return e if isinstance(e, PairGraph) else PairGraph(_graph_of(e))
+def _on_pairs(e, name, check):
+    """check(pg) on e's pair graph: e itself if it is one, else one built
+    once for e and not kept, the answer then kept on e (_kept)."""
+    if isinstance(e, PairGraph):
+        return check(e)
+    return _kept(e, name, lambda: check(PairGraph(_graph_of(e))))
 
 
 def _number(x):
@@ -112,11 +116,6 @@ def _delays(pg, key=None):
     return [_number(delays[r].max(initial=0)) for r in pg.reach_sets()]
 
 
-def _check_window(m, a):
-    if not _nonnegative_ints((m, a)):
-        raise ValueError("window (%r, %r) needs nonnegative integers" % (m, a))
-
-
 def losslessness(e):
     """No two distinct equally labeled paths share both endpoints.
 
@@ -124,7 +123,10 @@ def losslessness(e):
     pair (s, s); the graph is lossy iff a pair reached that way walks,
     word-synchronized, back onto the diagonal.
     """
-    pg = _pair_graph_of(e)
+    return _on_pairs(e, "_lossless", _lossless)
+
+
+def _lossless(pg):
     out = _grouped(pg.src, len(pg.nodes))[1]
     return not any(pg.diagonal[front].any()
                    for front in _frontiers(out, pg.dst, _parted(pg)[0]))
@@ -165,19 +167,20 @@ def anticipation(e):
     delay over the diagonal pairs.  Infinite carries a certificate walk
     into a synchronized cycle, from the first parted pair attaining it.
     """
-    pg = _pair_graph_of(e)
+    return _on_pairs(e, "_anticipation", _anticipation)
+
+
+def _anticipation(pg):
     a = _number(_parted(pg)[1][pg.diagonal].max(initial=0))
-    if a == math.inf:
-        return Infinite(_infinite_certificate(pg))
-    return Finite(a)
+    return Finite(a) if a < math.inf else Infinite(_infinite_certificate(pg))
 
 
 def is_definite(e, m, a):
     """Equal words of length m+a+1 force an equal edge at position m+1:
     the delay d_m over the pairs R(m) reached by m symbols is at most a
     (every m past the end L of the reach chain sees R(L))."""
-    _check_window(m, a)
-    d = _delays(_pair_graph_of(e))
+    _whole([m, a], "window side")
+    d = _on_pairs(e, "_edge_delays", _delays)
     return d[min(m, len(d) - 1)] <= a
 
 
@@ -189,11 +192,9 @@ def definiteness(e):
     reach chain sees R(L), so the least total is the least m + d_m over
     m <= L, and no window exists when it is infinite.
     """
-    delays = _delays(_pair_graph_of(e))
+    delays = _on_pairs(e, "_edge_delays", _delays)
     total, m = min((m + d, m) for m, d in enumerate(delays))
-    if total == math.inf:
-        return None
-    return (m, total - m)
+    return None if total == math.inf else (m, total - m)
 
 
 def sliding_block_decodable(e, m, a):
@@ -203,7 +204,7 @@ def sliding_block_decodable(e, m, a):
     pair graph per encoder and kept on it (_kept)."""
     if not isinstance(e, TaggedEncoder):
         raise TypeError("tag comparison needs a TaggedEncoder")
-    _check_window(m, a)
+    _whole([m, a], "window side")
 
     def build():
         ids = {}
@@ -245,8 +246,7 @@ def presents_subset(e, g, t=1):
     than whole words), each half memoized per state set and stepped
     through a memo per symbol.
     """
-    if t < 1:
-        raise ValueError("power exponent must be >= 1")
+    _whole(t, "power exponent", 1)
     eg = _graph_of(e)
     cut = (t + 1) // 2
     # label -> its nonempty halves, each a tuple of symbols that all
@@ -290,6 +290,7 @@ def presents_subset(e, g, t=1):
 def check_encoder(e, g, n0, n1, t=1):
     """Aggregate structural report for a tagged encoder against
     power(g, t), which is never built (see presents_subset)."""
+    _whole([n0, n1], "out-degree")
     bad = [(s, b, n) for s in e.graph.states for b, n in ((0, n0), (1, n1))
            if not e.slots_ok(s, b, n)]
     violations = ["state %r class-%d degree != %d" % v for v in bad]
@@ -356,7 +357,8 @@ def _check_start(g, start):
 def _check_block_width(e, p):
     """p-bit blocks need out-degrees n0 = n1 = 2^(p-1), a power of two
     of bit length p, so no power of two is built past the degrees."""
-    n = int(e.n0)
+    _whole(p, "block width", 1)
+    n = _whole(e.n0, "out-degree n0")
     if n != e.n1 or n & (n - 1) or n.bit_length() != p:
         need = 2 ** (p - 1) if p <= 64 else "2^%d" % (p - 1)
         raise ArityMismatch(
@@ -473,7 +475,7 @@ def encode_stream(e, tags, start, policy="as-tagged", p=None):
         if p is not None:
             _check_block_width(e, p)
     elif p is not None:
-        raise ArityMismatch("block width %d given with raw (class, slot) "
+        raise ArityMismatch("block width %s given with raw (class, slot) "
                             "tags" % p)
     elif policy != "as-tagged":
         raise ValueError("raw (class, slot) tags require as-tagged policy")
@@ -530,7 +532,7 @@ def decode_stream(e, word, start, p=None):
     word = list(word)
     g = e.graph
     _check_start(g, start)
-    ant = _kept(e, "_anticipation", lambda: anticipation(e))
+    ant = anticipation(e)
     if isinstance(ant, Infinite):
         raise PreconditionFailed("decoding needs finite anticipation")
     a = ant.value
@@ -574,7 +576,7 @@ def decode_sliding(e, word, m, a, p=None):
     encoder to be sliding-block decodable at (m, a); a corrupted symbol
     then disturbs at most m + a + 1 outputs.
     """
-    _check_window(m, a)
+    _whole([m, a], "window side")
     word = list(word)
     g = e.graph
     moves = _moves(e, p)

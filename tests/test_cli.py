@@ -813,10 +813,7 @@ def test_cli_never_raises(case):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
 def test_serialize_parse_identity(seed, strict):
     rng = np.random.default_rng(seed)
-    g = helpers.random_graph(rng, max_states=4, strict=strict)
-    g = validate_graph(g.states, [ed[:3] + (int(rng.integers(1, 4)),)
-                                  for ed in g.edges],
-                       g.parity.class0, g.parity.class1)
+    g = _random_graph(rng, strict)
     text = serialize_graph(g)
     assert serialize_graph(parse_graph_file(text)) == text
     # each edge takes a random set of classes, slots counted per state
@@ -831,12 +828,21 @@ def test_serialize_parse_identity(seed, strict):
     assert serialize_encoder(parse_encoder_file(text)) == text
 
 
-def _random_encoder(rng, strict):
-    """A random tagged encoder on a random graph with multiplicities up
-    to 3: each edge takes a random set of classes, slots counted per
-    state, and now and then a second slot of one class."""
-    g = helpers.with_multiplicities(
+def _random_graph(rng, strict):
+    """A random graph with multiplicities up to 3: half the time one
+    whose state names sort unlike their indices and whose edges come in
+    random order, so that a writer or reader leaning on either is seen."""
+    if rng.random() < 0.5:
+        return helpers.random_shuffled_graph(rng, strict)
+    return helpers.with_multiplicities(
         rng, helpers.random_graph(rng, max_states=4, strict=strict))
+
+
+def _random_encoder(rng, strict):
+    """A random tagged encoder on _random_graph: each edge takes a random
+    set of classes, slots counted per state, and now and then a second
+    slot of one class."""
+    g = _random_graph(rng, strict)
     tags, slots = {}, {}
     for ed in g.edges:
         for c in (0, 1):
@@ -871,7 +877,7 @@ MESSAGES = ["missing ':' directive", "unknown directive",
             "bad multiplicity", "bad tag class/slot", "duplicate tag",
             "tag refers to missing edge", "file contains tag lines",
             "duplicate edge", "is not a state", "is not in either class",
-            "non-positive multiplicity"]
+            "multiplicity must be an integer >= 1"]
 
 
 def _mutate(text, ops, sep, end):

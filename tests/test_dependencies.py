@@ -92,6 +92,31 @@ def _names(path):
             yield node.arg
 
 
+def test_the_integer_rule_has_one_home():
+    # one rule, graphs._whole, tells a count from anything else: it is
+    # defined in graphs alone, no other module tests for numpy's integer
+    # type, every layer that takes a count reads it, and the guards it
+    # replaced are gone from the package
+    paths = glob.glob(os.path.join(os.path.dirname(bimodal.__file__),
+                                   "*.py"))
+    names = {os.path.basename(p): set(_names(p)) for p in paths}
+    gone = {"_check_cap", "_check_window", "_nonnegative_ints"}
+    assert not {(m, n) for m, got in names.items() for n in got & gone}
+    homes = set()
+    for p in paths:
+        with open(p) as fh:
+            tree = ast.parse(fh.read(), p)
+        homes |= {os.path.basename(p) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_whole"}
+    assert homes == {"graphs.py"}
+    assert {m for m, got in names.items() if "integer" in got} == {
+        "graphs.py"}
+    assert {m for m, got in names.items() if "_whole" in got} == {
+        "cli.py", "construct.py", "graphs.py", "spectra.py", "synth.py",
+        "verify.py"}
+
+
 def test_by_label_is_the_one_edge_index():
     # a graph keeps one per-state edge index, by_label, and one
     # canonical listing off it; the eager per-state lists and the sort

@@ -803,7 +803,9 @@ def test_merge_states_refusals():
 
 
 def test_power_and_rll_refusals():
-    with pytest.raises(ValueError, match="^power exponent must be >= 1$"):
+    with pytest.raises(ValueError, match="^power exponent must be an "
+                                         "integer >= 1, got 0$"):
         power(helpers.two_state(), 0)
-    with pytest.raises(ValueError, match=r"^need 0 <= d <= k$"):
+    with pytest.raises(ValueError, match="^run length k must be an "
+                                         "integer >= 3, got 2$"):
         rll_graph(3, 2)

@@ -41,8 +41,8 @@ def test_perron_simple_values():
 def test_perron_refuses_bad_matrices():
     with pytest.raises(DimensionMismatch, match="^expected a square matrix$"):
         perron(np.array([[1, 0, 1], [0, 1, 1]]))
-    with pytest.raises(ValueError,
-                       match="^matrix entries must be nonnegative$"):
+    with pytest.raises(ValueError, match="^matrix entry must be an "
+                                         "integer >= 0, got -1$"):
         perron(np.array([[1, -1], [0, 1]]))
 
 
@@ -584,19 +584,23 @@ def test_negative_or_fractional_inputs_refused(monkeypatch):
                  lambda: anticipation_lower_bound(a, a, 1, 1, xi_cap=-1),
                  lambda: rate_region(g, 2, xi_cap=-2),
                  lambda: coding_ratio(g, 2, xi_cap=-2)):
-        with pytest.raises(ValueError, match="cap must be a nonnegative"):
+        with pytest.raises(ValueError, match="^entry cap must be an "
+                                             "integer >= 0, got -[12]$"):
             call()
-    with pytest.raises(ValueError, match="cap must be a nonnegative"):
+    with pytest.raises(ValueError, match="^entry cap must be an "
+                                         "integer >= 0, got 2.5$"):
         joint_ae_exists(a, a, 1, 1, xi_cap=2.5)
-    for xi in ([-3, 2], [1.5, 2], np.ones(2)):
-        with pytest.raises(ValueError, match="ceiling entries"):
+    for xi, got in (([-3, 2], "-3"), ([1.5, 2], "1.5"), (np.ones(2), "1.0")):
+        with pytest.raises(ValueError, match="^ceiling entry must be an "
+                           "integer >= 0, got %s$" % got):
             franaszek_joint(a, a, 1, 1, xi)
     # an integer divisor vector would truncate a fractional degree
-    for n0, n1 in ((2.5, 1), (1, -1), (2.0, 2)):
-        with pytest.raises(ValueError, match="degree targets"):
-            franaszek_joint(a, a, n0, n1, [4, 4])
-        with pytest.raises(ValueError, match="degree targets"):
-            joint_ae_exists(a, a, n0, n1)
+    for n0, n1, got in ((2.5, 1, "n0 .* 2.5"), (1, -1, "n1 .* -1"),
+                        (2.0, 2, "n0 .* 2.0")):
+        for call in (lambda: franaszek_joint(a, a, n0, n1, [4, 4]),
+                     lambda: joint_ae_exists(a, a, n0, n1)):
+            with pytest.raises(ValueError, match="^out-degree %s$" % got):
+                call()
     # cap 0 admits only the zero vector
     assert joint_ae_exists(a, a, 1, 1, xi_cap=0) is None
     with pytest.raises(NotFoundWithin):
@@ -607,15 +611,16 @@ def test_negative_or_fractional_inputs_refused(monkeypatch):
     # even when the matrix is past int64, which cap 0 once overflowed
     big = [[2 ** 70, 1], [1, 1]]
     assert joint_ae_exists(big, big, 1, 1, xi_cap=0) is None
-    # checked once per call, not once per sweep
-    real = spectra._check_cap
+    # the cap is checked once per call, not once per sweep
+    real = spectra._whole
     calls = []
 
-    def counted(cap):
-        calls.append(cap)
-        return real(cap)
+    def counted(values, what, lo=0):
+        if what == "entry cap":
+            calls.append(values)
+        return real(values, what, lo)
 
-    monkeypatch.setattr("bimodal.spectra._check_cap", counted)
+    monkeypatch.setattr("bimodal.spectra._whole", counted)
     for search in (lambda: rate_region(g, 4), lambda: coding_ratio(g, 4),
                    lambda: min_infnorm_ae(a, a, 1, 1)):
         calls.clear()

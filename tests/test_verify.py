@@ -638,6 +638,33 @@ def test_decode_stream_builds_one_pair_graph(monkeypatch):
     assert built == [e.graph]
 
 
+def test_edge_rule_checks_build_one_pair_graph(monkeypatch):
+    # given an encoder, the nine windows m, a <= 2 of is_definite and
+    # definiteness read one d_m list, kept on the encoder with the
+    # anticipation; neither keeps the pair graph itself
+    built = []
+    init = PairGraph.__init__
+
+    def counting(self, g):
+        built.append(g)
+        init(self, g)
+
+    e = stether_punctured(power(helpers.two_state(), 3), (2, 1), 2, 2)
+    pg = PairGraph(e.graph)
+    windows = [(m, a) for m in range(3) for a in range(3)]
+    want = [is_definite(pg, m, a) for m, a in windows]
+    monkeypatch.setattr(PairGraph, "__init__", counting)
+    for _ in range(2):
+        assert [is_definite(e, m, a) for m, a in windows] == want
+        assert definiteness(e) == definiteness(pg)
+    assert built == [e.graph]
+    for _ in range(2):
+        assert anticipation(e) == anticipation(pg)
+        assert losslessness(e) == losslessness(pg)
+    assert built == [e.graph] * 3
+    assert not [v for v in vars(e).values() if isinstance(v, PairGraph)]
+
+
 def test_witness_ae_quad():
     g = helpers.quad()
     e = extract_deterministic(g, (1, 1), 2, 2)
@@ -752,8 +779,9 @@ def test_encode_stream_refuses_width_with_raw_tags():
     e = _twostate_cube_encoder()
     assert encode_stream(e, [(0, 0), (1, 2)], "alpha@0")[0] == [
         "a.a.a", "a.b.d"]
-    for p in (1, 2, 7):
-        with pytest.raises(ArityMismatch, match="raw"):
+    for p in (1, 2, 7, 2.5):
+        # the width is named as given, not truncated
+        with pytest.raises(ArityMismatch, match="^block width %s .* raw" % p):
             encode_stream(e, [(0, 0), (1, 2)], "alpha@0", p=p)
     q, _ = next(_round_trip_fixtures())
     with pytest.raises(ArityMismatch):
@@ -1499,9 +1527,12 @@ def test_negative_window_is_refused():
                                e.graph.states[0])
     for m, a in ((-1, 0), (0, -1), (-2, 3), (0, 0.5), (0.5, 1), (1.5, 0),
                  (1.0, 1), (-0.5, 0)):
-        with pytest.raises(ValueError, match="needs nonnegative integers"):
+        # the first side that fails is named
+        bad = "^window side must be an integer >= 0, got %r$" % (
+            a if isinstance(m, int) and m >= 0 else m)
+        with pytest.raises(ValueError, match=bad):
             is_definite(e, m, a)
-        with pytest.raises(ValueError, match="needs nonnegative integers"):
+        with pytest.raises(ValueError, match=bad):
             sliding_block_decodable(e, m, a)
-        with pytest.raises(ValueError, match="needs nonnegative integers"):
+        with pytest.raises(ValueError, match=bad):
             decode_sliding(e, word, m, a, p=2)
