@@ -202,8 +202,8 @@ class TaggedEncoder:
     def __init__(self, graph, tags, n0, n1):
         self.graph = graph
         self.tags = dict(tags)
-        self.n0 = n0
-        self.n1 = n1
+        self.n0 = _whole(n0, "out-degree n0")
+        self.n1 = _whole(n1, "out-degree n1")
 
     @functools.cached_property
     def _slots(self):
@@ -436,6 +436,9 @@ def _power_rows(g, t):
     one = [[(rank[a], a, (a in c0) | (a in c1) << 1, _counts(index, es))
             for a, es in sorted(g.by_label[u].items())]
            for u in g.states]
+    # each summed multiplicity is checked once, where it is formed
+    _whole([n for rows in one for row in rows for n in row[3].values()],
+           "summed multiplicity")
     if t == 1:
         # the words of length 1 follow the empty word, of parity 0
         return [[(0, "", _XOR[1], 1, rows)] for rows in one]
@@ -513,7 +516,7 @@ def adjacency(g):
     m = np.zeros((n, n), dtype=object)
     for e in g.edges:
         m[g.state_index(e.src), g.state_index(e.dst)] += e.mult
-    return _ints(m)
+    return _ints(_whole(m, "summed multiplicity"))
 
 
 def _join_counts(first, second, _k):
@@ -555,6 +558,7 @@ def adjacency_pair(g, t=1):
         if in0 or in1:
             key = (in0 + 2 * in1 - 1, index[src], index[dst])
             counts[key] = counts.get(key, 0) + mult
+    _whole(list(counts.values()), "summed multiplicity")
     s = np.zeros((3, n, n), dtype=object)
     for key, count in counts.items():
         s[key] = count

@@ -358,7 +358,7 @@ def _check_block_width(e, p):
     """p-bit blocks need out-degrees n0 = n1 = 2^(p-1), a power of two
     of bit length p, so no power of two is built past the degrees."""
     _whole(p, "block width", 1)
-    n = _whole(e.n0, "out-degree n0")
+    n = e.n0
     if n != e.n1 or n & (n - 1) or n.bit_length() != p:
         need = 2 ** (p - 1) if p <= 64 else "2^%d" % (p - 1)
         raise ArityMismatch(

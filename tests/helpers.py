@@ -1,7 +1,6 @@
 """Shared fixture graphs and frozen golden values for the test suite."""
 
 import gc
-import math
 import os
 import warnings
 
@@ -11,11 +10,8 @@ import pytest
 
 from bimodal import (
     Edge,
-    Finite,
     InfeasibleVector,
-    Infinite,
     LabeledGraph,
-    NotDecodable,
     NotDeterministic,
     ParityPartition,
     SplitInfeasible,
@@ -23,7 +19,6 @@ from bimodal import (
     UnknownTag,
     adjacency,
     adjacency_pair,
-    anticipation,
     encode_stream,
     power,
     split_state,
@@ -34,7 +29,6 @@ from bimodal.construct import rll_graph
 from bimodal.io import ParseError, parse_graph_file
 from bimodal.spectra import _reach
 from bimodal.synth import TooManyCopies, _cover_bins
-from bimodal.verify import DecodedTag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -237,24 +231,6 @@ def random_shuffled_graph(rng, strict):
                                    for i in order], p0, p1)
 
 
-def reference_period(g):
-    """graphs.period as it stood before it read _frontiers: levels from
-    a depth-first walk over a dict from the first state, then the gcd
-    of level[u] + 1 - level[v] over the edges u -> v."""
-    level = {g.states[0]: 0}
-    queue = [g.states[0]]
-    while queue:
-        v = queue.pop()
-        for e in out_edges(g, v):
-            if e.dst not in level:
-                level[e.dst] = level[v] + 1
-                queue.append(e.dst)
-    p = 0
-    for e in g.edges:
-        p = math.gcd(p, level[e.src] + 1 - level[e.dst])
-    return p
-
-
 def random_det_graph(rng, max_states=3, strict=True):
     """Small random deterministic graph: each state reads a random
     nonempty set of distinct symbols; ``strict`` picks a strict cover,
@@ -272,38 +248,6 @@ def random_det_graph(rng, max_states=3, strict=True):
         for a in rng.permutation(alphabet)[:rng.integers(1, len(alphabet) + 1)]:
             edges.append((s, str(a), states[rng.integers(n)]))
     return validate_graph(states, edges, p0, p1)
-
-
-def _candidates(g, w, u, b):
-    """Class-b symbols leaving u in sorted order, each expanded to one
-    (symbol, target copy) element per copy of its target."""
-    cls = g.parity.class0 if b == 0 else g.parity.class1
-    return tuple((e.label, j)
-                 for e in sorted(out_edges(g, u), key=lambda e: e.label)
-                 if e.label in cls for j in range(w[e.dst]))
-
-
-def _consecutive(elements, x_u, n_b):
-    """x_u consecutive blocks of n_b elements, surplus dropped."""
-    return tuple(elements[i * n_b:(i + 1) * n_b] for i in range(x_u))
-
-
-def _cover_consistent(g, w, u, n0, n1):
-    """Both classes' blocks at u: the smaller-degree class cut into
-    consecutive blocks, then each shared element pinned to the same
-    block of the other class, whose blocks fill up from its untaken
-    elements in order."""
-    lo, hi = (0, 1) if n0 <= n1 else (1, 0)
-    n_hi = max(n0, n1)
-    p_lo = _consecutive(_candidates(g, w, u, lo), w[u], min(n0, n1))
-    d_hi = _candidates(g, w, u, hi)
-    groups = [[el for el in grp if el in d_hi] for grp in p_lo]
-    pinned = {el for grp in groups for el in grp}
-    free = iter([el for el in d_hi if el not in pinned])
-    for grp in groups:
-        while len(grp) < n_hi:
-            grp.append(next(free))
-    return {lo: p_lo, hi: tuple(tuple(grp) for grp in groups)}
 
 
 def reference_check_vector(g, x, bounds, positive=False):
@@ -329,90 +273,6 @@ def reference_check_vector(g, x, bounds, positive=False):
         raise TooManyCopies("vector sum %s passes the budget of %d state "
                             "copies" % (size, graphs.POWER_BUDGET))
     return xv
-
-
-def reference_check_ae(g, x, n0, n1):
-    """reference_check_vector on the class matrices of the whole graph."""
-    a0, a1, _ = adjacency_pair(g)
-    return reference_check_vector(g, x, ((a0, n0, "class-0 inequality fails"),
-                                         (a1, n1, "class-1 inequality fails")))
-
-
-def reference_extract_deterministic(g, x, n0, n1):
-    """extract_deterministic as it stood while it checked the vector on
-    the class matrices: the weight-1 states, and at each the first n_b
-    surviving class-b out-edges in canonical order."""
-    xv = reference_check_ae(g, x, n0, n1)
-    if not set(xv) <= {0, 1}:
-        raise InfeasibleVector("vector entries must be 0 or 1")
-    keep = {s for s, v in zip(g.states, xv) if v == 1}
-    tags = {}
-    for u in g.states:
-        if u not in keep:
-            continue
-        for b, n in ((0, n0), (1, n1)):
-            cls = g.parity.class0 if b == 0 else g.parity.class1
-            cands = [e for e in sorted(out_edges(g, u), key=lambda e: (
-                         e.label, g.state_index(e.dst)))
-                     if e.label in cls and e.dst in keep]
-            if len(cands) < n:
-                raise InfeasibleVector(
-                    "state %r has only %d class-%d survivors" %
-                    (u, len(cands), b))
-            for slot, e in enumerate(cands[:n]):
-                tags.setdefault(Edge(e.src, e.label, e.dst), []).append(
-                    (b, slot))
-    graph = LabeledGraph([s for s in g.states if s in keep], list(tags),
-                         g.parity)
-    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
-                         n0, n1)
-
-
-def reference_stether(g, x, n0, n1, consistent=True):
-    """Stethering by its two historical block rules: each class cut into
-    consecutive blocks on its own, or (``consistent``) the cover-
-    consistent division; copy i of u takes block i, element (a, j)
-    becomes an edge to copy j of a's target, tagged (class, position in
-    block), emitted class 0 then class 1 at each state.  Zero-weight
-    states are left out, with a warning naming them."""
-    if not g.deterministic:
-        raise NotDeterministic("stethering needs a deterministic graph")
-    w = dict(zip(g.states, reference_check_ae(g, x, n0, n1)))
-    states = [u for u in g.states if w[u]]
-    if len(states) < len(g.states):
-        warnings.warn("dropping zero-weight states: %s" % ", ".join(
-            u for u in g.states if not w[u]))
-    tags = {}
-    for u in states:
-        succ = {e.label: e.dst for e in out_edges(g, u)}
-        if consistent:
-            parts = _cover_consistent(g, w, u, n0, n1)
-        else:
-            parts = {b: _consecutive(_candidates(g, w, u, b), w[u], n)
-                     for b, n in ((0, n0), (1, n1))}
-        for b in (0, 1):
-            for i, grp in enumerate(parts[b]):
-                for slot, (a, j) in enumerate(grp):
-                    e = Edge("%s@%d" % (u, i), a, "%s@%d" % (succ[a], j))
-                    tags.setdefault(e, []).append((b, slot))
-    graph = LabeledGraph(["%s@%d" % (u, i) for u in states
-                          for i in range(w[u])], list(tags), g.parity)
-    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
-                         n0, n1)
-
-
-def reference_punctured(g, x_plus, n0, n1, consistent=True):
-    """reference_stether at (n0 + 1, n1 + 1) with the top slot of each
-    class deleted."""
-    wide = reference_stether(g, x_plus, n0 + 1, n1 + 1, consistent)
-    tags = {}
-    for e in wide.graph.edges:
-        for t in wide.tags[e]:
-            if t not in ((0, n0), (1, n1)):
-                tags.setdefault(e, []).append(t)
-    graph = LabeledGraph(wide.graph.states, list(tags), g.parity)
-    return TaggedEncoder(graph, {e: tuple(t) for e, t in tags.items()},
-                         n0, n1)
 
 
 def reference_merge_states(g, weights=None):
@@ -608,30 +468,6 @@ def reference_merge_split_pair(e0, e1, x, matching=None):
                          {e: tuple(t) for e, t in tags.items()}, n0, n1)
 
 
-def reference_pair_succ(g):
-    """PairGraph.succ by listing every equally labelled edge pair: (p, q)
-    -> the target pairs of the pairs of edges from p and from q that
-    share a label."""
-    idx = g.by_label
-    return {(p, q): {(e1.dst, e2.dst) for a, es1 in idx[p].items()
-                     for e1 in es1 for e2 in idx[q].get(a, ())}
-            for p in g.states for q in g.states}
-
-
-def pair_arrays_of(g, succ):
-    """A pair relation ``succ`` (pair -> set of pairs) as PairGraph's
-    (src, dst) id arrays, sorted by src and then dst."""
-    n = len(g.states)
-
-    def ids(p, q):
-        return g.state_index(p) * n + g.state_index(q)
-
-    keys = sorted((ids(*node), ids(*kid))
-                  for node, kids in succ.items() for kid in kids)
-    return (np.array([k for k, _ in keys], dtype=np.int64),
-            np.array([k for _, k in keys], dtype=np.int64))
-
-
 def with_multiplicities(rng, g, top=3):
     """g with each edge given a random multiplicity from 1 to ``top``."""
     return validate_graph(g.states, [ed[:3] + (int(rng.integers(1, top + 1)),)
@@ -698,220 +534,6 @@ def reference_determinize(g):
                         [Edge(names[a], lbl, names[b])
                          for (a, lbl, b) in edges],
                         g.parity, members={names[z]: z for z in seen})
-
-
-def reference_follower_le(g1, g2):
-    """follower_le by an edge loop: a pair whose g2 state lacks one of
-    its g1 labels fails with no successors, any other pair steps each g1
-    edge by the g2 edge with its label; a component fails when a member
-    lacks a label or reaches a failed pair.  Returns (the relation, the
-    pairs that lack a label)."""
-    if not g2.deterministic:
-        raise NotDeterministic("containment target must be deterministic")
-    succ2 = {s: {e.label: e.dst for e in out_edges(g2, s)}
-             for s in g2.states}
-    succ, lacks = {}, set()
-    for u in g1.states:
-        es = out_edges(g1, u)
-        for v, d in succ2.items():
-            if all(e.label in d for e in es):
-                succ[(u, v)] = {(e.dst, d[e.label]) for e in es}
-            else:
-                succ[(u, v)] = ()
-                lacks.add((u, v))
-    failed = set()
-    for comp in graphs._scc(succ, succ):
-        if any(n in lacks or not failed.isdisjoint(succ[n]) for n in comp):
-            failed |= comp
-    return set(succ) - failed, lacks
-
-
-def mask_pair_succ(g1, g2):
-    """The synchronized product as it stood on label masks: (succ,
-    labels1, labels2), ``succ[(p, q)]`` the pairs (x, y) with to1[p][x]
-    and to2[q][y] sharing a label bit, ``labels1[p]`` (``labels2[q]``)
-    the mask of the labels leaving p (q)."""
-    bit = {}
-
-    def masks(g):
-        to = {s: {} for s in g.states}
-        labels = dict.fromkeys(g.states, 0)
-        for e in g.edges:
-            b = bit.get(e.label)
-            if b is None:
-                b = bit[e.label] = 1 << len(bit)
-            row = to[e.src]
-            row[e.dst] = row.get(e.dst, 0) | b
-            labels[e.src] |= b
-        return {s: list(row.items()) for s, row in to.items()}, labels
-
-    to1, labels1 = masks(g1)
-    to2, labels2 = (to1, labels1) if g2 is g1 else masks(g2)
-    succ = {(p, q): {(x, y) for x, mx in to1[p] if mx & labels2[q]
-                     for y, my in to2[q] if mx & my}
-            for p in g1.states for q in g2.states}
-    return succ, labels1, labels2
-
-
-def tarjan_longest(nodes, succ):
-    """Node -> the longest walk leaving it along ``succ``, math.inf when
-    a cycle is reachable, components settled sinks first."""
-    longest = {}
-    for comp in graphs._scc(nodes, succ):
-        n = next(iter(comp))
-        if len(comp) > 1 or n in succ[n]:
-            v = math.inf
-        else:
-            v = 1 + max((longest[k] for k in succ[n]), default=-1)
-        longest.update(dict.fromkeys(comp, v))
-    return longest
-
-
-def mask_follower_le(g1, g2):
-    """follower_le as it stood on label masks: a component fails when a
-    member's g1 label mask leaves its g2 one, or it reaches a failed
-    pair, components sinks first."""
-    if not g2.deterministic:
-        raise NotDeterministic("containment target must be deterministic")
-    succ, labels1, labels2 = mask_pair_succ(g1, g2)
-    failed = set()
-    for comp in graphs._scc(succ, succ):
-        if any(labels1[u] & ~labels2[v] or not failed.isdisjoint(succ[(u, v)])
-               for (u, v) in comp):
-            failed |= comp
-    return set(succ) - failed
-
-
-def tarjan_essential(g):
-    """graphs._essential on tarjan_longest."""
-    longest = tarjan_longest(g.states, {s: {e.dst for e in out_edges(g, s)}
-                                        for s in g.states})
-    keep = [s for s in g.states if longest[s] == math.inf]
-    if len(keep) == len(g.states):
-        return g
-    return graphs._induced(g, keep)
-
-
-class MaskPairGraph:
-    """The pair graph as it stood: ``succ`` a dict of pair sets from
-    mask_pair_succ (or ``succ`` given), walks by tarjan_longest."""
-
-    def __init__(self, g, succ=None):
-        self.g = g
-        self.nodes = [(p, q) for p in g.states for q in g.states]
-        self.succ = mask_pair_succ(g, g)[0] if succ is None else succ
-        self.ext = tarjan_longest(self.nodes, self.succ)
-
-    def steps(self, node):
-        p, q = node
-        idx = self.g.by_label
-        return [(a, e1, e2) for a, es1 in idx[p].items()
-                for e1 in es1 for e2 in idx[q].get(a, ())]
-
-    def parted(self, s):
-        return [(e1.dst, e2.dst) for (_, e1, e2) in self.steps((s, s))
-                if e1 != e2 or e1.mult != 1]
-
-    def reach_sets(self):
-        sets = [frozenset(self.nodes)]
-        while True:
-            cur = sets[-1]
-            nxt = frozenset().union(*(self.succ[n] for n in cur))
-            if nxt == cur:
-                return sets
-            sets.append(nxt)
-
-
-def _mask_parting(pg, states):
-    return max(((pg.ext[kid] + 1, kid) for s in states
-                for kid in pg.parted(s)),
-               key=lambda dk: dk[0], default=(0, None))
-
-
-def _mask_delays(pg):
-    parting = {s: _mask_parting(pg, (s,))[0] for s in pg.g.states}
-    return [max((parting[p] if p == q else pg.ext[(p, q)] for (p, q) in r),
-                default=0)
-            for r in pg.reach_sets()]
-
-
-def mask_pair_checks(e, windows, succ=None):
-    """Every pair check of an encoder as it stood on MaskPairGraph:
-    (losslessness, anticipation, definiteness, is_definite and
-    sliding_block_decodable over ``windows``, memory), certificates by
-    repr."""
-    g = e.graph
-    pg = MaskPairGraph(g, succ)
-    queue = [kid for s in g.states for kid in pg.parted(s)]
-    seen = set(queue)
-    lossless = True
-    while queue:
-        p, q = queue.pop()
-        if p == q:
-            lossless = False
-            break
-        for kid in pg.succ[(p, q)]:
-            if kid not in seen:
-                seen.add(kid)
-                queue.append(kid)
-    a, kid = _mask_parting(pg, g.states)
-    if a == math.inf:
-        prefix, node, visited = [], kid, set()
-        while node not in visited:
-            visited.add(node)
-            for (lbl, e1, e2) in pg.steps(node):
-                nxt = (e1.dst, e2.dst)
-                if pg.ext[nxt] == math.inf or nxt in visited:
-                    prefix.append((node, lbl))
-                    node = nxt
-                    break
-        ant = Infinite((tuple(prefix), node))
-    else:
-        ant = Finite(a)
-    delays = _mask_delays(pg)
-    total, m = min((m + d, m) for m, d in enumerate(delays))
-    definite = None if total == math.inf else (m, total - m)
-    reach = pg.reach_sets()
-    sliding = [not any(
-        pg.ext[(e1.dst, e2.dst)] >= a
-        and set(e.tags.get(e1, ())) != set(e.tags.get(e2, ()))
-        for pair in reach[min(m, len(reach) - 1)]
-        for (_, e1, e2) in pg.steps(pair)) for m, a in windows]
-    memory = next((Finite(k) for k, pairs in enumerate(reach)
-                   if all(p == q for (p, q) in pairs)), None)
-    if memory is None:
-        bad = sorted((p, q) for (p, q) in reach[-1] if p != q)
-        memory = Infinite(tuple(bad[:4]))
-    return (lossless, repr(ant), definite,
-            [delays[min(m, len(delays) - 1)] <= a for m, a in windows],
-            repr(memory), sliding)
-
-
-def object_adjacency_pair(g, t=1):
-    """adjacency_pair with its doubling in Python ints throughout."""
-    n = len(g.states)
-    s = np.zeros((3, n, n), dtype=object)
-    for e in g.edges:
-        in0, in1 = e.label in g.parity.class0, e.label in g.parity.class1
-        if in0 or in1:
-            s[2 if in0 and in1 else int(in1), g.state_index(e.src),
-              g.state_index(e.dst)] += e.mult
-    ev, od, both = graphs._doubling(t, tuple(s), graphs._join_counts)
-    return graphs._ints(ev + both), graphs._ints(od + both), g.states
-
-
-def reference_symbols(label, t, k):
-    """The t symbols of k dotted parts each that ``label`` reads as a
-    word of power(g, t), for g whose symbols all have k parts; none when
-    it has other than t·k parts.  At t=1 the label is the symbol."""
-    if t == 1:
-        return (label,)
-    parts = label.split(".")
-    if len(parts) != t * k:
-        return ()
-    if k == 1:
-        return parts
-    return [".".join(parts[i:i + k]) for i in range(0, t * k, k)]
 
 
 def reference_iterates(a0, a1, n0, n1, xi):
@@ -1220,48 +842,6 @@ def reference_decode(e, word, start, a, p=None):
     return out, None
 
 
-def memo_decode(e, word, start, p=None):
-    """decode_stream by set stepping, each (state, window) resolved once
-    per call in a memo: the window is the next a + 1 labels (fewer at
-    the end), a the encoder's anticipation.  The candidates are the
-    out-edges with the window's first label whose targets can read the
-    rest; with several, the one with the least raw tag is taken and
-    flagged provisional.  Returns DecodedTag values, or raises
-    NotDecodable with decode_stream's position and message."""
-    g = e.graph
-    a = anticipation(e).value
-    decoded = {ed: min(ts) if p is None
-               else min(block_of(t, p) for t in ts)
-               for ed, ts in e.tags.items() if ts}
-    memo = {}
-    state, out = start, []
-    for i in range(len(word)):
-        key = (state, tuple(word[i:i + a + 1]))
-        if key not in memo:
-            label, ahead = key[1][0], key[1][1:]
-            cands = []
-            for ed in out_edges(g, state):
-                z = {ed.dst} if ed.label == label else set()
-                for b in ahead:
-                    z = {x.dst for u in z for x in out_edges(g, u)
-                         if x.label == b}
-                if z:
-                    cands.append(ed)
-            cands.sort(key=lambda ed: min(e.tags.get(ed, ((2, 0),))))
-            if not cands:
-                memo[key] = "no edge matches the upcoming labels"
-            elif cands[0] not in decoded:
-                memo[key] = "edge has no tag"
-            else:
-                memo[key] = (DecodedTag(decoded[cands[0]], len(cands) > 1),
-                             cands[0].dst)
-        if isinstance(memo[key], str):
-            raise NotDecodable(i, memo[key])
-        tag, state = memo[key]
-        out.append(tag)
-    return out
-
-
 # The encoder file reader, writer and checks as they were before the
 # one-pass reader, frozen as references: one generator of stripped
 # lines, the directive branches in grammar order, tags collected into
@@ -1392,50 +972,3 @@ def read_outcome(parse, text):
     return got._key
 
 
-def reference_presents_subset(e, g, t=1):
-    """verify.presents_subset with its word memo keyed by (state set,
-    label) and each word stepped symbol by symbol."""
-    if t < 1:
-        raise ValueError("power exponent must be >= 1")
-    eg = e.graph if isinstance(e, TaggedEncoder) else e
-    reads = graphs._split_words(g, t, {ed.label for ed in eg.edges})
-    words, steps = {}, {}
-    full = frozenset(g.states)
-    seen = set()
-    queue = []
-    for v in eg.states:
-        node = (v, full)
-        seen.add(node)
-        queue.append(node)
-    while queue:
-        v, u = queue.pop()
-        for ed in out_edges(eg, v):
-            key = (u, ed.label)
-            u2 = words.get(key)
-            if u2 is None:
-                symbols = reads[ed.label]
-                u2 = u if symbols else frozenset()
-                for a in symbols:
-                    row = steps.setdefault(a, {})
-                    nxt = row.get(u2)
-                    if nxt is None:
-                        nxt = row[u2] = graphs._step(g, u2, a)
-                    u2 = nxt
-                    if not u2:
-                        break
-                words[key] = u2
-            if not u2:
-                return False
-            node = (ed.dst, u2)
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
-    return True
-
-
-def by_tag_slots_ok(e, state, b, n):
-    """TaggedEncoder.slots_ok by its by_tag rule: the class-b slots of
-    the tags on state's out-edges, one per edge holding each, sorted,
-    are 0..n-1."""
-    return sorted(slot for (cls, slot), es in by_tag(e)[state].items()
-                  if cls == b for _ in es) == list(range(n))

@@ -129,3 +129,44 @@ def test_by_label_is_the_one_edge_index():
     # the guard sees attribute reads and definitions alike
     assert {"by_label", "canonical_edges"} <= names["graphs.py"]
     assert "canonical_edges" in names["io.py"]
+
+
+def _tree(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _reads(node):
+    """The bare names a piece of code reads."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_every_helper_is_read():
+    # a definition in tests/helpers.py lives only while some other module
+    # of the suite reads it, directly or through a helper that is read,
+    # so a frozen copy whose last comparison retires goes with it
+    here = os.path.dirname(__file__)
+    defs = {}
+    for node in _tree(os.path.join(here, "helpers.py")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets
+                        if isinstance(t, ast.Name))
+    live = set()
+    for path in glob.glob(os.path.join(here, "*.py")):
+        if os.path.basename(path) == "helpers.py":
+            continue
+        for n in ast.walk(_tree(path)):
+            if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id == "helpers"):
+                live.add(n.attr)
+            elif isinstance(n, ast.ImportFrom) and n.module == "helpers":
+                live.update(a.name for a in n.names)
+    queue = list(live & set(defs))
+    while queue:
+        for name in _reads(defs[queue.pop()]) & set(defs) - live:
+            live.add(name)
+            queue.append(name)
+    assert set(defs) - live == set()
+    assert {"random_shuffled_graph", "reference_block_table"} <= live

@@ -418,8 +418,8 @@ def test_adjacency_pair_int64_limit():
 
 def test_adjacency_pair_doubles_in_int64_when_row_sums_allow():
     # the doubling starts in int64 when r^t fits, r the largest row sum;
-    # on either side of that switch the counts and their dtypes are
-    # those of a doubling in Python ints
+    # the counts and dtypes on either side of that switch are held by the
+    # value corpus (draws/adjacency-pair)
     sides = set()
     for g, t in ((helpers.two_state(), 8), (helpers.two_state(), 40),
                  (helpers.load("rll210.cg"), 16),
@@ -428,10 +428,6 @@ def test_adjacency_pair_doubles_in_int64_when_row_sums_allow():
                  (helpers.mixed(), 20), (helpers.mixed(), 40),
                  (helpers.quad(), 40)):
         got = adjacency_pair(g, t)
-        want = helpers.object_adjacency_pair(g, t)
-        assert [a.dtype for a in got[:2]] == [a.dtype for a in want[:2]]
-        assert [a.tolist() for a in got[:2]] == [a.tolist()
-                                                 for a in want[:2]]
         rowsum = int(adjacency(g).sum(axis=1).max())
         sides.add((rowsum ** t <= graphs.INT64_MAX, got[0].dtype.name))
     # int64 doubling; Python ints giving int64 counts; Python ints kept
@@ -538,30 +534,6 @@ def test_period():
     assert period(helpers.two_state()) == 1
     with pytest.raises(NotIrreducible):
         period(validate_graph(["u", "v"], [("u", "a", "v")], ["a"], ["b"]))
-
-
-def test_period_matches_dict_walk():
-    # breadth-first levels from _frontiers give the gcd the depth-first
-    # dict walk gave: every irreducible component of random graphs and
-    # its powers, overlapping covers and multiplicities among them
-    rng = np.random.default_rng(29)
-    found = set()
-    for i in range(600):
-        g = helpers.random_graph(rng, max_states=5, strict=bool(i % 2))
-        for comp, _ in irreducible_components(g):
-            for t in (1, 2, 3):
-                h = power(comp, t) if t > 1 else comp
-                if not h.edges or len(irreducible_components(h)) != 1:
-                    continue
-                want = helpers.reference_period(h)
-                assert period(h) == want, (h.states, h.edges)
-                found.add("period %d" % min(want, 3))
-                if any(e.mult > 1 for e in h.edges):
-                    found.add("multiplicity")
-                if h.parity.class0 & h.parity.class1:
-                    found.add("overlapping cover")
-    assert found == {"period 1", "period 2", "period 3", "multiplicity",
-                     "overlapping cover"}
 
 
 def test_memory_finite():
@@ -698,30 +670,6 @@ def test_follower_le_matches_words(seed, same):
     want = {(u, v) for u in g1.states for v in g2.states
             if all(_reads(g2, v, w) for w in _walk_words(g1, u, bound))}
     assert follower_le(g1, g2) == want
-
-
-def test_follower_le_matches_edge_loop():
-    # the label-mask successors give the edge loop's relation on strict
-    # and overlapping covers, nondeterministic g1 with multiplicities up
-    # to 3, and squares; pairs that lack a label fail, and so do pairs
-    # that only reach one
-    rng = np.random.default_rng(97)
-    kinds = set()
-    for i in range(200):
-        strict = bool(i % 2)
-        g2 = helpers.random_det_graph(rng, strict=strict)
-        g1 = helpers.random_graph(rng, max_states=3, strict=strict)
-        if i % 3 == 0:
-            g1 = helpers.with_multiplicities(rng, g1)
-        for a, b in ((g1, g2), (g2, g2),
-                     (power(g1, 2), determinize(power(g2, 2)))):
-            want, lacks = helpers.reference_follower_le(a, b)
-            assert follower_le(a, b) == want, (a.edges, b.edges)
-            failed = {(u, v) for u in a.states for v in b.states} - want
-            kinds |= {k for k, hit in (("lacks", lacks),
-                                       ("reaches", failed - lacks),
-                                       ("holds", want)) if hit}
-    assert kinds == {"lacks", "reaches", "holds"}
 
 
 def test_follower_le_needs_deterministic_target():

@@ -10,11 +10,15 @@ import pytest
 
 import helpers
 from bimodal import (
+    Edge,
     InfeasibleVector,
+    LabeledGraph,
     TaggedEncoder,
     ValidationError,
+    adjacency,
     adjacency_pair,
     anticipation_lower_bound,
+    capacity,
     check_encoder,
     coding_ratio,
     decode_sliding,
@@ -152,6 +156,12 @@ CASES = {
     "sliding_block_decodable m": (
         lambda v, g, q, g3, a, e, ep, *_: sliding_block_decodable(
             ep, v, 1), 0, 0),
+    "TaggedEncoder n0": (
+        lambda v, g, q, g3, a, e, *_: TaggedEncoder(
+            e.graph, e.tags, v, 2).out_degrees_ok(), 2, 0),
+    "TaggedEncoder n1": (
+        lambda v, g, q, g3, a, e, *_: TaggedEncoder(
+            e.graph, e.tags, 2, v).out_degrees_ok(), 2, 0),
     "sliding_block_decodable a": (
         lambda v, g, q, g3, a, e, ep, *_: sliding_block_decodable(
             ep, 0, v), 1, 0),
@@ -187,6 +197,8 @@ def test_truncating_inputs_are_refused():
     # each of these once read a fraction as a smaller int, or died with
     # a bare TypeError or AttributeError
     g, q, g3, _, e, *_ = _inputs()
+    fractional = LabeledGraph(["a"], [Edge("a", "0", "a", 1.5),
+                                      Edge("a", "1", "a")], _graph(1).parity)
     for call in (
             lambda: joint_ae_exists([[1.5, .5], [.5, 1.5]], [[0, 0], [0, 0]],
                                     2, 0),
@@ -198,7 +210,13 @@ def test_truncating_inputs_are_refused():
             lambda: power(g, 2.0),
             lambda: adjacency_pair(g, 2.5),
             lambda: stether(g3, (3, 1), 2.5, 3),
-            lambda: check_encoder(e, q, 2.0, 2)):
+            lambda: check_encoder(e, q, 2.0, 2),
+            lambda: TaggedEncoder(g, {}, 2.0, 1).out_degrees_ok(),
+            # summed multiplicities of a graph built without validate_graph
+            lambda: adjacency(fractional),
+            lambda: capacity(fractional),
+            lambda: power(fractional, 2),
+            lambda: adjacency_pair(fractional)):
         with pytest.raises(ValueError, match="must be an integer"):
             call()
     with pytest.raises(ValidationError, match="^edge a 0 a: multiplicity "

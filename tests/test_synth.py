@@ -373,8 +373,8 @@ def test_stether_punctured_degrees():
 
 def _parted_forever():
     """The square of a graph whose symbol b is in both classes, and a
-    vector at (2, 3) whose punctured (1, 2) encoder, by the reference
-    rule, has two walks that part and never tell apart."""
+    vector at (2, 3) whose punctured (1, 2) encoder has two walks that
+    part and never tell apart."""
     g = validate_graph(["n0", "n1"], [("n0", "a", "n1"), ("n0", "b", "n0"),
                                       ("n0", "c", "n1"), ("n1", "c", "n0")],
                        ["a", "b"], ["b", "c"])
@@ -383,11 +383,10 @@ def _parted_forever():
 
 def test_stether_punctured_emits_infinite_anticipation(monkeypatch):
     # like the other routes, punctured returns what it builds; verify
-    # alone finds that no decoder reads it
+    # alone finds that no decoder reads it (the value corpus holds the
+    # encoder, draws/punctured-forever)
     g, x = _parted_forever()
     e = stether_punctured(g, x, 1, 2)
-    assert ((e.graph, list(e.tags.items()), e.n0, e.n1)
-            == _outcome(helpers.reference_punctured, g, x, 1, 2))
     assert isinstance(anticipation(e), Infinite)
     assert "anticipation is infinite" in check_encoder(e, g, 1, 2).violations
 
@@ -474,40 +473,6 @@ def _outcome(build, *args):
     return e.graph, list(e.tags.items()), e.n0, e.n1
 
 
-def test_stether_matches_reference():
-    # the cover-consistent division, rebuilt from its description, on
-    # strict covers (where it is each class's consecutive cut) and on
-    # overlapping ones, where the two rules can differ
-    rng = np.random.default_rng(14)
-    seen = set()
-    for i in range(600):
-        strict = bool(i % 2)
-        if i % 8 < 2:
-            g = helpers.random_graph(rng, max_states=3, strict=strict)
-        else:
-            g = helpers.random_det_graph(rng, strict=strict)
-        g = g if i % 3 else power(g, 2)
-        a0, a1, _ = adjacency_pair(g)
-        n0, n1 = (int(v) for v in rng.integers(1, 4, size=2))
-        for up, build, ref in ((0, stether, helpers.reference_stether),
-                               (1, stether_punctured,
-                                helpers.reference_punctured)):
-            try:
-                _, x = min_infnorm_ae(a0, a1, n0 + up, n1 + up, xi_cap=6)
-                x = x.entries
-            except NotFoundWithin:
-                x = rng.integers(0, 3, size=len(g.states))
-            got = _outcome(build, g, x, n0, n1)
-            assert got == _outcome(ref, g, x, n0, n1), (g.edges, x, n0, n1)
-            plain = _outcome(ref, g, x, n0, n1, False)
-            if strict:
-                assert got == plain
-            seen.add((strict, isinstance(got[0], type), got == plain))
-    assert seen == {(True, False, True), (True, True, True),
-                    (False, False, True), (False, False, False),
-                    (False, True, True)}
-
-
 def _outcome_warned(build, *args):
     """_outcome, and the texts of the warnings the call gave, in order."""
     with warnings.catch_warnings(record=True) as caught:
@@ -519,61 +484,6 @@ def _outcome_warned(build, *args):
         else:
             got = e.graph, list(e.tags.items()), e.n0, e.n1
     return got, [(w.category, str(w.message)) for w in caught]
-
-
-def _draw_vector(rng, g, a0, a1, n0, n1, kind):
-    """A witness at (n0, n1) (``kind`` 0, or a random 0-2 vector when none
-    is found), or a vector meant to meet one refusal first: any length
-    and sign (1), huge equal entries past the copy budget (2), or a 0-1
-    vector (3)."""
-    n = len(g.states)
-    if kind == 0:
-        try:
-            return min_infnorm_ae(a0, a1, n0, n1, xi_cap=6)[1].entries
-        except NotFoundWithin:
-            return rng.integers(0, 3, size=n)
-    if kind == 1:
-        return rng.integers(-1, 3, size=n + int(rng.integers(-1, 2)))
-    if kind == 2:
-        return [10 ** int(rng.integers(6, 40))] * n
-    return rng.integers(0, 2, size=n)
-
-
-def test_routes_match_frozen_references():
-    # stether, punctured stethering and extraction against the rules as
-    # they stood while the vector was checked on the class matrices of
-    # the whole word graph: the encoder, its tags in order, or the first
-    # refusal in the order shape, sign, class 0, class 1, copy budget,
-    # and every warning's text
-    rng = np.random.default_rng(27)
-    routes = ((0, stether, helpers.reference_stether),
-              (1, stether_punctured, helpers.reference_punctured),
-              (0, extract_deterministic,
-               helpers.reference_extract_deterministic))
-    seen = set()
-    for i in range(800):
-        strict = bool(i % 2)
-        if i % 8 < 2:
-            g = helpers.random_graph(rng, max_states=3, strict=strict)
-        else:
-            g = helpers.random_det_graph(rng, strict=strict)
-        g = g if i % 3 else power(g, 2)
-        if i % 7 == 0 and g.parity.class0 and g.parity.class1:
-            g = helpers.with_multiplicities(rng, g)
-        a0, a1, _ = adjacency_pair(g)
-        n0, n1 = (int(v) for v in rng.integers(0, 4, size=2))
-        for up, build, ref in routes:
-            x = _draw_vector(rng, g, a0, a1, n0 + up, n1 + up, i % 4)
-            got = _outcome_warned(build, g, x, n0, n1)
-            assert got == _outcome_warned(ref, g, x, n0, n1), (
-                build.__name__, g.edges, x, n0, n1)
-            result, warned = got
-            seen.add(result[1].split(" ")[0] if result[0] is
-                     InfeasibleVector else getattr(result[0], "__name__",
-                                                   "built"))
-            seen.add("warned" if warned else "quiet")
-    assert seen >= {"vector", "class-0", "class-1", "TooManyCopies",
-                    "NotDeterministic", "built", "warned", "quiet"}
 
 
 def test_zero_weight_warning_names_the_caller():
@@ -614,7 +524,7 @@ def test_routes_read_no_matrix_and_no_induced_copy(monkeypatch):
     assert all(w for _, w in got[1:])
 
 
-def test_assign_block_tags():
+def test_block_table_of_punctured_cube():
     g = power(helpers.two_state(), 3)
     e = stether_punctured(g, (2, 1), 2, 2)
     table = helpers.check_block_table(e, 2)
@@ -635,7 +545,7 @@ def test_assign_block_tags():
     ("punctured", "trisplit.cg", 1, 1), ("punctured", "twostate.cg", 3, 2),
     ("punctured", "twostate.cg", 4, 3),
 ])
-def test_assign_block_tags_matches_reference(method, name, t, p):
+def test_block_table_matches_reference(method, name, t, p):
     g = helpers.load(name)
     g = g if t == 1 else power(g, t)
     a0, a1, _ = adjacency_pair(g)

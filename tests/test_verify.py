@@ -1,7 +1,6 @@
 import functools
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -301,236 +300,6 @@ def test_presents_subset_reads_words_through_base_graph():
             got = presents_subset(e, base, t)
             assert got == presents_subset(e, power(base, t)), (name, t)
             assert got == (t == own), (name, t)
-
-
-def _outside_word(g, t, rng):
-    """A word of t symbols of g that no path of g reads, or None."""
-    words = set(_words(g, t))
-    symbols = sorted(g.parity.alphabet)
-    for _ in range(50):
-        w = ".".join(symbols[rng.integers(len(symbols))] for _ in range(t))
-        if w not in words:
-            return w
-    return None
-
-
-def _relabelled(g, edge, label):
-    return LabeledGraph(g.states, [Edge(ed.src, label, ed.dst, ed.mult)
-                                   if ed == edge else ed for ed in g.edges],
-                        g.parity)
-
-
-def test_presents_subset_matches_frozen_walk():
-    # the word memo per state set and per half gives the verdicts of the
-    # memo keyed by (state set, label): nondeterministic bases whose
-    # symbols are letters or dotted words (a power of a power), t = 1-3,
-    # encoders inside the constraint, encoders of its words and others',
-    # and encoders that leave it on the first edge the walk takes (the
-    # first out-edge of the last state, as the walk pops the last state
-    # queued) or on a late one (the last out-edge of the first state)
-    rng = np.random.default_rng(97)
-    verdicts = {}
-    nondeterministic = 0
-    for i in range(60):
-        base = helpers.random_graph(rng, max_states=3, strict=bool(i % 2),
-                                    max_out=3)
-        g = base if i % 3 else power(base, 2)
-        nondeterministic += not g.deterministic
-        for t in (1, 2, 3):
-            keep = [ed for ed in g.edges if rng.random() < 0.8] or g.edges
-            inside = power(LabeledGraph(g.states, keep, g.parity), t)
-            other = _words(helpers.random_graph(rng, max_states=2), t)
-            encoders = {"inside": inside,
-                        "words": _labelled(rng, _words(g, t), g.parity),
-                        "others": _labelled(rng, _words(g, t) + other,
-                                            g.parity)}
-            out = _outside_word(g, t, rng)
-            tails = [v for v in inside.states if helpers.out_edges(inside, v)]
-            if out is not None and tails:
-                first = helpers.out_edges(inside, tails[-1])[0]
-                late = helpers.out_edges(inside, tails[0])[-1]
-                encoders["first"] = _relabelled(inside, first, out)
-                encoders["late"] = _relabelled(inside, late, out)
-            for kind, e in encoders.items():
-                got = presents_subset(e, g, t)
-                assert got == helpers.reference_presents_subset(e, g, t), (
-                    kind, g.edges, t, e.edges)
-                verdicts.setdefault(kind, set()).add(got)
-    assert verdicts == {"inside": {True}, "words": {True, False},
-                        "others": {True, False}, "first": {False},
-                        "late": {False}}
-    assert nondeterministic >= 20
-
-
-def test_word_split_matches_branched_reference(monkeypatch):
-    # the one word split reads each word as the branched split did, and
-    # presents_subset gives the same verdicts through either, on bases
-    # whose symbols are letters or words, strict and overlapping, with
-    # multiplicities up to 3
-    from bimodal import verify
-    from bimodal.graphs import _split_words
-
-    def branched(g, t, labels):
-        k = g.edges[0].label.count(".") + 1
-        return {a: helpers.reference_symbols(a, t, k) for a in labels}
-
-    rng = np.random.default_rng(89)
-    verdicts = set()
-    for i in range(48):
-        base = helpers.random_graph(rng, max_states=3, strict=bool(i % 2),
-                                    max_out=2)
-        if i % 4 == 0:
-            base = helpers.with_multiplicities(rng, base)
-        g = base if i % 3 else power(base, 2)
-        k = g.edges[0].label.count(".") + 1
-        for t in (1, 2, 3):
-            words = _words(g, t)
-            w = words[0]
-            labels = (words + _words(g, t + 1)
-                      + ["zz", w + ".", w + ".." + w])
-            split = _split_words(g, t, labels)
-            for a in labels:
-                if len(a.split(".")) == t * k:
-                    assert split[a] == list(
-                        helpers.reference_symbols(a, t, k))
-                else:
-                    assert split[a] == ()
-            keep = [ed for ed in g.edges if rng.random() < 0.7]
-            for e in (power(LabeledGraph(g.states, keep, g.parity), t),
-                      _labelled(rng, words, g.parity),
-                      _labelled(rng, labels, g.parity)):
-                got = presents_subset(e, g, t)
-                with monkeypatch.context() as m:
-                    m.setattr(verify, "_split_words", branched)
-                    assert presents_subset(e, g, t) == got
-                verdicts.add(got)
-    assert verdicts == {True, False}
-
-
-def _pair_checks(e):
-    """Every answer read off the pair graph, certificates by repr; the
-    edge checks share one prebuilt pair graph."""
-    windows = [(m, a) for m in range(3) for a in range(3)]
-    pg = PairGraph(e.graph)
-    return (losslessness(pg), repr(anticipation(pg)), definiteness(pg),
-            [is_definite(pg, m, a) for m, a in windows],
-            repr(memory(e.graph)),
-            [sliding_block_decodable(e, m, a) for m, a in windows])
-
-
-def test_pair_graph_matches_reference(monkeypatch):
-    # the pair arrays hold the relation of the edge-pair listing on
-    # nondeterministic graphs, edges of multiplicity 2 and the fixture
-    # encoders, and every pair check answers as it does from the listing
-    # put in their place
-    import test_acceptance
-    rng = np.random.default_rng(83)
-    encoders = [e for _, _, e, _, _, _ in test_acceptance._fixture_encoders()]
-    for i in range(150):
-        g = helpers.random_graph(rng, strict=bool(i % 2))
-        if i % 3 == 0:
-            g = validate_graph(g.states, [
-                (ed.src, ed.label, ed.dst, int(rng.integers(1, 3)))
-                for ed in g.edges], g.parity.class0, g.parity.class1)
-        encoders.append(TaggedEncoder(g, {
-            ed: ((int(rng.integers(2)), int(rng.integers(2))),)
-            for ed in g.edges}, 1, 1))
-    init = PairGraph.__init__
-
-    def listed(g):
-        return helpers.pair_arrays_of(g, helpers.reference_pair_succ(g))
-
-    def reference(self, g):
-        init(self, g)
-        self.src, self.dst = listed(g)
-
-    kinds = set()
-    for e in encoders:
-        pg = PairGraph(e.graph)
-        src, dst = listed(e.graph)
-        assert np.array_equal(pg.src, src) and np.array_equal(pg.dst, dst)
-        got = _pair_checks(e)
-        with monkeypatch.context() as m:
-            m.setattr(PairGraph, "__init__", reference)
-            assert _pair_checks(e) == got, e.graph.edges
-        kinds.add((got[0], got[1].startswith("Infinite"),
-                   any(ed.mult > 1 for ed in e.graph.edges)))
-    # (lossless, infinite anticipation, multiplicity > 1); an edge of
-    # multiplicity 2 parts from itself and rejoins, so it is lossy
-    assert kinds == {(True, False, False), (True, True, False),
-                     (False, True, False), (False, True, True)}
-
-
-def test_pair_layer_matches_mask_reference(monkeypatch):
-    # every answer read off the pair arrays equals the one read off the
-    # label-mask successors and Tarjan walks they replaced:
-    # nondeterministic graphs of 1-6 states, multiplicities 1-3, strict
-    # and overlapping covers; follower_le into deterministic graphs and
-    # merge_states, weighted and unweighted, on those
-    rng = np.random.default_rng(89)
-    windows = [(m, a) for m in range(3) for a in range(3)]
-    kinds = set()
-    for i in range(1000):
-        strict = bool(i % 2)
-        g = helpers.random_graph(rng, max_states=6, strict=strict)
-        if i % 3 == 0:
-            g = helpers.with_multiplicities(rng, g)
-        e = TaggedEncoder(g, {
-            ed: ((int(rng.integers(2)), int(rng.integers(2))),)
-            for ed in g.edges}, 1, 1)
-        got = _pair_checks(e)
-        assert got == helpers.mask_pair_checks(e, windows), g.edges
-        h = helpers.random_det_graph(rng, max_states=6, strict=strict)
-        for a, b in ((g, h), (h, h)):
-            assert graphs.follower_le(a, b) == helpers.mask_follower_le(a, b)
-        merged = []
-        for w in (None, [int(v) for v in rng.integers(0, 3, len(h.states))]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                want = graphs.merge_states(h, w)
-                with monkeypatch.context() as m:
-                    m.setattr(graphs, "_essential", helpers.tarjan_essential)
-                    m.setattr(graphs, "follower_le", helpers.mask_follower_le)
-                    assert graphs.merge_states(h, w) == want, (h.edges, w)
-            merged.append(len(want.states) < len(h.states))
-        kinds.add((got[0], got[1].startswith("Infinite"), got[2] is None,
-                   got[4].startswith("Infinite")) + tuple(merged))
-    # (lossless, infinite anticipation, no window, infinite memory); a
-    # lossless graph with infinite anticipation keeps an off-diagonal
-    # cycle in every R(m), so it has no window and infinite memory
-    assert {k[:4] for k in kinds} == {
-        (True, False, False, False), (True, False, False, True),
-        (True, False, True, True), (True, True, True, True),
-        (False, True, False, False), (False, True, False, True),
-        (False, True, True, False), (False, True, True, True)}
-    # (merged unweighted, merged weighted)
-    assert {k[4:] for k in kinds} == {(False, False), (True, True),
-                                      (False, True), (True, False)}
-    # the same comparison where edge order and tag ids can slip: state
-    # names that sort unlike their indices, shuffled edges,
-    # multiplicities 1-3 on half the draws, overlapping covers, and tag
-    # sets that are absent or hold one or two tags
-    kinds = set()
-    for i in range(300):
-        g = helpers.random_shuffled_graph(rng, strict=bool(i % 2))
-        if i % 4 < 2:
-            g = validate_graph(g.states, [ed[:3] for ed in g.edges],
-                               g.parity.class0, g.parity.class1)
-        e = TaggedEncoder(g, {
-            ed: tuple((int(rng.integers(2)), int(rng.integers(2)))
-                      for _ in range(rng.integers(1, 3)))
-            for ed in g.edges if rng.integers(4)}, 1, 1)
-        got = _pair_checks(e)
-        assert got == helpers.mask_pair_checks(e, windows), (g.edges, e.tags)
-        kinds.add((got[0], got[1].startswith("Infinite"), any(got[5]),
-                   all(got[5])))
-    # (lossless, infinite anticipation, some window decodes the tags,
-    # every window does)
-    assert kinds == {
-        (True, False, True, True), (True, False, True, False),
-        (True, False, False, False), (True, True, False, False),
-        (False, True, True, True), (False, True, True, False),
-        (False, True, False, False)}
 
 
 def test_pair_graph_of_a_long_ring_stays_small():
@@ -1027,11 +796,11 @@ def _outcome(decode, *args):
 
 
 def test_decoders_match_their_references():
-    # decode_stream against the plain set-stepping rule and the memo
-    # decoder, decode_sliding against path enumeration, on words that
-    # leave the encoder (foreign and off-path labels), run through an
-    # untagged edge or stop short; raw-tag and block calls interleave
-    # on each encoder
+    # decode_stream against the plain set-stepping rule, decode_sliding
+    # against path enumeration, on words that leave the encoder (foreign
+    # and off-path labels), run through an untagged edge or stop short;
+    # raw-tag and block calls interleave on each encoder (the value
+    # corpus holds every decode_stream outcome here, draws/decoders)
     rng = np.random.default_rng(89)
     seen = set()
     for i in range(160):
@@ -1068,8 +837,6 @@ def test_decoders_match_their_references():
                             decode_stream(e, w, start, p)
                         continue
                     got = _outcome(decode_stream, e, w, start, p)
-                    assert got == _outcome(helpers.memo_decode,
-                                           e, w, start, p), (g.edges, w)
                     want, stop = helpers.reference_decode(e, w, start, a, p)
                     if stop is None:
                         assert got == want
@@ -1312,7 +1079,8 @@ def test_slots_ok_matches_by_tag_rule():
     # the one-pass slot index answers as the by_tag rule did: by hand,
     # one tag on two edges of a state, a missing slot, a gapped slot and
     # n = 0; then random tags, repeated and gapped ones among them, where
-    # class_edges also lists the edges the by_tag rows give
+    # class_edges lists the edges the by_tag rows give (the value corpus
+    # holds slots_ok and out_degrees_ok on these draws, draws/slots)
     g = validate_graph("st", [("s", "a", "s"), ("s", "b", "t"),
                               ("s", "c", "t"), ("t", "a", "s"),
                               ("t", "c", "s")], "ab", "c")
@@ -1341,7 +1109,6 @@ def test_slots_ok_matches_by_tag_rule():
         e = TaggedEncoder(g, tags, 1, 1)
         for s, b, n, want in rows:
             assert e.slots_ok(s, b, n) is want, (tags, s, b, n)
-            assert helpers.by_tag_slots_ok(e, s, b, n) is want
     rng = np.random.default_rng(101)
     for i in range(300):
         e = _random_tagged(rng, strict=bool(i % 2))
@@ -1352,15 +1119,9 @@ def test_slots_ok_matches_by_tag_rule():
             rows = helpers.by_tag(e)
             for s in e.graph.states:
                 for b in (0, 1):
-                    for n in range(4):
-                        assert e.slots_ok(s, b, n) == helpers.by_tag_slots_ok(
-                            e, s, b, n), (e.tags, s, b, n)
                     assert e.class_edges(s, b) == [
                         ed for (c, _), es in sorted(rows[s].items())
                         if c == b for ed in es], (e.tags, s, b)
-            assert e.out_degrees_ok() == all(
-                helpers.by_tag_slots_ok(e, s, b, n) for s in e.graph.states
-                for b, n in ((0, e.n0), (1, e.n1)))
 
 
 def test_check_encoder_builds_slot_index_once_and_no_codec_map(monkeypatch):
